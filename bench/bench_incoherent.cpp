@@ -98,14 +98,12 @@ main()
 
     // Path-tracing cells run the per-bounce driver; each job is
     // independent (own PredictorSet), so the pool applies here too.
-    // Env overrides (sim threads, kernel, backend) mirror
+    // Env overrides (sim threads, backend) mirror
     // runSimPoints so both halves honour the same knobs.
     const EnvConfig env = EnvConfig::fromEnvironment();
     auto apply_env = [&env](SimConfig c) {
         if (c.simThreads <= 1)
             c.simThreads = env.budget.simThreads;
-        if (env.kernel != KernelKind::Scalar)
-            c.rt.kernel = env.kernel;
         if (env.backend != PredictorBackendKind::HashTable)
             c.predictor.backend = env.backend;
         return c;

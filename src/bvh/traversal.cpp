@@ -299,19 +299,9 @@ traverseAnyHitRestartTrail(const Bvh &bvh,
 }
 
 BvhTraversal::BvhTraversal(const Bvh &bvh,
-                           const std::vector<Triangle> &triangles,
-                           KernelKind kernel, const TriangleSoA *tri_soa)
-    : bvh_(bvh), triangles_(triangles), kernel_(kernel)
+                           const std::vector<Triangle> &triangles)
+    : bvh_(bvh), triangles_(triangles)
 {
-    if (kernel_ == KernelKind::Soa) {
-        if (tri_soa) {
-            triSoa_ = tri_soa;
-        } else {
-            ownedTriSoa_ = std::make_unique<TriangleSoA>(
-                TriangleSoA::build(triangles_, bvh_.primIndices()));
-            triSoa_ = ownedTriSoa_.get();
-        }
-    }
     stack_.reserve(64);
 }
 
@@ -321,29 +311,6 @@ BvhTraversal::leafClosest(Ray &r, const BvhNode &node, HitRecord &best,
 {
     if (stats)
         stats->triTests += node.primCount;
-    if (node.primCount == 0)
-        return;
-    if (kernel_ == KernelKind::Soa) {
-        lanes_.resize(node.primCount);
-        intersectRayTriangleSoa(r.origin, r.dir, *triSoa_,
-                                node.firstPrim, node.primCount, lanes_);
-        // Primitive-order accept with the live interval (see
-        // geometry/intersect_soa.hpp).
-        for (std::uint32_t i = 0; i < node.primCount; ++i) {
-            if (!lanes_.pass[i])
-                continue;
-            float t = lanes_.t[i];
-            if (t <= r.tMin || t >= r.tMax)
-                continue;
-            best.hit = true;
-            best.t = t;
-            best.u = lanes_.u[i];
-            best.v = lanes_.v[i];
-            best.prim = bvh_.primIndices()[node.firstPrim + i];
-            r.tMax = t;
-        }
-        return;
-    }
     for (std::uint32_t i = 0; i < node.primCount; ++i) {
         std::uint32_t tri = bvh_.primIndices()[node.firstPrim + i];
         HitRecord h;
@@ -359,29 +326,6 @@ bool
 BvhTraversal::leafAny(const Ray &ray, const BvhNode &node,
                       HitRecord &out, TraversalStats *stats)
 {
-    if (kernel_ == KernelKind::Soa) {
-        if (node.primCount == 0)
-            return false;
-        lanes_.resize(node.primCount);
-        intersectRayTriangleSoa(ray.origin, ray.dir, *triSoa_,
-                                node.firstPrim, node.primCount, lanes_);
-        for (std::uint32_t i = 0; i < node.primCount; ++i) {
-            if (stats)
-                stats->triTests++;
-            if (!lanes_.pass[i])
-                continue;
-            float t = lanes_.t[i];
-            if (t <= ray.tMin || t >= ray.tMax)
-                continue;
-            out.hit = true;
-            out.t = t;
-            out.u = lanes_.u[i];
-            out.v = lanes_.v[i];
-            out.prim = bvh_.primIndices()[node.firstPrim + i];
-            return true; // any-hit: first intersection terminates
-        }
-        return false;
-    }
     for (std::uint32_t i = 0; i < node.primCount; ++i) {
         std::uint32_t tri = bvh_.primIndices()[node.firstPrim + i];
         if (stats)

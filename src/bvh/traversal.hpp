@@ -11,12 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bvh/bvh.hpp"
 #include "geometry/intersect.hpp"
-#include "geometry/intersect_soa.hpp"
 #include "geometry/ray.hpp"
 #include "geometry/triangle.hpp"
 
@@ -93,29 +91,16 @@ HitRecord bruteForceClosestHit(const std::vector<Triangle> &triangles,
  * Reusable traversal context for tracing many rays against one scene.
  *
  * Functionally identical to traverseAnyHit / traverseClosestHit (same
- * loop, same near-first ordering, same interval handling), with two
- * throughput improvements for per-frame batch work (raygen's
- * primary-hit loops trace one ray per pixel):
- *
- *  - the traversal stack is a member, so tracing N rays performs no
- *    per-ray heap allocation;
- *  - with KernelKind::Soa, leaf primitives run through the
- *    triangle-lane SoA kernels, with the (tMin, tMax) interval applied
- *    in primitive order afterwards — results stay bitwise identical to
- *    the scalar kernels (the equivalence contract in
- *    geometry/intersect_soa.hpp).
+ * loop, same near-first ordering, same interval handling, bitwise-equal
+ * hit records). The traversal stack is a member, so tracing N rays
+ * performs no per-ray heap allocation — the throughput point for
+ * per-frame batch work (raygen's primary-hit loops trace one ray per
+ * pixel).
  */
 class BvhTraversal
 {
   public:
-    /**
-     * @param kernel Leaf intersection kernels to use.
-     * @param tri_soa Shared triangle lanes for KernelKind::Soa, or
-     *        nullptr — the context then builds its own when needed.
-     */
-    BvhTraversal(const Bvh &bvh, const std::vector<Triangle> &triangles,
-                 KernelKind kernel = KernelKind::Scalar,
-                 const TriangleSoA *tri_soa = nullptr);
+    BvhTraversal(const Bvh &bvh, const std::vector<Triangle> &triangles);
 
     /** Closest-hit traversal; see traverseClosestHit. */
     HitRecord closestHit(const Ray &ray, TraversalStats *stats = nullptr,
@@ -135,12 +120,6 @@ class BvhTraversal
                      std::vector<std::uint8_t> &out,
                      TraversalStats *stats = nullptr);
 
-    KernelKind
-    kernel() const
-    {
-        return kernel_;
-    }
-
   private:
     /** Leaf loop (closest-hit): updates best and shrinks r.tMax. */
     void leafClosest(Ray &r, const BvhNode &node, HitRecord &best,
@@ -152,11 +131,7 @@ class BvhTraversal
 
     const Bvh &bvh_;
     const std::vector<Triangle> &triangles_;
-    KernelKind kernel_;
-    const TriangleSoA *triSoa_ = nullptr;
-    std::unique_ptr<TriangleSoA> ownedTriSoa_;
     std::vector<std::uint32_t> stack_;
-    TriLaneHits lanes_;
 };
 
 } // namespace rtp

@@ -95,13 +95,6 @@ EnvConfig::fromEnvironment()
     EnvConfig env;
     env.budget = threadBudgetFromEnv();
 
-    if (const char *p = std::getenv("RTP_KERNEL"); p && *p) {
-        if (!parseKernelName(p, env.kernel))
-            throw std::invalid_argument(
-                "RTP_KERNEL must be \"scalar\" or \"soa\", got \"" +
-                std::string(p) + "\"");
-    }
-
     if (const char *p = std::getenv("RTP_BACKEND"); p && *p) {
         if (!parseBackendName(p, env.backend))
             throw std::invalid_argument(

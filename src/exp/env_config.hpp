@@ -12,14 +12,13 @@
  * loudly, not silently become a default.
  *
  * None of these variables is a *simulated* knob: results are
- * byte-identical at any legal setting (thread counts, kernel choice)
- * or the variable only attaches observers / redirects files.
+ * byte-identical at any legal setting (thread counts) or the variable
+ * only attaches observers / redirects files.
  *
  * | Variable             | Meaning                                  | Default            |
  * |----------------------|------------------------------------------|--------------------|
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
  * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
- * | RTP_KERNEL           | intersection kernels: scalar | soa       | scalar             |
  * | RTP_BACKEND          | predictor backend: hash | learned        | hash               |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
  * | RTP_SERVICE          | 1 = route harness sweeps through         | 0                  |
@@ -47,7 +46,6 @@
 
 #include "core/predictor_backend.hpp" // PredictorBackendKind
 #include "exp/parallel.hpp"
-#include "geometry/intersect_soa.hpp" // KernelKind
 
 namespace rtp {
 
@@ -57,13 +55,10 @@ struct EnvConfig
     /** RTP_THREADS x RTP_SIM_THREADS, composed (threadBudgetFromEnv). */
     ThreadBudget budget;
 
-    /** RTP_KERNEL: intersection-kernel implementation. */
-    KernelKind kernel = KernelKind::Scalar;
-
     /**
-     * RTP_BACKEND: predictor storage backend. Applied (like
-     * RTP_KERNEL) only when non-default, so benches that pin backends
-     * per cell are overridden uniformly or not at all. A simulated
+     * RTP_BACKEND: predictor storage backend. Applied only when
+     * non-default, so benches that pin backends per cell are
+     * overridden uniformly or not at all. A simulated
      * knob, unlike the rest of this struct: changing it legitimately
      * changes predictor outcomes and therefore simulated cycles —
      * but never per-ray visibility results.

@@ -12,8 +12,8 @@
  * a PredictorSet (warm across bounces, cold at wave 0).
  *
  * Determinism: simulated results are byte-identical at any
- * RTP_SIM_THREADS / RTP_KERNEL setting (the repo's standing
- * contract), bounce sampling consumes one PCG32 stream in submission
+ * RTP_SIM_THREADS setting (the repo's standing contract), bounce
+ * sampling consumes one PCG32 stream in submission
  * order, and stat merging is order-fixed — so the outcome is
  * byte-identical across hosts and thread counts.
  */

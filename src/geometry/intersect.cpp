@@ -9,9 +9,8 @@ intersectRayAabb(const Ray &ray, const RayBoxPrecomp &pre, const Aabb &box,
                  float &tEntry)
 {
     // Robust slab test: safeInv guarantees a finite invDir, so no
-    // product below can be NaN, and the branchless kernelMin/kernelMax
-    // selects match the SIMD min/max semantics of the SoA kernel
-    // operation-for-operation (bitwise scalar/SoA equivalence).
+    // product below can be NaN, and the kernelMin/kernelMax selects
+    // give results that do not depend on operand order.
     float t0 = (box.lo.x - ray.origin.x) * pre.invDir.x;
     float t1 = (box.hi.x - ray.origin.x) * pre.invDir.x;
     float tmin = kernelMin(t0, t1);

@@ -18,12 +18,11 @@
 namespace rtp {
 
 /**
- * Branchless minimum, (a < b ? a : b). This is the exact semantics of
- * the SIMD min instructions (SSE minps, NEON fmin with the same operand
- * order), unlike std::fmin, whose NaN- and signed-zero-handling depends
- * on operand order. The scalar and SoA slab kernels share these helpers
- * so their selects are identical operation-for-operation — a
- * precondition of the bitwise scalar/SoA equivalence contract.
+ * Branchless minimum, (a < b ? a : b): one comparison and one select,
+ * so the result for NaN and signed-zero operands is fully defined by
+ * the call's operand order. std::fmin leaves fmin(-0.0f, +0.0f)
+ * unspecified, which would let slab-test ties differ between standard
+ * libraries.
  */
 inline float
 kernelMin(float a, float b)
@@ -46,8 +45,7 @@ kernelMax(float a, float b)
  * was summed from, which is exactly when catastrophic cancellation
  * makes det rounding noise and 1/det would amplify garbage. Unlike a
  * fixed absolute epsilon, the cull is invariant under uniform scene
- * scaling; unlike a |e1|*|pvec| bound it needs no square roots, so the
- * SoA kernels can evaluate it with the identical operation sequence.
+ * scaling; unlike a |e1|*|pvec| bound it needs no square roots.
  */
 constexpr float kTriDetEpsRel = 1e-6f;
 
@@ -69,7 +67,7 @@ struct RayBoxPrecomp
      *    the *positive* huge value keeps the precompute bit-identical
      *    between rays whose dir differs only in a zero's sign, so
      *    tEntry ties — and therefore traversal order and predictor
-     *    training — cannot diverge between kernel paths.
+     *    training — cannot diverge between such rays.
      *  - denormal d: 1/d overflows to inf even though d != 0; clamp to
      *    +-huge with d's sign so no later product can produce NaN.
      *  - normal d: the exact reciprocal.

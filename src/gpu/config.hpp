@@ -83,7 +83,7 @@ struct SimConfig
      * through SimConfig::check when both are attached. Same
      * pure-observer contract as trace/telemetry/check: simulated
      * cycles, statistics, and per-ray results are byte-identical with
-     * and without a profiler, at any simThreads and either kernel.
+     * and without a profiler, at any simThreads.
      * Single-threaded driver contract — at most one simulate() call
      * per profiler at a time (per-SM slices are only touched by the
      * worker that owns the SM).

@@ -756,18 +756,10 @@ Simulation::run(const std::vector<Ray> &rays)
         }
     }
 
-    // The SoA triangle lanes are immutable per-scene data; build them
-    // once here and share across SMs rather than once per RtUnit.
-    std::unique_ptr<TriangleSoA> tri_soa;
-    if (config_.rt.kernel == KernelKind::Soa)
-        tri_soa = std::make_unique<TriangleSoA>(
-            TriangleSoA::build(*triangles_, bvh_->primIndices()));
-
     std::vector<std::unique_ptr<RtUnit>> units;
     for (std::uint32_t i = 0; i < config_.numSms; ++i)
         units.push_back(std::make_unique<RtUnit>(
-            config_.rt, *bvh_, *triangles_, mem, i, preds[i],
-            tri_soa.get()));
+            config_.rt, *bvh_, *triangles_, mem, i, preds[i]));
     return runEventLoop(units, preds, mem, rays, config_, *bvh_,
                         *triangles_);
 }

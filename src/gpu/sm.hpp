@@ -23,11 +23,9 @@ namespace rtp {
 class Sm
 {
   public:
-    /** @param tri_soa Shared SoA triangle lanes for KernelKind::Soa
-     *         runs, or nullptr (the RT unit then builds its own). */
     Sm(const SimConfig &config, const Bvh &bvh,
        const std::vector<Triangle> &triangles, MemorySystem &mem,
-       std::uint32_t sm_id, const TriangleSoA *tri_soa = nullptr);
+       std::uint32_t sm_id);
 
     RtUnit &
     rtUnit()

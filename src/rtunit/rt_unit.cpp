@@ -104,8 +104,7 @@ RtUnit::checkFinalState(InvariantChecker &check) const
 
 RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
                const std::vector<Triangle> &triangles, MemorySystem &mem,
-               std::uint32_t sm_id, RayPredictor *predictor,
-               const TriangleSoA *tri_soa)
+               std::uint32_t sm_id, RayPredictor *predictor)
     : config_(config), bvh_(bvh), triangles_(triangles), mem_(mem),
       smId_(sm_id), predictor_(predictor),
       buffer_((config.maxWarps + config.additionalWarps) *
@@ -123,20 +122,6 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
     predNodesScratch_.reserve(8);
     issueScratch_.reserve(warp);
     servedScratch_.reserve(warp);
-    if (config_.kernel == KernelKind::Soa) {
-        if (tri_soa) {
-            triSoa_ = tri_soa;
-        } else {
-            ownedTriSoa_ = std::make_unique<TriangleSoA>(
-                TriangleSoA::build(triangles_, bvh_.primIndices()));
-            triSoa_ = ownedTriSoa_.get();
-        }
-        raySoa_.resize(buffer_.capacity());
-        boxScratch_.reserve(warp);
-        groupedScratch_.reserve(warp);
-        groupIssueScratch_.reserve(warp);
-        groupSlotScratch_.reserve(warp);
-    }
 }
 
 std::uint32_t
@@ -242,8 +227,6 @@ RtUnit::dispatchPending(Cycle now)
             e.readyAt = now + config_.queueLatency;
             e.dispatchedAt = now + config_.queueLatency;
             e.phase = RayPhase::Lookup;
-            if (config_.kernel == KernelKind::Soa)
-                raySoa_.setLane(slot, e.ray, e.pre);
             w.slots.push_back(slot);
         }
         w.raysAtDispatch = static_cast<std::uint32_t>(count);
@@ -519,111 +502,6 @@ RtUnit::processNode(RayEntry &entry, std::uint32_t node_idx,
     return done;
 }
 
-Cycle
-RtUnit::processNodeSoa(const Issue &is, const BoxPairResult &boxes,
-                       Cycle data_ready)
-{
-    RayEntry &entry = buffer_.slot(is.slot);
-    const BvhNode &node = bvh_.node(is.node);
-    bool any_hit_ray = entry.ray.kind == RayKind::Occlusion;
-    Cycle done = data_ready;
-
-    if (node.isLeaf()) {
-        done += isect_.leafLatency(node.primCount);
-        if (node.primCount > 0) {
-            triLanes_.resize(node.primCount);
-            intersectRayTriangleSoa(entry.ray.origin, entry.ray.dir,
-                                    *triSoa_, node.firstPrim,
-                                    node.primCount, triLanes_);
-            // Accept in primitive order with the live interval: the
-            // lanes are interval-independent, so closest-hit tMax
-            // shrinking inside the leaf matches the scalar loop.
-            for (std::uint32_t i = 0; i < node.primCount; ++i) {
-                if (!triLanes_.pass[i])
-                    continue;
-                float t = triLanes_.t[i];
-                if (t <= entry.ray.tMin || t >= entry.ray.tMax)
-                    continue;
-                entry.hit = true;
-                entry.hitT = t;
-                entry.hitPrim = bvh_.primIndices()[node.firstPrim + i];
-                entry.hitLeaf = is.node;
-                if (any_hit_ray)
-                    break;
-                entry.ray.tMax = t;
-                raySoa_.setTMax(is.slot, t);
-            }
-        }
-    } else {
-        done += isect_.boxPairLatency();
-        auto l = static_cast<std::uint32_t>(node.left);
-        auto r = static_cast<std::uint32_t>(node.right);
-        if (boxes.hitL && boxes.hitR) {
-            if (boxes.tl <= boxes.tr) {
-                entry.stack.push(r);
-                entry.stack.push(l);
-            } else {
-                entry.stack.push(l);
-                entry.stack.push(r);
-            }
-        } else if (boxes.hitL) {
-            entry.stack.push(l);
-        } else if (boxes.hitR) {
-            entry.stack.push(r);
-        }
-    }
-    checkStackWindow(entry);
-    return done;
-}
-
-void
-RtUnit::precomputeBoxTests()
-{
-    boxScratch_.assign(issueScratch_.size(), BoxPairResult{});
-    groupedScratch_.assign(issueScratch_.size(), 0);
-    float tl[RayLanes::kMax], tr[RayLanes::kMax];
-    std::uint8_t hl[RayLanes::kMax], hr[RayLanes::kMax];
-
-    for (std::size_t i = 0; i < issueScratch_.size(); ++i) {
-        if (issueScratch_[i].isLeaf || groupedScratch_[i])
-            continue;
-        // Group every issue of this node (linear scan, <= warpSize
-        // issues — same reasoning as the request-merge table).
-        std::uint32_t node_idx = issueScratch_[i].node;
-        groupIssueScratch_.clear();
-        groupSlotScratch_.clear();
-        for (std::size_t j = i; j < issueScratch_.size(); ++j) {
-            if (groupedScratch_[j] || issueScratch_[j].isLeaf ||
-                issueScratch_[j].node != node_idx)
-                continue;
-            groupedScratch_[j] = 1;
-            groupIssueScratch_.push_back(
-                static_cast<std::uint32_t>(j));
-            groupSlotScratch_.push_back(issueScratch_[j].slot);
-        }
-
-        const BvhNode &node = bvh_.node(node_idx);
-        const Aabb &lbox =
-            bvh_.node(static_cast<std::uint32_t>(node.left)).box;
-        const Aabb &rbox =
-            bvh_.node(static_cast<std::uint32_t>(node.right)).box;
-        std::uint32_t total =
-            static_cast<std::uint32_t>(groupIssueScratch_.size());
-        for (std::uint32_t base = 0; base < total;
-             base += RayLanes::kMax) {
-            std::uint32_t count =
-                std::min(RayLanes::kMax, total - base);
-            raySoa_.gather(groupSlotScratch_.data() + base, count,
-                           laneScratch_);
-            intersectRayAabbSoa(laneScratch_, count, lbox, tl, hl);
-            intersectRayAabbSoa(laneScratch_, count, rbox, tr, hr);
-            for (std::uint32_t k = 0; k < count; ++k)
-                boxScratch_[groupIssueScratch_[base + k]] =
-                    BoxPairResult{tl[k], tr[k], hl[k], hr[k]};
-        }
-    }
-}
-
 bool
 RtUnit::doTraversal(Warp &warp, Cycle now)
 {
@@ -690,8 +568,7 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
         is.node = *top;
         is.isLeaf = bvh_.node(*top).isLeaf();
         if (profile_) {
-            // First issue of the step decides the exec category
-            // (kernel-shared: the SoA path sees identical issues).
+            // First issue of the step decides the exec category.
             CycleCat cat;
             if (e.phase == RayPhase::PredEval)
                 cat = CycleCat::PredVerify;
@@ -713,18 +590,12 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
     issueActiveThreads_ += issueScratch_.size();
     issueSlots_ += config_.warpSize;
 
-    // SoA kernels: run the grouped child-box tests for the whole step
-    // up front (see precomputeBoxTests for why this is equivalent).
-    if (config_.kernel == KernelKind::Soa)
-        precomputeBoxTests();
-
     // Issue memory requests: one per unique node (plus local-memory
     // traffic from stack spills), in thread order, one L1 port. The
     // merge table is a flat vector with linear lookup: a warp issues at
     // most warpSize requests, where that beats any hashed container.
     servedScratch_.clear();
-    for (std::size_t idx = 0; idx < issueScratch_.size(); ++idx) {
-        const Issue &is = issueScratch_[idx];
+    for (const Issue &is : issueScratch_) {
         RayEntry &e = buffer_.slot(is.slot);
         std::uint64_t addr;
         std::uint32_t bytes;
@@ -806,11 +677,7 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
         if (e.phase == RayPhase::PredEval)
             e.predPhaseFetches++;
 
-        Cycle done = config_.kernel == KernelKind::Soa
-                         ? processNodeSoa(is, boxScratch_[idx],
-                                          data_ready)
-                         : processNode(e, is.node, data_ready);
-        e.readyAt = done;
+        e.readyAt = processNode(e, is.node, data_ready);
 
         // Any-hit rays finish on the spot when a hit is found.
         if (e.hit && e.ray.kind == RayKind::Occlusion) {

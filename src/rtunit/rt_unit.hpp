@@ -30,15 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bvh/bvh.hpp"
 #include "core/predictor.hpp"
 #include "core/repacker.hpp"
-#include "geometry/intersect_soa.hpp"
 #include "mem/memory_system.hpp"
-#include "rays/ray_soa.hpp"
 #include "rtunit/event_queue.hpp"
 #include "rtunit/intersection_unit.hpp"
 #include "rtunit/ray_buffer.hpp"
@@ -64,11 +61,6 @@ struct RtUnitConfig
     /** Scheduler queue implementation (LegacyHeap is the reference
      *  model used by the equivalence tests). */
     EventQueueImpl eventQueue = EventQueueImpl::Calendar;
-    /** Intersection-kernel implementation. A host execution knob:
-     *  results, stats, traces, and telemetry are byte-identical for
-     *  every value (tests/test_kernel_equiv.cpp); only host wall-clock
-     *  differs. Selectable via RTP_KERNEL=scalar|soa. */
-    KernelKind kernel = KernelKind::Scalar;
 };
 
 /** Final state of one traced ray. */
@@ -93,15 +85,10 @@ class RtUnit
      * @param mem The memory hierarchy.
      * @param sm_id Index of the owning SM (selects the L1).
      * @param predictor The SM's predictor, or nullptr for the baseline.
-     * @param tri_soa Shared SoA triangle lanes for KernelKind::Soa, or
-     *        nullptr — the unit then builds its own copy when the
-     *        config selects the SoA kernels. Passing one built once per
-     *        scene avoids an O(triangles) rebuild per SM.
      */
     RtUnit(const RtUnitConfig &config, const Bvh &bvh,
            const std::vector<Triangle> &triangles, MemorySystem &mem,
-           std::uint32_t sm_id, RayPredictor *predictor,
-           const TriangleSoA *tri_soa = nullptr);
+           std::uint32_t sm_id, RayPredictor *predictor);
 
     /** Submit the full ray workload (traced as warps of 32). */
     void submit(const std::vector<Ray> &rays,
@@ -209,10 +196,7 @@ class RtUnit
      * Attach a cycle-attribution profiler (nullptr detaches), shared
      * with the partial warp collector and this SM's predictor. Every
      * event then classifies its own cycle and the wait gap before it
-     * (see util/profile.hpp). Probes live only in kernel-shared code —
-     * never inside processNode/processNodeSoa — so attribution is
-     * byte-identical for either RTP_KERNEL. Same pure-observer
-     * contract as tracing.
+     * (see util/profile.hpp). Same pure-observer contract as tracing.
      */
     void setProfiler(CycleProfiler *profile);
 
@@ -256,13 +240,6 @@ class RtUnit
         std::uint32_t extraLocalAccesses; //!< stack spills/refills
     };
 
-    /** Precomputed child box tests of one interior-node issue. */
-    struct BoxPairResult
-    {
-        float tl = 0.0f, tr = 0.0f;
-        std::uint8_t hitL = 0, hitR = 0;
-    };
-
     /** Try to dispatch pending external warps into free slots. */
     void dispatchPending(Cycle now);
 
@@ -280,27 +257,6 @@ class RtUnit
     /** Process a node fetched for a ray; returns post-test ready time. */
     Cycle processNode(RayEntry &entry, std::uint32_t node_idx,
                       Cycle data_ready);
-
-    /**
-     * SoA-kernel variant of processNode: interior nodes consume the
-     * grouped box tests from precomputeBoxTests(); leaves run the
-     * triangle-lane kernel and then apply the (tMin, tMax) interval in
-     * primitive order, so closest-hit shrinking matches the scalar loop
-     * decision-for-decision. Latency/stat accounting is shared with the
-     * scalar path and byte-identical.
-     */
-    Cycle processNodeSoa(const Issue &is, const BoxPairResult &boxes,
-                         Cycle data_ready);
-
-    /**
-     * Grouped child-box slab tests for every interior-node issue in
-     * issueScratch_ (SoA mode), filling boxScratch_ in parallel to it.
-     * Sound to run for the whole step up front: each slot issues at
-     * most once per step and a slot's tMax only shrinks in its own
-     * processNode call, so the lanes see exactly the operands the
-     * scalar path would read inline.
-     */
-    void precomputeBoxTests();
 
     /** Checker probe: the stack stays inside its hardware window. */
     void checkStackWindow(const RayEntry &entry) const;
@@ -334,13 +290,6 @@ class RtUnit
     RayBuffer buffer_;
     IntersectionUnit isect_;
 
-    // SoA kernel state (unused in scalar mode). triSoa_ points at the
-    // shared per-scene lanes (or ownedTriSoa_ when self-built); raySoa_
-    // mirrors resident rays slot-for-slot.
-    const TriangleSoA *triSoa_ = nullptr;
-    std::unique_ptr<TriangleSoA> ownedTriSoa_;
-    RayBatchSoA raySoa_;
-
     PartialWarpCollector collector_;
     std::vector<Warp> warps_;
     std::vector<std::uint32_t> freeWarpSlots_;
@@ -365,12 +314,6 @@ class RtUnit
     std::vector<Issue> issueScratch_;             //!< doTraversal issues
     std::vector<std::pair<std::uint64_t, Cycle>>
         servedScratch_; //!< intra-warp request merge table (<= warpSize)
-    std::vector<BoxPairResult> boxScratch_; //!< parallel to issueScratch_
-    std::vector<std::uint8_t> groupedScratch_; //!< issue already grouped?
-    std::vector<std::uint32_t> groupIssueScratch_; //!< one node's issues
-    std::vector<std::uint32_t> groupSlotScratch_;  //!< their ray slots
-    RayLanes laneScratch_;    //!< gathered lanes for grouped box tests
-    TriLaneHits triLanes_;    //!< leaf triangle-kernel outputs
 
     std::vector<RayResult> results_;
     StatGroup stats_;

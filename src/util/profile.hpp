@@ -29,8 +29,7 @@
  * only ever touched from the worker that owns the SM's event loop, and
  * shared-seam tallies (L2/DRAM) only from inside the ShardGate's
  * serialised section, so the sharded loop needs no extra merge step:
- * output is byte-identical at any RTP_SIM_THREADS and either
- * RTP_KERNEL.
+ * output is byte-identical at any RTP_SIM_THREADS.
  */
 
 #pragma once

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "bvh/builder.hpp"
 #include "bvh/traversal.hpp"
+#include "exp/workload.hpp"
 #include "scene/registry.hpp"
 #include "util/rng.hpp"
 
@@ -36,6 +40,44 @@ randomRay(Rng &rng, float tmax)
     r.tMax = tmax;
     r.kind = RayKind::Occlusion;
     return r;
+}
+
+/** Every bundled scene at low detail, with a small AO ray set each. */
+WorkloadCache &
+sceneCache()
+{
+    static WorkloadCache *c = [] {
+        WorkloadConfig wc;
+        wc.detail = 0.05f;
+        wc.raygen.width = 24;
+        wc.raygen.height = 24;
+        wc.raygen.samplesPerPixel = 1;
+        wc.raygen.viewportFraction = 0.3f;
+        return new WorkloadCache(wc);
+    }();
+    return *c;
+}
+
+std::uint32_t
+bits(float f)
+{
+    std::uint32_t b;
+    std::memcpy(&b, &f, 4);
+    return b;
+}
+
+/** Exact comparison of two hit records, including t/u/v bit patterns. */
+void
+expectBitIdentical(const HitRecord &a, const HitRecord &b,
+                   const char *what, std::size_t i)
+{
+    ASSERT_EQ(a.hit, b.hit) << what << " ray " << i;
+    if (!a.hit)
+        return;
+    EXPECT_EQ(a.prim, b.prim) << what << " ray " << i;
+    EXPECT_EQ(bits(a.t), bits(b.t)) << what << " ray " << i;
+    EXPECT_EQ(bits(a.u), bits(b.u)) << what << " ray " << i;
+    EXPECT_EQ(bits(a.v), bits(b.v)) << what << " ray " << i;
 }
 
 TEST(Traversal, AnyHitMatchesBruteForceProperty)
@@ -192,6 +234,46 @@ TEST(Traversal, SceneWorkloadMatchesBruteForceSampled)
         ray.tMax = b.diagonal() * 0.3f;
         EXPECT_EQ(bruteForceAnyHit(s.mesh.triangles(), ray),
                   traverseAnyHit(bvh, s.mesh.triangles(), ray).hit);
+    }
+}
+
+TEST(Traversal, ContextBitIdenticalToFreeFunctionsOnEveryScene)
+{
+    // BvhTraversal (raygen's reusable context) must reproduce the
+    // free-function reference bit for bit: hit, t, u, v, and prim.
+    for (SceneId id : allSceneIds()) {
+        const Workload &w = sceneCache().get(id);
+        const auto &tris = w.scene.mesh.triangles();
+        BvhTraversal ctx(w.bvh, tris);
+        for (std::size_t i = 0; i < w.ao.rays.size(); ++i) {
+            const Ray &ray = w.ao.rays[i];
+            expectBitIdentical(traverseClosestHit(w.bvh, tris, ray),
+                               ctx.closestHit(ray),
+                               w.scene.shortName.c_str(), i);
+            expectBitIdentical(traverseAnyHit(w.bvh, tris, ray),
+                               ctx.anyHit(ray),
+                               w.scene.shortName.c_str(), i);
+        }
+    }
+}
+
+TEST(Traversal, ContextBatchMatchesPerRayCalls)
+{
+    const Workload &w = sceneCache().get(SceneId::Sibenik);
+    BvhTraversal ctx(w.bvh, w.scene.mesh.triangles());
+
+    std::vector<HitRecord> batch;
+    ctx.closestHitBatch(w.ao.rays, batch);
+    ASSERT_EQ(batch.size(), w.ao.rays.size());
+    std::vector<std::uint8_t> any;
+    ctx.anyHitBatch(w.ao.rays, any);
+    ASSERT_EQ(any.size(), w.ao.rays.size());
+
+    for (std::size_t i = 0; i < w.ao.rays.size(); ++i) {
+        expectBitIdentical(ctx.closestHit(w.ao.rays[i]), batch[i],
+                           "batch", i);
+        EXPECT_EQ(ctx.anyHit(w.ao.rays[i]).hit, any[i] != 0)
+            << "ray " << i;
     }
 }
 

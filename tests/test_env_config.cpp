@@ -110,15 +110,14 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
-    ScopedEnv k("RTP_KERNEL", nullptr), c("RTP_CHECK", nullptr),
-        s("RTP_SERVICE", nullptr), t("RTP_TRACE", nullptr),
-        tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
+    ScopedEnv c("RTP_CHECK", nullptr), s("RTP_SERVICE", nullptr),
+        t("RTP_TRACE", nullptr), tp("RTP_TRACE_POINT", nullptr),
+        te("RTP_TELEMETRY", nullptr),
         tep("RTP_TELEMETRY_POINT", nullptr),
         per("RTP_TELEMETRY_PERIOD", nullptr),
         j("RTP_JSON_DIR", nullptr), sc("RTP_SCALE", nullptr),
         r("RTP_SELFBENCH_REPS", nullptr);
     EnvConfig env = EnvConfig::fromEnvironment();
-    EXPECT_EQ(env.kernel, KernelKind::Scalar);
     EXPECT_FALSE(env.check);
     EXPECT_FALSE(env.service);
     EXPECT_TRUE(env.tracePath.empty());
@@ -130,14 +129,13 @@ TEST(EnvConfig, FromEnvironmentDefaults)
 
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 {
-    ScopedEnv k("RTP_KERNEL", "soa"), c("RTP_CHECK", "1"),
-        s("RTP_SERVICE", "1"), t("RTP_TRACE", "/tmp/t.json"),
-        tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
+    ScopedEnv c("RTP_CHECK", "1"), s("RTP_SERVICE", "1"),
+        t("RTP_TRACE", "/tmp/t.json"), tp("RTP_TRACE_POINT", "2"),
+        te("RTP_TELEMETRY", "/tmp/m.json"),
         tep("RTP_TELEMETRY_POINT", "1"),
         per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
         sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
     EnvConfig env = EnvConfig::fromEnvironment();
-    EXPECT_EQ(env.kernel, KernelKind::Soa);
     EXPECT_TRUE(env.check);
     EXPECT_TRUE(env.service);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
@@ -213,15 +211,9 @@ TEST(EnvConfig, WorkloadKnobsParseStrictly)
     }
 }
 
-TEST(EnvConfig, FromEnvironmentRejectsBadKernelAndClampsScale)
+TEST(EnvConfig, FromEnvironmentClampsScale)
 {
     {
-        ScopedEnv k("RTP_KERNEL", "avx512");
-        EXPECT_THROW(EnvConfig::fromEnvironment(),
-                     std::invalid_argument);
-    }
-    {
-        ScopedEnv k("RTP_KERNEL", nullptr);
         ScopedEnv sc("RTP_SCALE", "9999");
         EXPECT_EQ(EnvConfig::fromEnvironment().scale, 16);
     }

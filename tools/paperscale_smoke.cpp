@@ -9,22 +9,22 @@
  * budget (--budget-seconds or RTP_SMOKE_BUDGET, seconds; 0 disables),
  * so a host-performance regression that only shows up at scale — e.g.
  * a kernel or event-loop slowdown hidden by tiny test workloads —
- * fails loudly. The intersection kernels default to the batched SoA
- * path; RTP_KERNEL=scalar|soa overrides (exp/harness.cpp), letting the
- * gate also compare the two end to end.
+ * fails loudly. The budget parses strictly: a value that is not a
+ * finite non-negative number is a usage error, never a silent 0.
  *
  * Prints the scene, ray count, simulated cycles, wall seconds, and
- * rays per wall-second. Exit status: 0 inside budget, 1 otherwise.
+ * rays per wall-second. Exit status: 0 inside budget, 1 over budget,
+ * 2 on a usage error.
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "bvh/builder.hpp"
 #include "exp/harness.hpp"
-#include "geometry/intersect_soa.hpp"
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
@@ -42,18 +42,46 @@ now_seconds()
         .count();
 }
 
+/**
+ * Parse a wall-clock budget in seconds. @return false (leaving @p out
+ * untouched) unless all of @p text is one finite number >= 0.
+ */
+bool
+parseBudget(const char *text, double &out)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     double budget_seconds = 0.0;
-    if (const char *b = std::getenv("RTP_SMOKE_BUDGET"))
-        budget_seconds = std::atof(b);
+    if (const char *b = std::getenv("RTP_SMOKE_BUDGET");
+        b && !parseBudget(b, budget_seconds)) {
+        std::fprintf(stderr,
+                     "paperscale_smoke: RTP_SMOKE_BUDGET must be a "
+                     "finite number of seconds >= 0, got \"%s\"\n",
+                     b);
+        return 2;
+    }
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--budget-seconds") == 0 &&
             i + 1 < argc) {
-            budget_seconds = std::atof(argv[++i]);
+            if (!parseBudget(argv[++i], budget_seconds)) {
+                std::fprintf(stderr,
+                             "paperscale_smoke: --budget-seconds must "
+                             "be a finite number of seconds >= 0, got "
+                             "\"%s\"\n",
+                             argv[i]);
+                return 2;
+            }
         } else {
             std::fprintf(stderr,
                          "usage: paperscale_smoke "
@@ -62,20 +90,8 @@ main(int argc, char **argv)
         }
     }
 
-    KernelKind kernel = KernelKind::Soa;
-    if (const char *k = std::getenv("RTP_KERNEL")) {
-        if (!parseKernelName(k, kernel)) {
-            std::fprintf(stderr,
-                         "paperscale_smoke: RTP_KERNEL must be "
-                         "\"scalar\" or \"soa\", got \"%s\"\n",
-                         k);
-            return 2;
-        }
-    }
-
     std::printf("paperscale_smoke: Sibenik detail=1.0 512x512x1spp, "
-                "8 SMs proposed, kernel=%s\n",
-                kernelName(kernel));
+                "8 SMs proposed\n");
 
     double t0 = now_seconds();
     Scene scene = makeScene(SceneId::Sibenik, 1.0f);
@@ -92,7 +108,6 @@ main(int argc, char **argv)
 
     SimConfig config = SimConfig::proposed();
     config.numSms = 8;
-    config.rt.kernel = kernel;
 
     t0 = now_seconds();
     SimResult result =

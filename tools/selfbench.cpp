@@ -34,12 +34,8 @@
 
 #include "exp/env_config.hpp"
 #include "exp/harness.hpp"
-#include "geometry/intersect.hpp"
 #include "util/profile.hpp"
 #include "util/schema.hpp"
-#include "geometry/intersect_soa.hpp"
-#include "rays/ray_soa.hpp"
-#include "util/rng.hpp"
 
 using namespace rtp;
 
@@ -176,47 +172,6 @@ main()
                          t1_wall / t4_wall);
     }
 
-    // SoA-kernel section: the same 8-SM configuration with the batched
-    // intersection kernels (RTP_KERNEL=soa), sequential and 4-worker.
-    // Simulated cycles are identical to the sharded cells above (the
-    // bitwise scalar/SoA equivalence contract); rays/s shows how much
-    // of the end-to-end run the intersection kernels were.
-    {
-        SimConfig soa = SimConfig::proposed();
-        soa.numSms = 8;
-        soa.rt.kernel = KernelKind::Soa;
-        std::vector<const Workload *> soa_scenes = cache.getAll(
-            {SceneId::Sibenik, SceneId::FireplaceRoom,
-             SceneId::CrytekSponza});
-        for (const Workload *w : soa_scenes) {
-            for (unsigned threads : {1u, 4u}) {
-                SimConfig c = soa;
-                c.simThreads = threads;
-                Simulation sim(c, w->bvh, w->scene.mesh.triangles());
-                Cell cell;
-                cell.label = w->scene.shortName + "/soa_t" +
-                             std::to_string(threads);
-                cell.rays = w->ao.rays.size();
-                cell.wallSeconds = -1.0;
-                for (int rep = 0; rep < reps; ++rep) {
-                    double t0 = now_seconds();
-                    SimResult r = sim.run(w->ao.rays);
-                    double dt = now_seconds() - t0;
-                    cell.cycles = r.cycles;
-                    if (cell.wallSeconds < 0.0 ||
-                        dt < cell.wallSeconds)
-                        cell.wallSeconds = dt;
-                }
-                total_rays += cell.rays;
-                total_wall += cell.wallSeconds;
-                std::printf("%-22s %10zu %12.4f %14.0f\n",
-                            cell.label.c_str(), cell.rays,
-                            cell.wallSeconds, cell.raysPerSecond());
-                cells.push_back(std::move(cell));
-            }
-        }
-    }
-
     // Profiler-overhead section: the proposed configuration on one
     // scene with the cycle-attribution profiler detached vs attached
     // (RTP_PROFILE, util/profile.hpp). Simulated cycles are identical
@@ -258,134 +213,6 @@ main()
                          "[rtp-selfbench] profile_overhead: %+.2f%% "
                          "wall (profiler on vs off)\n",
                          100.0 * (on_wall - off_wall) / off_wall);
-    }
-
-    // Kernel-bound microbenchmark: raw intersection-test throughput of
-    // the scalar kernels vs the batched SoA kernels, isolated from the
-    // event loop. "rays" counts individual intersection tests. These
-    // are the cells where the SoA speedup target applies — end-to-end
-    // cells dilute the kernels with event-queue and cache-model work.
-    {
-        Rng rng(97);
-        constexpr std::uint32_t kLanes = RayLanes::kMax;
-        std::vector<Ray> rays;
-        for (std::uint32_t i = 0; i < kLanes; ++i) {
-            Ray r;
-            r.origin = {rng.nextRange(-4, 4), rng.nextRange(-4, 4),
-                        -10.0f};
-            r.dir = {rng.nextRange(-0.4f, 0.4f),
-                     rng.nextRange(-0.4f, 0.4f), 1.0f};
-            rays.push_back(r);
-        }
-        Aabb box{{-2, -2, -2}, {2, 2, 2}};
-        std::vector<RayBoxPrecomp> pres;
-        for (const Ray &r : rays)
-            pres.emplace_back(r);
-        RayBatchSoA batch = RayBatchSoA::fromRays(rays);
-        std::uint32_t slots[kLanes];
-        for (std::uint32_t i = 0; i < kLanes; ++i)
-            slots[i] = i;
-        RayLanes lanes;
-        batch.gather(slots, kLanes, lanes);
-
-        std::vector<Triangle> tri_vec;
-        std::vector<std::uint32_t> slot_to_tri;
-        for (std::uint32_t i = 0; i < kLanes; ++i) {
-            tri_vec.push_back(Triangle{
-                {rng.nextRange(-4, 4), rng.nextRange(-4, 4),
-                 rng.nextRange(3, 8)},
-                {rng.nextRange(-4, 4), rng.nextRange(-4, 4),
-                 rng.nextRange(3, 8)},
-                {rng.nextRange(-4, 4), rng.nextRange(-4, 4),
-                 rng.nextRange(3, 8)}});
-            slot_to_tri.push_back(i);
-        }
-        TriangleSoA tri_soa = TriangleSoA::build(tri_vec, slot_to_tri);
-
-        constexpr int kBoxIters = 100000;
-        constexpr int kTriIters = 50000;
-        volatile double sink = 0.0; //!< defeats dead-code elimination
-
-        auto time_cell = [&](const char *label, std::size_t tests,
-                             auto &&body) {
-            Cell cell;
-            cell.label = label;
-            cell.rays = tests;
-            cell.wallSeconds = -1.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                double t0 = now_seconds();
-                body();
-                double dt = now_seconds() - t0;
-                if (cell.wallSeconds < 0.0 || dt < cell.wallSeconds)
-                    cell.wallSeconds = dt;
-            }
-            total_rays += cell.rays;
-            total_wall += cell.wallSeconds;
-            std::printf("%-22s %10zu %12.4f %14.0f\n",
-                        cell.label.c_str(), cell.rays,
-                        cell.wallSeconds, cell.raysPerSecond());
-            double rps = cell.raysPerSecond();
-            cells.push_back(std::move(cell));
-            return rps;
-        };
-
-        double box_scalar_rps = time_cell(
-            "kernel/box_scalar",
-            static_cast<std::size_t>(kBoxIters) * kLanes, [&] {
-                double acc = 0.0;
-                for (int it = 0; it < kBoxIters; ++it)
-                    for (std::uint32_t i = 0; i < kLanes; ++i) {
-                        float t = 0;
-                        if (intersectRayAabb(rays[i], pres[i], box, t))
-                            acc += t;
-                    }
-                sink = sink + acc;
-            });
-        double box_soa_rps = time_cell(
-            "kernel/box_soa",
-            static_cast<std::size_t>(kBoxIters) * kLanes, [&] {
-                float t[kLanes];
-                std::uint8_t hit[kLanes];
-                double acc = 0.0;
-                for (int it = 0; it < kBoxIters; ++it) {
-                    intersectRayAabbSoa(lanes, kLanes, box, t, hit);
-                    acc += t[it % kLanes];
-                }
-                sink = sink + acc;
-            });
-        double tri_scalar_rps = time_cell(
-            "kernel/tri_scalar",
-            static_cast<std::size_t>(kTriIters) * kLanes, [&] {
-                double acc = 0.0;
-                for (int it = 0; it < kTriIters; ++it)
-                    for (std::uint32_t i = 0; i < kLanes; ++i) {
-                        HitRecord rec;
-                        if (intersectRayTriangle(rays[i], tri_vec[i],
-                                                 rec))
-                            acc += rec.t;
-                    }
-                sink = sink + acc;
-            });
-        double tri_soa_rps = time_cell(
-            "kernel/tri_soa",
-            static_cast<std::size_t>(kTriIters) * kLanes, [&] {
-                TriLaneHits out;
-                out.resize(kLanes);
-                double acc = 0.0;
-                for (int it = 0; it < kTriIters; ++it) {
-                    intersectRayTriangleSoa(rays[it % kLanes].origin,
-                                            rays[it % kLanes].dir,
-                                            tri_soa, 0, kLanes, out);
-                    acc += out.t[it % kLanes];
-                }
-                sink = sink + acc;
-            });
-        if (box_scalar_rps > 0.0 && tri_scalar_rps > 0.0)
-            std::fprintf(stderr,
-                         "[rtp-selfbench] SoA kernel speedup "
-                         "(tests/s vs scalar): box %.2fx, tri %.2fx\n",
-                         box_soa_rps / box_scalar_rps,
-                         tri_soa_rps / tri_scalar_rps);
     }
 
     double total_rps = total_wall > 0.0 ? total_rays / total_wall : 0.0;

@@ -18,14 +18,6 @@
  * fuzzing the sharded loop's byte-identical contract
  * (docs/performance.md) across the whole randomised config space.
  *
- * With --kernel the differential instead fuzzes the intersection-kernel
- * seam: each seed runs the derived point with the scalar kernels
- * (KernelKind::Scalar) and with the SoA kernels (KernelKind::Soa),
- * both under the invariant checker, and byte-compares the SimResult
- * JSON plus the number of checker probes — the bitwise scalar/SoA
- * equivalence contract (geometry/intersect_soa.hpp) across the
- * randomised config space.
- *
  * With --backend the differential fuzzes the predictor-backend seam
  * (core/predictor_backend.hpp): each seed runs the derived point with
  * the hash-table backend and with the learned backend (predictor
@@ -46,7 +38,7 @@
  *
  * Usage:
  *   simfuzz [--seeds N] [--base-seed B] [--repro SEED]
- *           [--repro-out PATH] [--sharded] [--kernel] [--backend]
+ *           [--repro-out PATH] [--sharded] [--backend]
  */
 
 #include <cstdint>
@@ -59,7 +51,6 @@
 #include <vector>
 
 #include "bvh/builder.hpp"
-#include "geometry/intersect_soa.hpp"
 #include "gpu/differential.hpp"
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
@@ -280,58 +271,6 @@ runShardedPoint(const SimConfig &config, const FuzzScene &fs,
 }
 
 /**
- * Scalar-vs-SoA kernel differential (--kernel): run the point with
- * each KernelKind under the invariant checker and byte-compare the
- * SimResult JSON and the checker-probe count. @return The failure
- * message, or empty.
- */
-std::string
-runKernelPoint(const SimConfig &config, const FuzzScene &fs,
-               const std::vector<Ray> &rays)
-{
-    try {
-        auto run_with = [&](KernelKind kernel,
-                            std::uint64_t &checks_run,
-                            std::string &profile_json) {
-            InvariantChecker check;
-            // Profiler probes live only in kernel-shared code, so the
-            // attribution profile is part of the equivalence contract.
-            CycleProfiler profile;
-            SimConfig c = config;
-            c.check = &check;
-            c.profile = &profile;
-            c.rt.kernel = kernel;
-            std::string json =
-                Simulation(c, fs.bvh, fs.scene.mesh.triangles())
-                    .run(rays)
-                    .toJson();
-            checks_run = check.checksRun();
-            profile_json = profile.toJson();
-            return json;
-        };
-        std::uint64_t ref_checks = 0, soa_checks = 0;
-        std::string ref_profile, soa_profile;
-        const std::string ref =
-            run_with(KernelKind::Scalar, ref_checks, ref_profile);
-        const std::string soa =
-            run_with(KernelKind::Soa, soa_checks, soa_profile);
-        if (soa != ref)
-            return "SoA kernels diverged from the scalar reference "
-                   "SimResult JSON";
-        if (soa_checks != ref_checks)
-            return "SoA kernels ran " + std::to_string(soa_checks) +
-                   " checker probes vs " + std::to_string(ref_checks) +
-                   " scalar";
-        if (soa_profile != ref_profile)
-            return "SoA kernels diverged from the scalar reference "
-                   "cycle-attribution profile JSON";
-        return std::string();
-    } catch (const std::exception &e) {
-        return e.what();
-    }
-}
-
-/**
  * Hash-vs-learned backend differential (--backend): run the point with
  * each PredictorBackendKind (predictor forced on) under the invariant
  * checker and the reference oracle, then compare what the backend
@@ -476,7 +415,6 @@ main(int argc, char **argv)
     std::uint64_t base_seed = 1;
     bool repro_mode = false;
     bool sharded_mode = false;
-    bool kernel_mode = false;
     bool backend_mode = false;
     std::uint64_t repro_seed = 0;
     const char *repro_out = nullptr;
@@ -503,15 +441,13 @@ main(int argc, char **argv)
             repro_out = v;
         } else if (std::strcmp(argv[i], "--sharded") == 0) {
             sharded_mode = true;
-        } else if (std::strcmp(argv[i], "--kernel") == 0) {
-            kernel_mode = true;
         } else if (std::strcmp(argv[i], "--backend") == 0) {
             backend_mode = true;
         } else {
             std::fprintf(stderr,
                          "usage: simfuzz [--seeds N] [--base-seed B] "
                          "[--repro SEED] [--repro-out PATH] "
-                         "[--sharded] [--kernel] [--backend]\n");
+                         "[--sharded] [--backend]\n");
             return 2;
         }
     }
@@ -525,24 +461,18 @@ main(int argc, char **argv)
     std::uint64_t first = repro_mode ? repro_seed : base_seed;
     std::uint64_t count = repro_mode ? 1 : num_seeds;
     std::uint64_t failures = 0;
-    if (static_cast<int>(sharded_mode) + static_cast<int>(kernel_mode) +
-            static_cast<int>(backend_mode) >
-        1) {
+    if (sharded_mode && backend_mode) {
         std::fprintf(stderr,
-                     "simfuzz: --sharded, --kernel and --backend are "
-                     "separate differential targets; pick one\n");
+                     "simfuzz: --sharded and --backend are separate "
+                     "differential targets; pick one\n");
         return 2;
     }
     const PointRunner run = sharded_mode   ? runShardedPoint
-                            : kernel_mode  ? runKernelPoint
                             : backend_mode ? runBackendPoint
                                            : runPoint;
     if (sharded_mode)
         std::printf("simfuzz: sharded differential mode (sequential "
                     "vs simThreads 2 and 4)\n");
-    if (kernel_mode)
-        std::printf("simfuzz: kernel differential mode (scalar vs "
-                    "SoA intersection kernels)\n");
     if (backend_mode)
         std::printf("simfuzz: backend differential mode (hash-table "
                     "vs learned predictor backend)\n");
