@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "bvh/bvh.hpp"
 
@@ -55,16 +56,33 @@ SimConfig::validate() const
     if (rt.l1PortsPerCycle == 0)
         fail("rt.l1PortsPerCycle must be > 0 (no memory request could "
              "ever issue)");
-    if (memory.l1.lineBytes == 0)
-        fail("memory.l1.lineBytes must be > 0 (address-to-line "
-             "division by zero)");
-    if (memory.l1.sizeBytes < memory.l1.lineBytes)
-        fail("memory.l1.sizeBytes must hold at least one line");
-    if (memory.l2.lineBytes == 0)
-        fail("memory.l2.lineBytes must be > 0 (address-to-line "
-             "division by zero)");
-    if (memory.l2.sizeBytes < memory.l2.lineBytes)
-        fail("memory.l2.sizeBytes must hold at least one line");
+    // The cache model builds sizeBytes / lineBytes lines as ways-wide
+    // sets; any other geometry would be silently shrunk to fit.
+    auto check_cache = [&](const CacheConfig &c, const std::string &name) {
+        if (c.lineBytes == 0)
+            fail(name + ".lineBytes must be > 0 (address-to-line "
+                        "division by zero)");
+        if (c.sizeBytes < c.lineBytes)
+            fail(name + ".sizeBytes must hold at least one line");
+        if (c.sizeBytes % c.lineBytes != 0)
+            fail(name + ".sizeBytes (" + std::to_string(c.sizeBytes) +
+                 ") must be a multiple of lineBytes (" +
+                 std::to_string(c.lineBytes) +
+                 "); the remainder would not be modelled");
+        std::uint32_t lines = c.sizeBytes / c.lineBytes;
+        if (c.ways > lines)
+            fail(name + ".ways (" + std::to_string(c.ways) +
+                 ") must not exceed the line count (" +
+                 std::to_string(lines) + "; 0 = fully associative)");
+        if (c.ways != 0 && lines % c.ways != 0)
+            fail(name + ".ways (" + std::to_string(c.ways) +
+                 ") must divide the line count (" +
+                 std::to_string(lines) + "); only " +
+                 std::to_string(lines / c.ways * c.ways) +
+                 " lines would be modelled");
+    };
+    check_cache(memory.l1, "memory.l1");
+    check_cache(memory.l2, "memory.l2");
     if (memory.dram.numBanks == 0)
         fail("memory.dram.numBanks must be > 0 (every access would "
              "deadlock on a bank)");

@@ -99,9 +99,10 @@ struct SimConfig
     /**
      * Reject inconsistent settings with a descriptive
      * std::invalid_argument (zero SMs, zero-width warps, no L1 ports,
-     * zero-sized cache lines, ...). Simulation's constructor calls this,
-     * so a bad sweep config fails at construction with a named field
-     * instead of dividing by zero or deadlocking mid-run.
+     * zero-sized cache lines, cache geometries the model would shrink,
+     * ...). Simulation's constructor calls this, so a bad sweep config
+     * fails at construction with a named field instead of dividing by
+     * zero, deadlocking, or silently modelling a smaller cache.
      */
     void validate() const;
 

@@ -567,7 +567,7 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         if (!per_sm_rays[s].empty())
-            units[s]->submit(per_sm_rays[s], per_sm_ids[s]);
+            units[s]->submit(std::move(per_sm_rays[s]), per_sm_ids[s]);
     }
 
     std::uint32_t shard_workers =
@@ -593,10 +593,10 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             merged_predictors.insert(predictors[s]).second)
             result.stats.merge(predictors[s]->stats());
         simt_acc += rt.simtEfficiency();
-        // Each RT unit fills exactly the global ids it was assigned.
+        // Each RT unit returns its rays' results in submission order.
         const auto &rr = rt.results();
-        for (std::uint32_t id : per_sm_ids[s])
-            result.rayResults[id] = rr[id];
+        for (std::size_t k = 0; k < per_sm_ids[s].size(); ++k)
+            result.rayResults[per_sm_ids[s][k]] = rr[k];
     }
     result.simtEfficiency =
         units.empty() ? 1.0 : simt_acc / units.size();

@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "util/check.hpp"
@@ -61,6 +62,51 @@ CacheModel::checkFinalState(InvariantChecker &check) const
                   });
 }
 
+CacheModel::LineIndex::LineIndex(std::uint32_t slots)
+{
+    std::size_t capacity =
+        std::bit_ceil(std::max<std::size_t>(2, 2 * std::size_t{slots}));
+    table_.resize(capacity);
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+}
+
+void
+CacheModel::LineIndex::insert(std::uint64_t line, std::uint32_t slot)
+{
+    std::size_t i = home(line);
+    while (table_[i].slot != kNoSlot)
+        i = (i + 1) & mask_;
+    table_[i] = {line, slot};
+}
+
+void
+CacheModel::LineIndex::erase(std::uint64_t line)
+{
+    std::size_t hole = home(line);
+    while (table_[hole].line != line || table_[hole].slot == kNoSlot)
+        hole = (hole + 1) & mask_;
+    // Backward shift: pull each later entry of the probe run into the
+    // hole when the hole lies between its home and its position, so
+    // every remaining key stays reachable from its home without
+    // tombstones.
+    for (std::size_t i = (hole + 1) & mask_; table_[i].slot != kNoSlot;
+         i = (i + 1) & mask_) {
+        std::size_t dist = (i - home(table_[i].line)) & mask_;
+        if (dist >= ((i - hole) & mask_)) {
+            table_[hole] = table_[i];
+            hole = i;
+        }
+    }
+    table_[hole] = Entry{};
+}
+
+void
+CacheModel::LineIndex::clear()
+{
+    std::fill(table_.begin(), table_.end(), Entry{});
+}
+
 CacheModel::CacheModel(CacheConfig config) : config_(std::move(config))
 {
     std::uint32_t num_lines =
@@ -68,61 +114,61 @@ CacheModel::CacheModel(CacheConfig config) : config_(std::move(config))
     waysPerSet_ = config_.ways == 0 ? num_lines
                                     : std::min(config_.ways, num_lines);
     numSets_ = std::max(1u, num_lines / waysPerSet_);
+    std::uint32_t slots = numSets_ * waysPerSet_;
+    index_ = LineIndex(slots);
+    lines_.resize(slots);
+    prev_.resize(slots);
+    next_.resize(slots);
     sets_.resize(numSets_);
-    for (auto &set : sets_) {
-        set.lines.resize(waysPerSet_);
-        set.prev.resize(waysPerSet_);
-        set.next.resize(waysPerSet_);
+    for (std::uint32_t s = 0; s < numSets_; ++s) {
         // Initial LRU order matches the original list model: way 0 at
         // the MRU end down to way N-1 at the LRU end.
-        for (std::uint32_t w = 0; w < waysPerSet_; ++w) {
-            set.prev[w] = w == 0 ? kNoWay : w - 1;
-            set.next[w] = w + 1 == waysPerSet_ ? kNoWay : w + 1;
+        std::uint32_t first = s * waysPerSet_;
+        std::uint32_t last = first + waysPerSet_ - 1;
+        for (std::uint32_t w = first; w <= last; ++w) {
+            prev_[w] = w == first ? kNoSlot : w - 1;
+            next_[w] = w == last ? kNoSlot : w + 1;
         }
-        set.head = 0;
-        set.tail = waysPerSet_ - 1;
-        set.tagToWay.reserve(waysPerSet_ * 2);
+        sets_[s] = {first, last};
     }
 }
 
 void
-CacheModel::unlink(Set &set, std::uint32_t way)
+CacheModel::unlink(LruEnds &set, std::uint32_t slot)
 {
-    if (set.prev[way] != kNoWay)
-        set.next[set.prev[way]] = set.next[way];
+    if (prev_[slot] != kNoSlot)
+        next_[prev_[slot]] = next_[slot];
     else
-        set.head = set.next[way];
-    if (set.next[way] != kNoWay)
-        set.prev[set.next[way]] = set.prev[way];
+        set.head = next_[slot];
+    if (next_[slot] != kNoSlot)
+        prev_[next_[slot]] = prev_[slot];
     else
-        set.tail = set.prev[way];
+        set.tail = prev_[slot];
 }
 
 void
-CacheModel::moveToFront(Set &set, std::uint32_t way)
+CacheModel::moveToFront(LruEnds &set, std::uint32_t slot)
 {
-    if (set.head == way)
+    if (set.head == slot)
         return;
-    unlink(set, way);
-    set.prev[way] = kNoWay;
-    set.next[way] = set.head;
-    set.prev[set.head] = way;
-    set.head = way;
+    unlink(set, slot);
+    prev_[slot] = kNoSlot;
+    next_[slot] = set.head;
+    prev_[set.head] = slot;
+    set.head = slot;
 }
 
 CacheAccess
 CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
 {
     std::uint64_t line = lineAddr(addr);
-    Set &set = sets_[line % numSets_];
-    std::uint64_t tag = line / numSets_;
+    LruEnds &set = sets_[line % numSets_];
 
-    auto found = set.tagToWay.find(tag);
-    if (found != set.tagToWay.end()) {
-        std::uint32_t way = found->second;
-        Line &l = set.lines[way];
+    std::uint32_t found = index_.find(line);
+    if (found != kNoSlot) {
+        Line &l = lines_[found];
         // Promote to MRU.
-        moveToFront(set, way);
+        moveToFront(set, found);
         CacheAccess res;
         if (l.readyAt > cycle) {
             // Fill still in flight: merge into it (MSHR behaviour).
@@ -159,10 +205,10 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     stats_.inc(StatId::Misses);
     if (profile_)
         noteProfile(false);
-    std::uint32_t victim = kNoWay;
+    std::uint32_t victim = kNoSlot;
     bool skipped_inflight = false;
-    for (std::uint32_t w = set.tail; w != kNoWay; w = set.prev[w]) {
-        const Line &cand = set.lines[w];
+    for (std::uint32_t w = set.tail; w != kNoSlot; w = prev_[w]) {
+        const Line &cand = lines_[w];
         if (cand.valid && cand.readyAt > cycle) {
             skipped_inflight = true;
             continue;
@@ -173,7 +219,7 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     if (skipped_inflight)
         stats_.inc(StatId::InflightVictimSkips);
 
-    if (victim == kNoWay) {
+    if (victim == kNoSlot) {
         // Every way holds an in-flight fill: serve this request from
         // downstream without allocating (bypass), leaving the fills
         // and their merged waiters intact.
@@ -193,14 +239,14 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     }
 
     moveToFront(set, victim);
-    Line &l = set.lines[victim];
+    Line &l = lines_[victim];
     if (l.valid) {
         stats_.inc(StatId::Evictions);
-        set.tagToWay.erase(l.tag);
+        index_.erase(l.tag);
     }
     l.valid = true;
-    l.tag = tag;
-    set.tagToWay.emplace(tag, victim);
+    l.tag = line;
+    index_.insert(line, victim);
     l.readyAt = fill(line * config_.lineBytes, cycle);
     stats_.addSample(HistId::MissLatency, l.readyAt - cycle);
     if (trace_)
@@ -217,11 +263,7 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
 bool
 CacheModel::contains(std::uint64_t addr) const
 {
-    std::uint64_t line = lineAddr(addr);
-    const Set &set = sets_[line % numSets_];
-    std::uint64_t tag = line / numSets_;
-    auto it = set.tagToWay.find(tag);
-    return it != set.tagToWay.end() && set.lines[it->second].valid;
+    return index_.find(lineAddr(addr)) != kNoSlot;
 }
 
 void
@@ -229,11 +271,9 @@ CacheModel::reset()
 {
     // Invalidate contents but keep each set's LRU order, matching the
     // original model's reset() (which only cleared valid bits).
-    for (auto &set : sets_) {
-        for (auto &l : set.lines)
-            l.valid = false;
-        set.tagToWay.clear();
-    }
+    for (auto &l : lines_)
+        l.valid = false;
+    index_.clear();
 }
 
 } // namespace rtp

@@ -8,20 +8,23 @@
  * land on an in-flight fill merge into it (MSHR behaviour) instead of
  * issuing a duplicate downstream request.
  *
- * Lookup is O(1) regardless of associativity: each set keeps a tag→way
- * hash map plus an intrusive doubly-linked LRU list over way indices, so
- * the fully associative L1 (512 ways) costs the same per access as a
- * small set-associative cache. Victim selection walks the list from the
- * LRU end exactly as the original list-based model did, preserving
- * replacement decisions bit-for-bit.
+ * Lookup is O(1) regardless of associativity. Lines live in cache-wide
+ * contiguous arrays indexed by slot = set * ways + way, and one flat
+ * open-addressed index per cache maps a full line address to its slot
+ * (LineIndex below). Each set keeps an intrusive doubly-linked LRU list
+ * over its slots, so the fully associative L1 (512 ways) costs the same
+ * per access as a small set-associative cache. Victim selection walks
+ * the list from the LRU end exactly as the original list-based model
+ * did, preserving replacement decisions bit-for-bit. After construction
+ * an access allocates nothing.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -209,28 +212,79 @@ class CacheModel
     void checkFinalState(InvariantChecker &check) const;
 
   private:
-    /** Sentinel for "no way" in the intrusive LRU links. */
-    static constexpr std::uint32_t kNoWay = ~0u;
+    /** Sentinel for "no slot" in the LRU links and the line index. */
+    static constexpr std::uint32_t kNoSlot = ~0u;
+
+    /**
+     * Flat open-addressed map from full line address to slot, holding
+     * valid lines only. Power-of-two capacity of at least twice the
+     * slot count (load <= 0.5), multiplicative hashing, linear probing,
+     * and backward-shift deletion, so erasing leaves no tombstones and
+     * probe chains stay short under eviction churn. Emptiness is marked
+     * in the slot field, so every 64-bit line address is a valid key.
+     */
+    class LineIndex
+    {
+      public:
+        LineIndex() = default;
+        explicit LineIndex(std::uint32_t slots);
+
+        /** @return the slot holding @p line, or kNoSlot. */
+        std::uint32_t
+        find(std::uint64_t line) const
+        {
+            for (std::size_t i = home(line);; i = (i + 1) & mask_) {
+                const Entry &e = table_[i];
+                if (e.slot == kNoSlot)
+                    return kNoSlot;
+                if (e.line == line)
+                    return e.slot;
+            }
+        }
+
+        /** Insert @p line (must be absent) at @p slot. */
+        void insert(std::uint64_t line, std::uint32_t slot);
+
+        /** Remove @p line (must be present). */
+        void erase(std::uint64_t line);
+
+        void clear();
+
+      private:
+        struct Entry
+        {
+            std::uint64_t line = 0;
+            std::uint32_t slot = kNoSlot;
+        };
+
+        std::size_t
+        home(std::uint64_t line) const
+        {
+            return static_cast<std::size_t>(
+                (line * 0x9E3779B97F4A7C15ull) >> shift_);
+        }
+
+        std::vector<Entry> table_;
+        std::size_t mask_ = 0;
+        unsigned shift_ = 64;
+    };
 
     struct Line
     {
-        std::uint64_t tag = 0;
+        std::uint64_t tag = 0; //!< full line address
         Cycle readyAt = 0; //!< fill-complete cycle (in-flight if > now)
         bool valid = false;
     };
 
-    struct Set
+    /** Intrusive LRU list of one set over its slots. */
+    struct LruEnds
     {
-        std::vector<Line> lines;
-        // Intrusive LRU list over way indices: head = MRU, tail = LRU.
-        std::vector<std::uint32_t> prev, next;
-        std::uint32_t head = kNoWay, tail = kNoWay;
-        // Valid lines only; erased on eviction and reset().
-        std::unordered_map<std::uint64_t, std::uint32_t> tagToWay;
+        std::uint32_t head = kNoSlot; //!< MRU slot
+        std::uint32_t tail = kNoSlot; //!< LRU slot
     };
 
-    void unlink(Set &set, std::uint32_t way);
-    void moveToFront(Set &set, std::uint32_t way);
+    void unlink(LruEnds &set, std::uint32_t slot);
+    void moveToFront(LruEnds &set, std::uint32_t slot);
 
     std::uint64_t
     lineAddr(std::uint64_t addr) const
@@ -241,7 +295,11 @@ class CacheModel
     CacheConfig config_;
     std::uint32_t numSets_ = 1;
     std::uint32_t waysPerSet_ = 1;
-    std::vector<Set> sets_;
+    // Cache-wide per-slot arrays (slot = set * waysPerSet_ + way).
+    std::vector<Line> lines_;
+    std::vector<std::uint32_t> prev_, next_;
+    std::vector<LruEnds> sets_;
+    LineIndex index_;
     void checkAccess(const CacheAccess &res, Cycle cycle);
 
     /** Profiler meta-tally probe at the hit/miss decision sites. */

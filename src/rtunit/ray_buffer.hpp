@@ -35,12 +35,18 @@ enum class RayPhase : std::uint8_t
 /** One ray buffer slot: ray data, status, and traversal bookkeeping. */
 struct RayEntry
 {
+    // Read by every warp step's member scans (stepWarp, doLookups,
+    // doTraversal), so they lead the entry and share its first cache
+    // line with the ray.
+    Cycle readyAt = 0;          //!< next cycle this ray can issue
+    RayPhase phase = RayPhase::Lookup;
+    bool hit = false;           //!< result: a hit was found
+    std::uint32_t localId = 0;  //!< submission order, set at dispatch
+
     Ray ray;                    //!< current ray (tMax shrinks, GI trim)
     RayBoxPrecomp pre;          //!< safeInv reciprocal, cached at entry
     std::uint32_t globalId = 0; //!< index into the submitted ray array
-    RayPhase phase = RayPhase::Lookup;
     TraversalStack stack;
-    Cycle readyAt = 0;          //!< next cycle this ray can issue
     Cycle dispatchedAt = 0;     //!< cycle the ray entered the unit
     Cycle predEvalStart = 0;    //!< cycle the verification traversal began
 
@@ -50,7 +56,6 @@ struct RayEntry
     bool mispredicted = false;
 
     // Result.
-    bool hit = false;
     float hitT = 0.0f;
     std::uint32_t hitPrim = ~0u;
     std::uint32_t hitLeaf = ~0u;

@@ -138,19 +138,15 @@ RtUnit::allocWarp()
 }
 
 void
-RtUnit::submit(const std::vector<Ray> &rays,
-               const std::vector<std::uint32_t> &global_ids)
+RtUnit::submit(std::vector<Ray> rays,
+               std::vector<std::uint32_t> global_ids)
 {
     assert(rays.size() == global_ids.size());
-    pendingRays_ = rays;
-    pendingIds_ = global_ids;
+    pendingRays_ = std::move(rays);
+    pendingIds_ = std::move(global_ids);
     pendingNext_ = 0;
-    remainingRays_ = rays.size();
-    std::uint32_t max_id = 0;
-    for (std::uint32_t id : global_ids)
-        max_id = std::max(max_id, id);
-    if (results_.size() < max_id + 1)
-        results_.resize(max_id + 1);
+    remainingRays_ = pendingRays_.size();
+    results_.assign(pendingRays_.size(), RayResult{});
     dispatchPending(0);
 }
 
@@ -224,6 +220,7 @@ RtUnit::dispatchPending(Cycle now)
                 pendingRays_[pendingNext_ + i],
                 pendingIds_[pendingNext_ + i], config_.stackEntries);
             RayEntry &e = buffer_.slot(slot);
+            e.localId = static_cast<std::uint32_t>(pendingNext_ + i);
             e.readyAt = now + config_.queueLatency;
             e.dispatchedAt = now + config_.queueLatency;
             e.phase = RayPhase::Lookup;
@@ -709,7 +706,7 @@ RtUnit::completeRay(std::uint32_t slot, Cycle now)
     res.predicted = e.predicted;
     res.verified = e.verified;
     res.mispredicted = e.mispredicted;
-    results_[e.globalId] = res;
+    results_[e.localId] = res;
 
     stats_.inc(StatId::RaysCompleted);
     stats_.addSample(HistId::RayLatencyCycles, now - e.dispatchedAt);

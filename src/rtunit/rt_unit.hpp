@@ -90,9 +90,13 @@ class RtUnit
            const std::vector<Triangle> &triangles, MemorySystem &mem,
            std::uint32_t sm_id, RayPredictor *predictor);
 
-    /** Submit the full ray workload (traced as warps of 32). */
-    void submit(const std::vector<Ray> &rays,
-                const std::vector<std::uint32_t> &global_ids);
+    /**
+     * Submit the full ray workload (traced as warps of 32), replacing
+     * any earlier one. @p global_ids name the rays in traces and checker
+     * messages; results() is indexed by position in @p rays.
+     */
+    void submit(std::vector<Ray> rays,
+                std::vector<std::uint32_t> global_ids);
 
     /** @return true once every submitted ray has completed. */
     bool finished() const;
@@ -131,7 +135,8 @@ class RtUnit
         return remainingRays_;
     }
 
-    /** Per-ray results indexed by global ray id (valid when finished). */
+    /** Per-ray results in submission order: results()[k] belongs to
+     *  the k-th submitted ray (valid when finished). */
     const std::vector<RayResult> &
     results() const
     {

@@ -119,6 +119,30 @@ TEST(RtUnit, BaselineMatchesReferenceHits)
     EXPECT_GT(rt.completionCycle(), 0u);
 }
 
+TEST(RtUnit, ResultsSizedBySubmissionNotGlobalIds)
+{
+    // Regression: results() was indexed by global ray id, so a unit that
+    // traced a few rays of a large frame held a result slot for every
+    // ray of the frame. It is now indexed by submission order.
+    Rig rig;
+    auto rays = aoLikeRays(rig, 96, 11);
+    std::vector<std::uint32_t> ids(rays.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        ids[i] = static_cast<std::uint32_t>(4000000 + 7919 * i);
+    RtUnitConfig cfg;
+    RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
+              nullptr);
+    rt.submit(rays, ids);
+    runToCompletion(rt);
+    ASSERT_EQ(rt.results().size(), rays.size());
+    for (std::size_t i = 0; i < rays.size(); ++i) {
+        bool ref =
+            traverseAnyHit(rig.bvh, rig.scene.mesh.triangles(), rays[i])
+                .hit;
+        EXPECT_EQ(ref, rt.results()[i].hit) << "ray " << i;
+    }
+}
+
 TEST(RtUnit, PredictorPreservesCorrectness)
 {
     Rig rig;

@@ -188,6 +188,71 @@ TEST(SimConfigValidate, RejectsL2SmallerThanOneLine)
     EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+/** @return the validate() message for @p c, or "" if it passes. */
+std::string
+validateMessage(const SimConfig &c)
+{
+    try {
+        c.validate();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** validate() must reject @p c with a message containing @p reason. */
+void
+expectRejectedWith(const SimConfig &c, const std::string &reason)
+{
+    std::string msg = validateMessage(c);
+    EXPECT_NE(msg.find(reason), std::string::npos)
+        << "message: \"" << msg << "\"";
+}
+
+TEST(SimConfigValidate, RejectsCacheSizeNotAMultipleOfLine)
+{
+    SimConfig c = SimConfig::baseline();
+    c.memory.l1.sizeBytes = 64 * 1024 + 64;
+    expectRejectedWith(c, "memory.l1.sizeBytes (65600) must be a "
+                          "multiple of lineBytes (128)");
+    c = SimConfig::baseline();
+    c.memory.l2.sizeBytes = 1024 * 1024 + 1;
+    expectRejectedWith(c, "memory.l2.sizeBytes");
+}
+
+TEST(SimConfigValidate, RejectsCacheWaysAboveLineCount)
+{
+    SimConfig c = SimConfig::baseline();
+    c.memory.l2.ways = 8193; // 1 MB of 128 B lines = 8192 lines
+    expectRejectedWith(c, "memory.l2.ways (8193) must not exceed the "
+                          "line count (8192");
+    c = SimConfig::baseline();
+    c.memory.l1.ways = 513;
+    expectRejectedWith(c, "memory.l1.ways (513)");
+}
+
+TEST(SimConfigValidate, RejectsCacheWaysNotDividingLineCount)
+{
+    SimConfig c = SimConfig::baseline();
+    c.memory.l1.sizeBytes = 64 * 1024;
+    c.memory.l1.lineBytes = 128;
+    c.memory.l1.ways = 3;
+    expectRejectedWith(c, "memory.l1.ways (3) must divide the line "
+                          "count (512); only 510 lines");
+    c = SimConfig::baseline();
+    c.memory.l2.ways = 24;
+    expectRejectedWith(c, "memory.l2.ways (24) must divide");
+}
+
+TEST(SimConfigValidate, AcceptsEveryWaysThatDividesTheLineCount)
+{
+    SimConfig c = SimConfig::baseline();
+    for (std::uint32_t ways : {0u, 1u, 2u, 16u, 512u}) {
+        c.memory.l1.ways = ways;
+        EXPECT_EQ(validateMessage(c), "") << "ways " << ways;
+    }
+}
+
 TEST(SimConfigValidate, RejectsZeroDramBanks)
 {
     SimConfig c = SimConfig::baseline();
