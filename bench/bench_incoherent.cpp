@@ -1,7 +1,7 @@
 /**
  * @file
  * Incoherent-workload study: photon emission and full path tracing,
- * per predictor backend.
+ * with and without the predictor.
  *
  * The paper's headline numbers (Figure 12) are ambient-occlusion rays,
  * whose inter-pixel coherence is the hash predictor's best case. This
@@ -14,13 +14,9 @@
  *    emits each bounce wave into the simulator from the previous
  *    wave's simulated hits, with predictor state warm across waves.
  *
- * Each workload runs three cells per scene — baseline (no predictor),
- * the hash-table backend, and the learned backend — so the bench
- * reports a per-backend hit-rate/cycle comparison on the workloads
- * where backend choice should matter most. Cells set the backend
- * explicitly; note that a non-default RTP_BACKEND overrides the
- * predictor cells uniformly (harness contract), collapsing the
- * comparison, so leave it unset when reading this table.
+ * Each workload runs two cells per scene — baseline (no predictor) and
+ * the proposed hash-table predictor — so the bench reports the hit
+ * rate and cycle speedup where inter-ray coherence is weakest.
  */
 
 #include <cstdio>
@@ -33,28 +29,16 @@ using namespace rtp;
 
 namespace {
 
-SimConfig
-learnedConfig()
-{
-    SimConfig c = SimConfig::proposed();
-    c.predictor.backend = PredictorBackendKind::Learned;
-    return c;
-}
-
 void
 printRow(const char *scene, const char *workload, const SimResult &base,
-         const SimResult &hash, const SimResult &learned)
+         const SimResult &hash)
 {
-    auto speedup = [&](const SimResult &r) {
-        return r.cycles == 0 ? 1.0
-                             : static_cast<double>(base.cycles) / r.cycles;
-    };
-    std::printf("%-6s %-9s %12llu %+9.1f%% %8.1f%% %+9.1f%% %8.1f%%\n",
-                scene, workload,
+    double speedup = hash.cycles == 0
+                         ? 1.0
+                         : static_cast<double>(base.cycles) / hash.cycles;
+    std::printf("%-6s %-9s %12llu %+9.1f%% %8.1f%%\n", scene, workload,
                 static_cast<unsigned long long>(base.cycles),
-                (speedup(hash) - 1) * 100, hash.predictedRate() * 100,
-                (speedup(learned) - 1) * 100,
-                learned.predictedRate() * 100);
+                (speedup - 1) * 100, hash.predictedRate() * 100);
 }
 
 } // namespace
@@ -63,10 +47,8 @@ int
 main()
 {
     WorkloadConfig wc = WorkloadConfig::fromEnvironment();
-    printHeader("Incoherent workloads: photon + path tracing per backend",
-                "Liu et al., MICRO 2021 (stress case; cf. NIF learned "
-                "predictors)",
-                wc);
+    printHeader("Incoherent workloads: photon + path tracing",
+                "Liu et al., MICRO 2021 (stress case)", wc);
     WorkloadCache cache(wc);
     std::vector<const Workload *> workloads = cache.getAll(allSceneIds());
 
@@ -78,15 +60,14 @@ main()
         },
         "incoherent-raygen");
 
-    // Photon cells ride the standard sweep machinery (3 per scene).
+    // Photon cells ride the standard sweep machinery (2 per scene).
     std::vector<SimPoint> points;
     std::vector<std::size_t> scene_of_cell;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         if (photons[i].rays.empty())
             continue;
         for (const SimConfig &c :
-             {SimConfig::baseline(), SimConfig::proposed(),
-              learnedConfig()}) {
+             {SimConfig::baseline(), SimConfig::proposed()}) {
             SimPoint p = makePoint(*workloads[i], c);
             p.rays = &photons[i].rays;
             points.push_back(p);
@@ -98,14 +79,12 @@ main()
 
     // Path-tracing cells run the per-bounce driver; each job is
     // independent (own PredictorSet), so the pool applies here too.
-    // Env overrides (sim threads, backend) mirror
-    // runSimPoints so both halves honour the same knobs.
+    // The sim-thread override mirrors runSimPoints so both halves
+    // honour the same knob.
     const EnvConfig env = EnvConfig::fromEnvironment();
     auto apply_env = [&env](SimConfig c) {
         if (c.simThreads <= 1)
             c.simThreads = env.budget.simThreads;
-        if (env.backend != PredictorBackendKind::HashTable)
-            c.predictor.backend = env.backend;
         return c;
     };
     struct PtJob
@@ -116,8 +95,7 @@ main()
     std::vector<PtJob> pt_jobs;
     for (const Workload *w : workloads)
         for (const SimConfig &c :
-             {SimConfig::baseline(), SimConfig::proposed(),
-              learnedConfig()})
+             {SimConfig::baseline(), SimConfig::proposed()})
             pt_jobs.push_back(PtJob{w, apply_env(c)});
     std::vector<PathTraceOutcome> pt_results = runSweep(
         pt_jobs,
@@ -127,35 +105,26 @@ main()
         "incoherent-pathtrace");
 
     JsonResultSink sink("bench_incoherent");
-    std::printf("%-6s %-9s %12s %10s %9s %10s %9s\n", "Scene", "Work",
-                "BaseCycles", "HashSpd", "HashHit", "LearnSpd",
-                "LearnHit");
+    std::printf("%-6s %-9s %12s %10s %9s\n", "Scene", "Work",
+                "BaseCycles", "HashSpd", "HashHit");
     for (std::size_t p = 0; p < scene_of_cell.size(); ++p) {
         const Workload &w = *workloads[scene_of_cell[p]];
-        const SimResult &base = photon_results[3 * p];
-        const SimResult &hash = photon_results[3 * p + 1];
-        const SimResult &learned = photon_results[3 * p + 2];
+        const SimResult &base = photon_results[2 * p];
+        const SimResult &hash = photon_results[2 * p + 1];
         sink.add(w.scene.shortName + "/photon/baseline", base);
         sink.add(w.scene.shortName + "/photon/hash", hash);
-        sink.add(w.scene.shortName + "/photon/learned", learned);
-        printRow(w.scene.shortName.c_str(), "photon", base, hash,
-                 learned);
+        printRow(w.scene.shortName.c_str(), "photon", base, hash);
     }
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         const Workload &w = *workloads[i];
-        const SimResult &base = pt_results[3 * i].total;
-        const SimResult &hash = pt_results[3 * i + 1].total;
-        const SimResult &learned = pt_results[3 * i + 2].total;
+        const SimResult &base = pt_results[2 * i].total;
+        const SimResult &hash = pt_results[2 * i + 1].total;
         sink.add(w.scene.shortName + "/pathtrace/baseline", base);
         sink.add(w.scene.shortName + "/pathtrace/hash", hash);
-        sink.add(w.scene.shortName + "/pathtrace/learned", learned);
-        printRow(w.scene.shortName.c_str(), "pathtrace", base, hash,
-                 learned);
+        printRow(w.scene.shortName.c_str(), "pathtrace", base, hash);
     }
     std::printf("\nIncoherent rays defeat inter-ray locality: expect "
-                "hash hit rates well below\nthe AO numbers, with the "
-                "learned backend trading table capacity for\n"
-                "generalisation. Closest-hit rays only trim tMax, so "
-                "speedups stay modest.\n");
+                "hash hit rates well below\nthe AO numbers. Closest-hit "
+                "rays only trim tMax, so speedups stay modest.\n");
     return 0;
 }

@@ -80,9 +80,8 @@ std::uint32_t foldHash(std::uint32_t hash, int n_bits, int m_bits);
  * length below sqrt(FLT_MIN), or any non-finite component) to the
  * canonical +x unit vector. For every direction normalize() handles
  * the result is bitwise identical to normalize(d). Ray-consuming
- * components (the hasher, the learned predictor backend) use this so
- * degenerate rays fall into one well-defined bucket instead of
- * invoking UB downstream.
+ * components such as the hasher use this so degenerate rays fall
+ * into one well-defined bucket instead of invoking UB downstream.
  */
 Vec3 canonicalUnitDirection(const Vec3 &d);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "util/check.hpp"
 #include "util/profile.hpp"
@@ -16,10 +15,9 @@ RayPredictor::checkFinalState(InvariantChecker &check) const
 {
     std::uint64_t lookups = stats_.get(StatId::Lookups);
     std::uint64_t predicted = stats_.get(StatId::Predicted);
-    std::uint64_t table_hits =
-        backend_->stats().get(StatId::LookupHits);
+    std::uint64_t table_hits = table_.stats().get(StatId::LookupHits);
     std::uint64_t table_misses =
-        backend_->stats().get(StatId::LookupMisses);
+        table_.stats().get(StatId::LookupMisses);
     check.require(lookups == table_hits + table_misses, "RayPredictor",
                   "every lookup is exactly one table hit or miss", [&] {
                       return "lookups " + std::to_string(lookups) +
@@ -46,33 +44,10 @@ RayPredictor::snapshotInto(TelemetrySmSample &out) const
 RayPredictor::RayPredictor(const PredictorConfig &config, const Bvh &bvh)
     : config_(config), bvh_(&bvh),
       hasher_(config.hash, bvh.sceneBounds()),
-      backend_(makePredictorBackend(config.backend, config.table,
-                                    config.learned, hasher_.hashBits(),
-                                    bvh.sceneBounds())),
+      table_(config.table, hasher_.hashBits()),
       lookupPorts_(std::max(1u, config.accessPorts), 0),
       updatePorts_(std::max(1u, config.accessPorts), 0)
 {
-}
-
-RayPredictor::RayPredictor(const RayPredictor &other)
-    : config_(other.config_), bvh_(other.bvh_), hasher_(other.hasher_),
-      backend_(other.backend_->clone()),
-      lookupPorts_(other.lookupPorts_),
-      updatePorts_(other.updatePorts_), stats_(other.stats_),
-      trace_(other.trace_), traceUnit_(other.traceUnit_),
-      profile_(other.profile_), profUnit_(other.profUnit_),
-      check_(other.check_)
-{
-}
-
-RayPredictor &
-RayPredictor::operator=(const RayPredictor &other)
-{
-    if (this == &other)
-        return *this;
-    RayPredictor copy(other);
-    *this = std::move(copy);
-    return *this;
 }
 
 void
@@ -80,7 +55,6 @@ RayPredictor::rebind(const Bvh &bvh)
 {
     bvh_ = &bvh;
     hasher_ = RayHasher(config_.hash, bvh.sceneBounds());
-    backend_->rebind(bvh.sceneBounds());
     // Port busy-times are cycle-stamped; a new frame restarts its clock
     // at zero, so stale stamps would serialise the new frame's lookups.
     std::fill(lookupPorts_.begin(), lookupPorts_.end(), 0);
@@ -90,7 +64,7 @@ RayPredictor::rebind(const Bvh &bvh)
 void
 RayPredictor::resetTable()
 {
-    backend_->reset();
+    table_.reset();
 }
 
 Cycle
@@ -125,7 +99,7 @@ RayPredictor::lookupInto(const Ray &ray, Cycle cycle,
     stats_.inc(StatId::Lookups);
 
     std::uint32_t h = hasher_.hash(ray);
-    bool hit = backend_->lookupInto(ray, h, nodes);
+    bool hit = table_.lookupInto(h, nodes);
     if (profile_)
         profile_->notePredictorLookup(profUnit_, hit);
     if (trace_)
@@ -158,7 +132,7 @@ RayPredictor::update(const Ray &ray, std::uint32_t hit_leaf, Cycle cycle)
     stats_.inc(StatId::Trained);
     std::uint32_t node = bvh_->ancestorOf(hit_leaf, config_.goUpLevel);
     std::uint32_t h = hasher_.hash(ray);
-    backend_->train(ray, h, node);
+    table_.update(h, node);
     if (trace_)
         trace_->emit({cycle, 0, TraceEventKind::PredictorTrain,
                       traceUnit_, 0, h, node});

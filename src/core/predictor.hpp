@@ -2,26 +2,21 @@
  * @file
  * The per-SM ray intersection predictor unit (Sections 3 and 4).
  *
- * Wraps the hash scheme and a pluggable storage backend
- * (core/predictor_backend.hpp; the paper's set-associative table by
- * default) with the timed access machinery of Section 4.1: FIFO lookup
- * and update queues served by a small number of access ports (4 by
- * default), a fixed access latency, and the Go Up Level training rule
- * of Section 4.3 (store the k-th ancestor of the intersected leaf
- * rather than the leaf itself). The unit owns timing and training
- * policy; the backend owns storage and matching.
+ * Wraps the hash scheme and the predictor table with the timed access
+ * machinery of Section 4.1: FIFO lookup and update queues served by a
+ * small number of access ports (4 by default), a fixed access latency,
+ * and the Go Up Level training rule of Section 4.3 (store the k-th
+ * ancestor of the intersected leaf rather than the leaf itself).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "bvh/bvh.hpp"
 #include "core/hash.hpp"
-#include "core/predictor_backend.hpp"
 #include "core/predictor_table.hpp"
 #include "mem/cache.hpp" // Cycle
 #include "util/stats.hpp"
@@ -37,10 +32,7 @@ struct PredictorConfig
 {
     bool enabled = true;
     HashConfig hash;
-    /** Which storage backend serves lookups (RTP_BACKEND selects). */
-    PredictorBackendKind backend = PredictorBackendKind::HashTable;
     PredictorTableConfig table;
-    LearnedBackendConfig learned; //!< used when backend == Learned
     std::uint32_t goUpLevel = 3;    //!< ancestor level stored on update
     std::uint32_t accessPorts = 4;  //!< accesses per cycle
     Cycle accessLatency = 1;        //!< cycles per table access
@@ -58,14 +50,6 @@ class RayPredictor
 {
   public:
     RayPredictor(const PredictorConfig &config, const Bvh &bvh);
-
-    /** Deep copy: the backend's trained state is cloned, observers
-     *  and timing state are copied as-is (callers that clone across
-     *  jobs detach observers afterwards, see PredictorSet::clone). */
-    RayPredictor(const RayPredictor &other);
-    RayPredictor &operator=(const RayPredictor &other);
-    RayPredictor(RayPredictor &&) = default;
-    RayPredictor &operator=(RayPredictor &&) = default;
 
     /**
      * Timed lookup.
@@ -143,17 +127,10 @@ class RayPredictor
     /** Invalidate all trained state (e.g., after a full BVH rebuild). */
     void resetTable();
 
-    /** The storage backend serving this unit's lookups. */
-    PredictorBackend &
-    backend()
+    const PredictorTable &
+    table() const
     {
-        return *backend_;
-    }
-
-    const PredictorBackend &
-    backend() const
-    {
-        return *backend_;
+        return table_;
     }
 
     /**
@@ -203,7 +180,7 @@ class RayPredictor
     clearStats()
     {
         stats_.clear();
-        backend_->clearStats();
+        table_.clearStats();
     }
 
   private:
@@ -213,7 +190,7 @@ class RayPredictor
     PredictorConfig config_;
     const Bvh *bvh_;
     RayHasher hasher_;
-    std::unique_ptr<PredictorBackend> backend_;
+    PredictorTable table_;
     std::vector<Cycle> lookupPorts_;
     std::vector<Cycle> updatePorts_;
     StatGroup stats_;

@@ -95,13 +95,6 @@ EnvConfig::fromEnvironment()
     EnvConfig env;
     env.budget = threadBudgetFromEnv();
 
-    if (const char *p = std::getenv("RTP_BACKEND"); p && *p) {
-        if (!parseBackendName(p, env.backend))
-            throw std::invalid_argument(
-                "RTP_BACKEND must be \"hash\" or \"learned\", got \"" +
-                std::string(p) + "\"");
-    }
-
     env.check = parseEnvFlag("RTP_CHECK");
     env.service = parseEnvFlag("RTP_SERVICE");
 

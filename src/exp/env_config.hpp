@@ -19,7 +19,6 @@
  * |----------------------|------------------------------------------|--------------------|
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
  * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
- * | RTP_BACKEND          | predictor backend: hash | learned        | hash               |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
  * | RTP_SERVICE          | 1 = route harness sweeps through         | 0                  |
  * |                      | a SimService job server                  |                    |
@@ -44,7 +43,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/predictor_backend.hpp" // PredictorBackendKind
 #include "exp/parallel.hpp"
 
 namespace rtp {
@@ -54,16 +52,6 @@ struct EnvConfig
 {
     /** RTP_THREADS x RTP_SIM_THREADS, composed (threadBudgetFromEnv). */
     ThreadBudget budget;
-
-    /**
-     * RTP_BACKEND: predictor storage backend. Applied only when
-     * non-default, so benches that pin backends per cell are
-     * overridden uniformly or not at all. A simulated
-     * knob, unlike the rest of this struct: changing it legitimately
-     * changes predictor outcomes and therefore simulated cycles —
-     * but never per-ray visibility results.
-     */
-    PredictorBackendKind backend = PredictorBackendKind::HashTable;
 
     /** RTP_CHECK: invariant checker + reference oracle per sweep point. */
     bool check = false;

@@ -67,8 +67,6 @@ runPointsViaService(const std::vector<SimPoint> &points,
         req.triangles = p.triangles;
         req.rays = p.rays;
         req.config = p.config;
-        if (env.backend != PredictorBackendKind::HashTable)
-            req.config.predictor.backend = env.backend;
         if (env.check) {
             checkers.push_back(std::make_unique<InvariantChecker>());
             req.config.check = checkers.back().get();
@@ -149,7 +147,7 @@ std::vector<SimResult>
 runSimPoints(const std::vector<SimPoint> &points, const char *label)
 {
     // All RTP_* knobs come from the unified env layer
-    // (exp/env_config.hpp): thread budget, backend, checker flag,
+    // (exp/env_config.hpp): thread budget, checker flag,
     // observer paths, service routing. Re-read per sweep (not cached)
     // so tests can vary the environment between calls; malformed
     // values throw here, before any simulation starts.
@@ -168,10 +166,6 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
         SimConfig config = p.config;
         if (config.simThreads <= 1)
             config.simThreads = budget.simThreads;
-        // RTP_BACKEND swaps the predictor storage backend uniformly
-        // across the sweep (non-default only).
-        if (env.backend != PredictorBackendKind::HashTable)
-            config.predictor.backend = env.backend;
         if (env.check) {
             InvariantChecker check;
             config.check = &check;

@@ -86,15 +86,32 @@ SimConfig::validate() const
     if (memory.dram.numBanks == 0)
         fail("memory.dram.numBanks must be > 0 (every access would "
              "deadlock on a bank)");
+    // The predictor table builds numEntries / ways sets of ways entries
+    // and indexes them with log2(sets) folded hash bits; any other
+    // geometry would be silently resized or partly unreachable.
     if (predictor.enabled) {
-        if (predictor.backend == PredictorBackendKind::HashTable &&
-            predictor.table.numEntries == 0)
+        const PredictorTableConfig &t = predictor.table;
+        if (t.numEntries == 0)
             fail("predictor.table.numEntries must be > 0 when the "
                  "predictor is enabled");
-        if (predictor.backend == PredictorBackendKind::Learned &&
-            predictor.learned.prototypes == 0)
-            fail("predictor.learned.prototypes must be > 0 when the "
-                 "learned backend is enabled");
+        if (t.ways == 0)
+            fail("predictor.table.ways must be > 0 (1 = direct-mapped)");
+        if (t.nodesPerEntry == 0)
+            fail("predictor.table.nodesPerEntry must be > 0 (an entry "
+                 "needs a slot to store a trained node in)");
+        if (t.numEntries % t.ways != 0)
+            fail("predictor.table.numEntries (" +
+                 std::to_string(t.numEntries) +
+                 ") must be a multiple of ways (" +
+                 std::to_string(t.ways) + "); only " +
+                 std::to_string(t.numEntries / t.ways * t.ways) +
+                 " entries would be modelled");
+        std::uint32_t sets = t.numEntries / t.ways;
+        if ((sets & (sets - 1)) != 0)
+            fail("predictor.table set count (numEntries / ways = " +
+                 std::to_string(sets) +
+                 ") must be a power of two; the folded hash index "
+                 "would reach only some of the sets");
         if (predictor.accessPorts == 0)
             fail("predictor.accessPorts must be > 0 when the "
                  "predictor is enabled");
@@ -145,7 +162,6 @@ configToJson(const SimConfig &config)
     const PredictorConfig &p = config.predictor;
     os << ",\"predictor\":{\"enabled\":"
        << (p.enabled ? "true" : "false")
-       << ",\"backend\":\"" << backendName(p.backend) << "\""
        << ",\"go_up_level\":" << p.goUpLevel
        << ",\"access_ports\":" << p.accessPorts
        << ",\"access_latency\":" << p.accessLatency
@@ -166,11 +182,7 @@ configToJson(const SimConfig &config)
                      ? "lfu"
                      : "lruk")
        << "\",\"lru_k\":" << p.table.lruK
-       << ",\"node_bits\":" << p.table.nodeBits << "}"
-       << ",\"learned\":{\"prototypes\":" << p.learned.prototypes
-       << ",\"accept_radius\":" << p.learned.acceptRadius
-       << ",\"learn_shift\":" << p.learned.learnShift
-       << ",\"node_bits\":" << p.learned.nodeBits << "}}";
+       << ",\"node_bits\":" << p.table.nodeBits << "}}";
     const MemoryConfig &m = config.memory;
     os << ",\"memory\":{\"l1\":";
     cache(os, m.l1);
@@ -197,13 +209,9 @@ describe(const SimConfig &config)
     os << config.numSms << " SMs, L1 "
        << config.memory.l1.sizeBytes / 1024 << "KB";
     if (config.predictor.enabled) {
-        if (config.predictor.backend == PredictorBackendKind::Learned)
-            os << ", predictor learned:"
-               << config.predictor.learned.prototypes << "p";
-        else
-            os << ", predictor " << config.predictor.table.numEntries
-               << "x" << config.predictor.table.nodesPerEntry << " ("
-               << config.predictor.table.ways << "-way)";
+        os << ", predictor " << config.predictor.table.numEntries << "x"
+           << config.predictor.table.nodesPerEntry << " ("
+           << config.predictor.table.ways << "-way)";
         os << ", GoUp " << config.predictor.goUpLevel << ", repack "
            << (config.rt.repackEnabled ? "on" : "off");
         if (config.rt.additionalWarps > 0)

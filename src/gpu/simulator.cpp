@@ -685,9 +685,8 @@ PredictorSet::snapshotStats() const
     PredictorSetStats s;
     s.numSms = predictors_.size();
     for (const auto &p : predictors_) {
-        BackendOccupancy occ = p->backend().snapshotStats();
-        s.validEntries += occ.validEntries;
-        s.capacity += occ.capacity;
+        s.validEntries += p->table().validEntries();
+        s.capacity += p->table().capacity();
     }
     return s;
 }

@@ -148,31 +148,6 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
     EXPECT_EQ(env.selfbenchReps, 5);
 }
 
-TEST(EnvConfig, BackendParsesStrictly)
-{
-    {
-        ScopedEnv b("RTP_BACKEND", nullptr);
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::HashTable);
-    }
-    {
-        ScopedEnv b("RTP_BACKEND", "hash");
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::HashTable);
-    }
-    {
-        ScopedEnv b("RTP_BACKEND", "learned");
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::Learned);
-    }
-    for (const char *bad : {"Learned", "table", "nif", "2"}) {
-        ScopedEnv b("RTP_BACKEND", bad);
-        EXPECT_THROW(EnvConfig::fromEnvironment(),
-                     std::invalid_argument)
-            << bad;
-    }
-}
-
 TEST(EnvConfig, WorkloadKnobsParseStrictly)
 {
     {

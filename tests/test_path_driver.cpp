@@ -2,8 +2,8 @@
  * @file
  * Per-bounce path-tracing driver tests (exp/path_driver.hpp): wave
  * shape, determinism, and the visibility contract across predictor
- * configurations and backends — every wave's contents derive from
- * simulated hits, which no predictor may change.
+ * configurations — every wave's contents derive from simulated hits,
+ * which no predictor may change.
  */
 
 #include <gtest/gtest.h>
@@ -72,43 +72,34 @@ TEST(PathDriver, DeterministicAcrossRuns)
 
 /**
  * Predictors change timing, never visibility — so the bounce chains,
- * wave sizes, and per-ray hit results are identical across baseline,
- * hash-backend, and learned-backend runs of the same pass.
+ * wave sizes, and per-ray hit results are identical across baseline
+ * and predictor runs of the same pass.
  */
 TEST(PathDriver, VisibilityInvariantAcrossPredictorConfigs)
 {
-    SimConfig learned_cfg = SimConfig::proposed();
-    learned_cfg.predictor.backend = PredictorBackendKind::Learned;
-
     PathTraceOutcome base =
         runPathTrace(workload(), SimConfig::baseline(), raygen());
     PathTraceOutcome hash =
         runPathTrace(workload(), SimConfig::proposed(), raygen());
-    PathTraceOutcome learned =
-        runPathTrace(workload(), learned_cfg, raygen());
 
-    for (const PathTraceOutcome *o : {&hash, &learned}) {
-        EXPECT_EQ(o->waveRays, base.waveRays);
-        ASSERT_EQ(o->total.rayResults.size(),
-                  base.total.rayResults.size());
-        for (std::size_t i = 0; i < base.total.rayResults.size(); ++i) {
-            const RayResult &x = base.total.rayResults[i];
-            const RayResult &y = o->total.rayResults[i];
-            ASSERT_EQ(x.hit, y.hit) << "ray " << i;
-            if (x.hit) {
-                std::uint32_t bx, by;
-                std::memcpy(&bx, &x.t, sizeof bx);
-                std::memcpy(&by, &y.t, sizeof by);
-                ASSERT_EQ(bx, by) << "ray " << i;
-                ASSERT_EQ(x.prim, y.prim) << "ray " << i;
-            }
+    EXPECT_EQ(hash.waveRays, base.waveRays);
+    ASSERT_EQ(hash.total.rayResults.size(), base.total.rayResults.size());
+    for (std::size_t i = 0; i < base.total.rayResults.size(); ++i) {
+        const RayResult &x = base.total.rayResults[i];
+        const RayResult &y = hash.total.rayResults[i];
+        ASSERT_EQ(x.hit, y.hit) << "ray " << i;
+        if (x.hit) {
+            std::uint32_t bx, by;
+            std::memcpy(&bx, &x.t, sizeof bx);
+            std::memcpy(&by, &y.t, sizeof by);
+            ASSERT_EQ(bx, by) << "ray " << i;
+            ASSERT_EQ(x.prim, y.prim) << "ray " << i;
         }
     }
 
     // The warm predictor actually worked across waves: some rays
     // beyond the camera wave were predicted.
     EXPECT_GT(hash.total.stats.get("rays_predicted"), 0u);
-    EXPECT_GT(learned.total.stats.get("lookups"), 0u);
 }
 
 TEST(PathDriver, BouncesKnobBoundsWaves)

@@ -4,6 +4,7 @@
 
 #include "bvh/builder.hpp"
 #include "core/predictor.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace rtp {
@@ -154,6 +155,53 @@ TEST(Predictor, StatsTrackActivity)
     EXPECT_EQ(p.stats().get("lookups"), 2u);
     EXPECT_EQ(p.stats().get("trained"), 1u);
     EXPECT_EQ(p.stats().get("predicted"), 1u);
+}
+
+TEST(Predictor, CopyIsDeep)
+{
+    // PredictorSet::clone copies trained predictors across jobs: the
+    // copy must own its table, not share the original's.
+    Fixture f;
+    PredictorConfig cfg;
+    RayPredictor p(cfg, f.bvh);
+    p.update(downRay(1, 1), f.bvh.leafOfPrimSlot(0), 0);
+    ASSERT_EQ(p.table().validEntries(), 1u);
+
+    RayPredictor copy(p);
+    EXPECT_EQ(copy.table().validEntries(), 1u);
+    Ray sideways = downRay(8, 8);
+    sideways.dir = {1, 0, 0};
+    copy.update(sideways, f.bvh.leafOfPrimSlot(1), 1);
+    EXPECT_EQ(copy.table().validEntries(), 2u);
+    EXPECT_EQ(p.table().validEntries(), 1u);
+
+    copy.resetTable();
+    EXPECT_EQ(copy.table().validEntries(), 0u);
+    EXPECT_EQ(p.table().validEntries(), 1u);
+}
+
+TEST(Predictor, FinalStateCheckBalancesLookups)
+{
+    Fixture f;
+    PredictorConfig cfg;
+    RayPredictor p(cfg, f.bvh);
+    std::vector<std::uint32_t> nodes;
+    Cycle ready = 0;
+    for (int i = 0; i < 64; ++i) {
+        // Each ray twice: a cold miss that trains, then a hit.
+        Ray r = downRay(static_cast<float>(i / 2 % 10),
+                        static_cast<float>(i / 2 % 7));
+        p.lookupInto(r, i, ready, nodes);
+        p.update(r, f.bvh.leafOfPrimSlot(i % 11), i);
+    }
+    InvariantChecker check;
+    p.checkFinalState(check); // throws on a violation
+    EXPECT_GT(check.checksRun(), 0u);
+    EXPECT_EQ(p.stats().get("lookups"), 64u);
+    EXPECT_EQ(p.stats().get("predicted"), 32u);
+    EXPECT_EQ(p.table().stats().get("lookup_hits") +
+                  p.table().stats().get("lookup_misses"),
+              64u);
 }
 
 } // namespace

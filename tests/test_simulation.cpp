@@ -274,6 +274,52 @@ TEST(SimConfigValidate, RejectsZeroPredictorPorts)
     EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(SimConfigValidate, RejectsZeroNodesPerEntry)
+{
+    // Training would write through slot 0 of an empty entry.
+    SimConfig c = SimConfig::proposed();
+    c.predictor.table.nodesPerEntry = 0;
+    expectRejectedWith(c, "predictor.table.nodesPerEntry must be > 0");
+    EXPECT_THROW(
+        Simulation(c, rig().bvh, rig().scene.mesh.triangles()),
+        std::invalid_argument);
+}
+
+TEST(SimConfigValidate, RejectsZeroPredictorWays)
+{
+    SimConfig c = SimConfig::proposed();
+    c.predictor.table.ways = 0;
+    expectRejectedWith(c, "predictor.table.ways must be > 0");
+}
+
+TEST(SimConfigValidate, RejectsPredictorEntriesNotAMultipleOfWays)
+{
+    SimConfig c = SimConfig::proposed();
+    c.predictor.table.numEntries = 1026;
+    c.predictor.table.ways = 4;
+    expectRejectedWith(c, "predictor.table.numEntries (1026) must be a "
+                          "multiple of ways (4); only 1024 entries");
+    c.predictor.table.numEntries = 2; // fewer entries than ways
+    expectRejectedWith(c, "predictor.table.numEntries (2)");
+}
+
+TEST(SimConfigValidate, RejectsNonPowerOfTwoPredictorSets)
+{
+    // 1536 / 4 = 384 sets, but the folded index reaches only 256.
+    SimConfig c = SimConfig::proposed();
+    c.predictor.table.numEntries = 1536;
+    c.predictor.table.ways = 4;
+    expectRejectedWith(c, "predictor.table set count (numEntries / ways "
+                          "= 384) must be a power of two");
+    c.predictor.table.ways = 512; // 3 sets
+    expectRejectedWith(c, "(numEntries / ways = 3)");
+    c.predictor.table.numEntries = 1024;
+    for (std::uint32_t ways : {1u, 2u, 4u, 8u, 1024u}) {
+        c.predictor.table.ways = ways;
+        EXPECT_EQ(validateMessage(c), "") << "ways " << ways;
+    }
+}
+
 TEST(SimConfigValidate, PredictorKnobsIgnoredWhenDisabled)
 {
     SimConfig c = SimConfig::baseline();

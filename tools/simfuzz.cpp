@@ -18,16 +18,6 @@
  * fuzzing the sharded loop's byte-identical contract
  * (docs/performance.md) across the whole randomised config space.
  *
- * With --backend the differential fuzzes the predictor-backend seam
- * (core/predictor_backend.hpp): each seed runs the derived point with
- * the hash-table backend and with the learned backend (predictor
- * forced on), both under the invariant checker and the per-ray
- * reference oracle. Backends only influence timing, never visibility,
- * so per-ray hit flags must match, closest-hit distances must match
- * bitwise, and rays_completed must be equal — while predictor outcome
- * counters (lookup hits/misses, evictions) and cycle counts are
- * expected to diverge and are deliberately NOT compared.
- *
  * On failure the tool prints an exact reproducer — the seed plus the
  * derived configuration as JSON — greedily shrinks the failing ray set
  * (chunk removal), and optionally writes the reproducer to a JSON file
@@ -38,7 +28,7 @@
  *
  * Usage:
  *   simfuzz [--seeds N] [--base-seed B] [--repro SEED]
- *           [--repro-out PATH] [--sharded] [--backend]
+ *           [--repro-out PATH] [--sharded]
  */
 
 #include <cstdint>
@@ -270,69 +260,7 @@ runShardedPoint(const SimConfig &config, const FuzzScene &fs,
     }
 }
 
-/**
- * Hash-vs-learned backend differential (--backend): run the point with
- * each PredictorBackendKind (predictor forced on) under the invariant
- * checker and the reference oracle, then compare what the backend
- * contract fixes: per-ray visibility (hit flag; bitwise closest-hit t)
- * and rays_completed. Predictor outcome counters and timing are free
- * to diverge. @return The failure message, or empty.
- */
-std::string
-runBackendPoint(const SimConfig &config, const FuzzScene &fs,
-                const std::vector<Ray> &rays)
-{
-    try {
-        auto run_with = [&](PredictorBackendKind backend) {
-            InvariantChecker check;
-            SimConfig c = config;
-            c.check = &check;
-            c.predictor.enabled = true;
-            c.predictor.backend = backend;
-            SimResult r = Simulation(c, fs.bvh,
-                                     fs.scene.mesh.triangles())
-                              .run(rays);
-            checkAgainstReference(check, fs.bvh,
-                                  fs.scene.mesh.triangles(), rays,
-                                  r.rayResults);
-            return r;
-        };
-        const SimResult hash =
-            run_with(PredictorBackendKind::HashTable);
-        const SimResult learned =
-            run_with(PredictorBackendKind::Learned);
-        if (hash.rayResults.size() != learned.rayResults.size())
-            return "backends returned different ray-result counts";
-        auto bits = [](float f) {
-            std::uint32_t u;
-            std::memcpy(&u, &f, sizeof u);
-            return u;
-        };
-        for (std::size_t i = 0; i < hash.rayResults.size(); ++i) {
-            const RayResult &a = hash.rayResults[i];
-            const RayResult &b = learned.rayResults[i];
-            if (a.hit != b.hit)
-                return "backends disagree on visibility of ray " +
-                       std::to_string(i);
-            if (rays[i].kind != RayKind::Occlusion && a.hit &&
-                bits(a.t) != bits(b.t))
-                return "backends disagree bitwise on closest-hit t "
-                       "of ray " +
-                       std::to_string(i);
-        }
-        std::uint64_t done_hash = hash.stats.get("rays_completed");
-        std::uint64_t done_learned =
-            learned.stats.get("rays_completed");
-        if (done_hash != done_learned)
-            return "backends completed " + std::to_string(done_hash) +
-                   " vs " + std::to_string(done_learned) + " rays";
-        return std::string();
-    } catch (const std::exception &e) {
-        return e.what();
-    }
-}
-
-/** Signature shared by the point runners (one per differential). */
+/** Signature shared by runPoint and runShardedPoint. */
 using PointRunner = std::string (*)(const SimConfig &,
                                     const FuzzScene &,
                                     const std::vector<Ray> &);
@@ -415,7 +343,6 @@ main(int argc, char **argv)
     std::uint64_t base_seed = 1;
     bool repro_mode = false;
     bool sharded_mode = false;
-    bool backend_mode = false;
     std::uint64_t repro_seed = 0;
     const char *repro_out = nullptr;
 
@@ -441,13 +368,11 @@ main(int argc, char **argv)
             repro_out = v;
         } else if (std::strcmp(argv[i], "--sharded") == 0) {
             sharded_mode = true;
-        } else if (std::strcmp(argv[i], "--backend") == 0) {
-            backend_mode = true;
         } else {
             std::fprintf(stderr,
                          "usage: simfuzz [--seeds N] [--base-seed B] "
                          "[--repro SEED] [--repro-out PATH] "
-                         "[--sharded] [--backend]\n");
+                         "[--sharded]\n");
             return 2;
         }
     }
@@ -461,21 +386,10 @@ main(int argc, char **argv)
     std::uint64_t first = repro_mode ? repro_seed : base_seed;
     std::uint64_t count = repro_mode ? 1 : num_seeds;
     std::uint64_t failures = 0;
-    if (sharded_mode && backend_mode) {
-        std::fprintf(stderr,
-                     "simfuzz: --sharded and --backend are separate "
-                     "differential targets; pick one\n");
-        return 2;
-    }
-    const PointRunner run = sharded_mode   ? runShardedPoint
-                            : backend_mode ? runBackendPoint
-                                           : runPoint;
+    const PointRunner run = sharded_mode ? runShardedPoint : runPoint;
     if (sharded_mode)
         std::printf("simfuzz: sharded differential mode (sequential "
                     "vs simThreads 2 and 4)\n");
-    if (backend_mode)
-        std::printf("simfuzz: backend differential mode (hash-table "
-                    "vs learned predictor backend)\n");
 
     for (std::uint64_t s = 0; s < count; ++s) {
         std::uint64_t seed = first + s;
