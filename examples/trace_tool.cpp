@@ -118,9 +118,10 @@ main(int argc, char **argv)
     if (!is_builtin) {
         scene.name = opt.model;
         scene.shortName = "OBJ";
-        if (!loadObj(opt.model, scene.mesh)) {
-            std::fprintf(stderr, "cannot load model %s\n",
-                         opt.model.c_str());
+        std::string why;
+        if (!loadObj(opt.model, scene.mesh, &why)) {
+            std::fprintf(stderr, "cannot load model %s: %s\n",
+                         opt.model.c_str(), why.c_str());
             return 1;
         }
         // Frame the mesh with a default camera looking at its center.

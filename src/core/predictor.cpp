@@ -4,9 +4,8 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "util/profile.hpp"
+#include "util/observer.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 namespace rtp {
 
@@ -88,8 +87,8 @@ RayPredictor::lookupInto(const Ray &ray, Cycle cycle,
         return false;
     }
     ready_cycle = schedulePort(lookupPorts_, cycle);
-    if (check_)
-        check_->require(
+    if (obs_)
+        obs_->require(
             ready_cycle >= cycle, "RayPredictor",
             "a lookup result is never ready before it was issued",
             [&] {
@@ -100,13 +99,10 @@ RayPredictor::lookupInto(const Ray &ray, Cycle cycle,
 
     std::uint32_t h = hasher_.hash(ray);
     bool hit = table_.lookupInto(h, nodes);
-    if (profile_)
-        profile_->notePredictorLookup(profUnit_, hit);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::PredictorLookup,
-                      traceUnit_,
-                      static_cast<std::uint16_t>(hit ? 1 : 0), h,
-                      nodes.size()});
+    if (obs_)
+        obs_->event(TraceEventKind::PredictorLookup, cycle, 0,
+                    static_cast<std::uint16_t>(hit ? 1 : 0), h,
+                    nodes.size());
     if (!hit)
         return false;
     stats_.inc(StatId::Predicted);
@@ -133,9 +129,8 @@ RayPredictor::update(const Ray &ray, std::uint32_t hit_leaf, Cycle cycle)
     std::uint32_t node = bvh_->ancestorOf(hit_leaf, config_.goUpLevel);
     std::uint32_t h = hasher_.hash(ray);
     table_.update(h, node);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::PredictorTrain,
-                      traceUnit_, 0, h, node});
+    if (obs_)
+        obs_->event(TraceEventKind::PredictorTrain, cycle, 0, 0, h, node);
 }
 
 } // namespace rtp

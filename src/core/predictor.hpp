@@ -25,7 +25,7 @@ namespace rtp {
 
 struct TelemetrySmSample;
 class InvariantChecker;
-class CycleProfiler;
+class ObserverPort;
 
 /** Predictor unit configuration (Table 3 defaults). */
 struct PredictorConfig
@@ -86,25 +86,18 @@ class RayPredictor
         return hasher_.hash(ray);
     }
 
-    /** Attach a trace sink (nullptr detaches); @p unit = owning SM. */
-    void
-    setTraceSink(TraceSink *sink, std::uint16_t unit)
-    {
-        trace_ = sink;
-        traceUnit_ = unit;
-    }
-
     /**
-     * Attach a cycle-attribution profiler (nullptr detaches); @p unit
-     * = owning SM. Every timed lookup then bumps the predictor meta
-     * tallies of util/profile.hpp (lookups and table hits), feeding
-     * the cost/benefit section of tools/cycles_report. Pure observer.
+     * Attach the owning SM's observer port (nullptr detaches). Every
+     * lookup and training update is then reported, and with a checker
+     * attached lookups verify that timed results never become ready
+     * before they were issued (port scheduling can delay, never
+     * time-travel). A predictor bound to several SMs reports through
+     * the last SM attached.
      */
     void
-    setProfiler(CycleProfiler *profile, std::uint32_t unit)
+    setObserver(ObserverPort *obs)
     {
-        profile_ = profile;
-        profUnit_ = unit;
+        obs_ = obs;
     }
 
     /**
@@ -134,35 +127,11 @@ class RayPredictor
     }
 
     /**
-     * Attach an invariant checker (nullptr detaches). Lookups then
-     * verify that timed results never become ready before they were
-     * issued (port scheduling can delay, never time-travel).
-     */
-    void
-    setChecker(InvariantChecker *check)
-    {
-        check_ = check;
-    }
-
-    /**
      * End-of-run sweep: the unit's counters and the table's must tell
      * one story — every lookup is exactly one table hit or miss, and
      * every prediction came from a table hit.
      */
     void checkFinalState(InvariantChecker &check) const;
-
-    /**
-     * Drop the trace sink and invariant checker. Copies made for
-     * cross-request cloning (PredictorSet::clone) call this so two
-     * jobs never share one observer.
-     */
-    void
-    detachObservers()
-    {
-        trace_ = nullptr;
-        check_ = nullptr;
-        profile_ = nullptr;
-    }
 
     const PredictorConfig &
     config() const
@@ -194,11 +163,7 @@ class RayPredictor
     std::vector<Cycle> lookupPorts_;
     std::vector<Cycle> updatePorts_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint32_t profUnit_ = 0;
-    InvariantChecker *check_ = nullptr;
+    ObserverPort *obs_ = nullptr;
 };
 
 } // namespace rtp

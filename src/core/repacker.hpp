@@ -22,7 +22,7 @@ namespace rtp {
 
 struct TelemetrySmSample;
 class InvariantChecker;
-class CycleProfiler;
+class ObserverPort;
 
 /** Collector configuration. */
 struct RepackerConfig
@@ -86,35 +86,17 @@ class PartialWarpCollector
         return pending_.size();
     }
 
-    /** Attach a trace sink (nullptr detaches); @p unit = owning SM. */
-    void
-    setTraceSink(TraceSink *sink, std::uint16_t unit)
-    {
-        trace_ = sink;
-        traceUnit_ = unit;
-    }
-
     /**
-     * Attach a cycle-attribution profiler (nullptr detaches); @p unit
-     * = owning SM. Every emitted warp (full, timeout, or drain) then
-     * bumps the repack meta tallies of util/profile.hpp. Pure observer.
+     * Attach the owning SM's observer port (nullptr detaches). Every
+     * collect and emitted warp (full, timeout, or drain) is then
+     * reported, and with a checker attached every add/flush re-verifies
+     * ray conservation: IDs in == IDs out + IDs pending, i.e. the
+     * repacker neither drops nor duplicates rays.
      */
     void
-    setProfiler(CycleProfiler *profile, std::uint32_t unit)
+    setObserver(ObserverPort *obs)
     {
-        profile_ = profile;
-        profUnit_ = unit;
-    }
-
-    /**
-     * Attach an invariant checker (nullptr detaches). Every add/flush
-     * then re-verifies ray conservation: IDs in == IDs out + IDs
-     * pending, i.e. the repacker neither drops nor duplicates rays.
-     */
-    void
-    setChecker(InvariantChecker *check)
-    {
-        check_ = check;
+        obs_ = obs;
     }
 
     /**
@@ -150,11 +132,7 @@ class PartialWarpCollector
     RepackerConfig config_;
     std::deque<Pending> pending_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint32_t profUnit_ = 0;
-    InvariantChecker *check_ = nullptr;
+    ObserverPort *obs_ = nullptr;
     // Conservation ledger: plain members, not StatGroup counters, so
     // the stats JSON stays byte-identical with checking off (the
     // zero-perturbation contract). Cheap enough to maintain always.

@@ -96,7 +96,6 @@ EnvConfig::fromEnvironment()
     env.budget = threadBudgetFromEnv();
 
     env.check = parseEnvFlag("RTP_CHECK");
-    env.service = parseEnvFlag("RTP_SERVICE");
 
     if (const char *p = std::getenv("RTP_TRACE"))
         env.tracePath = p;

@@ -20,8 +20,6 @@
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
  * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
- * | RTP_SERVICE          | 1 = route harness sweeps through         | 0                  |
- * |                      | a SimService job server                  |                    |
  * | RTP_TRACE            | Chrome-trace output path                 | (off)              |
  * | RTP_TRACE_POINT      | sweep-point index to trace               | 0                  |
  * | RTP_TELEMETRY        | telemetry timeline path (.csv = CSV)     | (off)              |
@@ -55,9 +53,6 @@ struct EnvConfig
 
     /** RTP_CHECK: invariant checker + reference oracle per sweep point. */
     bool check = false;
-
-    /** RTP_SERVICE: run harness sweeps through a SimService instance. */
-    bool service = false;
 
     /** RTP_TRACE / RTP_TRACE_POINT (empty path = tracing off). */
     std::string tracePath;

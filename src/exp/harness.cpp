@@ -14,7 +14,6 @@
 #include <fstream>
 
 #include "exp/env_config.hpp"
-#include "service/sim_service.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/profile.hpp"
@@ -31,77 +30,6 @@ std::size_t
 clampPointIndex(std::size_t idx, std::size_t num_points)
 {
     return idx < num_points ? idx : num_points - 1;
-}
-
-/**
- * RTP_SERVICE=1: run the sweep through a SimService job server instead
- * of the runSweep thread pool — same thread budget (service workers =
- * sweep threads, per-job sharded-loop threads = sim threads), same
- * submission-order results, byte-identical output. Sweep points have no
- * cross-run predictor state, so jobs opt out of warm sharing; the point
- * of the mode is exercising the admission/scheduling machinery under
- * every bench workload. The first failed job's original exception is
- * rethrown in submission order, matching runSweep.
- */
-std::vector<SimResult>
-runPointsViaService(const std::vector<SimPoint> &points,
-                    const EnvConfig &env, const char *label,
-                    MetricsRegistry *metrics = nullptr)
-{
-    ServiceConfig sc;
-    sc.workers = env.budget.sweepThreads;
-    sc.simThreads = env.budget.simThreads;
-    sc.maxQueued = points.size() + 1;
-    SimService service(sc);
-
-    // One checker per point, alive until the job is collected (the
-    // same single-threaded-checker contract the pool path keeps with
-    // stack-local checkers).
-    std::vector<std::unique_ptr<InvariantChecker>> checkers;
-    std::vector<JobId> ids;
-    ids.reserve(points.size());
-    for (const SimPoint &p : points) {
-        JobRequest req;
-        req.tenant = "harness";
-        req.bvh = p.bvh;
-        req.triangles = p.triangles;
-        req.rays = p.rays;
-        req.config = p.config;
-        if (env.check) {
-            checkers.push_back(std::make_unique<InvariantChecker>());
-            req.config.check = checkers.back().get();
-        }
-        req.shareWarmState = false;
-        Admission adm = service.submit(req);
-        if (!adm.accepted)
-            throw std::runtime_error(
-                "RTP_SERVICE harness submit rejected: " + adm.reason);
-        ids.push_back(adm.id);
-    }
-
-    std::vector<SimResult> results;
-    results.reserve(ids.size());
-    std::exception_ptr first_error;
-    for (JobId id : ids) {
-        JobOutcome out = service.wait(id);
-        if (out.state == JobState::Failed && !first_error)
-            first_error = out.exception;
-        results.push_back(std::move(out.result));
-    }
-    // RTP_METRICS rides on the same service instance: snapshot the
-    // scheduler/admission tallies after every job completed but before
-    // the workers are torn down.
-    if (metrics)
-        service.exportMetrics(*metrics);
-    service.shutdown();
-    if (first_error)
-        std::rethrow_exception(first_error);
-    if (label)
-        std::fprintf(stderr,
-                     "[rtp-harness] %s: %zu points via SimService "
-                     "(%u workers)\n",
-                     label, points.size(), service.workerCount());
-    return results;
 }
 
 /** Escape a string for embedding in a JSON document. */
@@ -147,8 +75,8 @@ std::vector<SimResult>
 runSimPoints(const std::vector<SimPoint> &points, const char *label)
 {
     // All RTP_* knobs come from the unified env layer
-    // (exp/env_config.hpp): thread budget, checker flag,
-    // observer paths, service routing. Re-read per sweep (not cached)
+    // (exp/env_config.hpp): thread budget, checker flag, and
+    // observer paths. Re-read per sweep (not cached)
     // so tests can vary the environment between calls; malformed
     // values throw here, before any simulation starts.
     //
@@ -197,17 +125,13 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
                         !points.empty();
     // RTP_METRICS=<path>: Prometheus text exposition assembled after
     // the sweep from the cycle profiler (attached implicitly even
-    // without RTP_PROFILE), the observed point's stat groups, and — in
-    // RTP_SERVICE mode — the job server's scheduler tallies.
+    // without RTP_PROFILE) and the observed point's stat groups.
     bool want_metrics = !env.metricsPath.empty() && !metricsConsumed &&
                         !points.empty();
     if (!want_trace && !want_telemetry && !want_profile &&
-        !want_metrics) {
-        if (env.service)
-            return runPointsViaService(points, env, label);
+        !want_metrics)
         return runSweep(points, run, label, nullptr,
                         budget.sweepThreads);
-    }
 
     std::vector<SimPoint> observed = points;
     TraceSink sink;
@@ -249,11 +173,7 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
 
     MetricsRegistry registry;
     std::vector<SimResult> results =
-        env.service
-            ? runPointsViaService(observed, env, label,
-                                  want_metrics ? &registry : nullptr)
-            : runSweep(observed, run, label, nullptr,
-                       budget.sweepThreads);
+        runSweep(observed, run, label, nullptr, budget.sweepThreads);
 
     if (want_trace) {
         if (ensureParentDir(env.tracePath) &&

@@ -42,8 +42,8 @@ struct SimConfig
 
     /**
      * Optional cycle-level trace sink (not owned; nullptr = tracing
-     * off). Attached to every component before the event loop runs.
-     * Tracing is a pure observer: simulated cycles and statistics are
+     * off). Reaches the components through the run's observer seam
+     * (util/observer.hpp), attached for the run only. Tracing is a pure observer: simulated cycles and statistics are
      * identical with and without a sink. The sink is single-threaded —
      * trace at most one simulate() call per sink at a time.
      */
@@ -51,9 +51,9 @@ struct SimConfig
 
     /**
      * Optional interval-sampling telemetry sampler (not owned; nullptr
-     * = telemetry off). Attached to the RT units and memory system
-     * before the event loop runs and fed at event-boundary granularity;
-     * see util/telemetry.hpp. Like tracing, sampling is a pure
+     * = telemetry off). The driver pulls samples from the RT units and
+     * memory system at event-boundary granularity; see
+     * util/telemetry.hpp. Like tracing, sampling is a pure
      * observer: simulated cycles and statistics are byte-identical with
      * and without a sampler. Single-threaded — at most one simulate()
      * call per sampler at a time.
@@ -62,8 +62,8 @@ struct SimConfig
 
     /**
      * Optional invariant checker (not owned; nullptr = checking off).
-     * Attached to every component before the event loop runs; probes
-     * then enforce conservation laws at event boundaries, the driver
+     * Reaches the components through the run's observer seam, attached
+     * for the run only; probes then enforce conservation laws at event boundaries, the driver
      * runs an end-of-run accounting sweep, and every completed ray is
      * cross-checked against the recursive reference-traversal oracle
      * (core/reference.hpp). Violations throw InvariantViolation with a
@@ -76,9 +76,8 @@ struct SimConfig
 
     /**
      * Optional per-cycle attribution profiler (not owned; nullptr =
-     * profiling off). Attached to the RT units, memory hierarchy,
-     * predictors, and collectors before the event loop runs; every SM
-     * cycle is classified into exactly one exclusive category (see
+     * profiling off). Reaches the components through the run's
+     * observer seam, attached for the run only; every SM cycle is classified into exactly one exclusive category (see
      * util/profile.hpp) and the driver asserts the conservation law
      * through SimConfig::check when both are attached. Same
      * pure-observer contract as trace/telemetry/check: simulated

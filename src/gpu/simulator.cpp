@@ -3,10 +3,9 @@
 #include "gpu/differential.hpp"
 #include "gpu/shard.hpp"
 #include "util/check.hpp"
-#include "util/profile.hpp"
+#include "util/observer.hpp"
 #include "util/schema.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -258,7 +257,9 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
  * L2/DRAM accesses synchronise through the ShardGate (see
  * gpu/shard.hpp), so the shared levels observe the exact sequential
  * order and every output — stats, trace, telemetry, checker — is
- * byte-identical to simThreads = 1.
+ * byte-identical to simThreads = 1. The trace and profiler need nothing
+ * from this loop: each SM reports through its own observer port, which
+ * keys its events by the step that emitted them (util/observer.hpp).
  *
  * Telemetry turns the sampling period into a cycle horizon: workers
  * process every event strictly below the next sample boundary, park at
@@ -269,37 +270,12 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
  */
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-               const std::vector<RayPredictor *> &predictors,
-               MemorySystem &mem, const SimConfig &config,
+               MemorySystem &mem, TelemetrySampler *telemetry,
                std::uint32_t num_workers)
 {
     const std::uint32_t num_sms =
         static_cast<std::uint32_t>(units.size());
-    TelemetrySampler *telemetry = config.telemetry;
     ShardGate gate(num_sms);
-
-    // Per-SM order-tagged trace sinks. The preamble (submit-time warp
-    // dispatches) is already in the real sink; from here on every
-    // component of SM s emits into shard sink s, stamped with the
-    // (cycle, sm) key of the step that emitted it, and the shards are
-    // stably merged into the real sink after the run.
-    std::vector<std::unique_ptr<TraceSink>> shard_sinks;
-    std::vector<TraceSink *> sink_ptrs;
-    if (config.trace) {
-        shard_sinks.reserve(num_sms);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            shard_sinks.push_back(std::make_unique<TraceSink>(1));
-            shard_sinks.back()->enableOrderTagging();
-            sink_ptrs.push_back(shard_sinks.back().get());
-        }
-        mem.setShardTraceSinks(sink_ptrs);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(sink_ptrs[s]);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    sink_ptrs[s], static_cast<std::uint16_t>(s));
-        }
-    }
     mem.setShardGate(&gate);
 
     // Initial progress: next event cycle, or done for idle SMs.
@@ -354,9 +330,6 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             if (!next || best >= h)
                 return;
             last_stepped = best;
-            if (!sink_ptrs.empty())
-                sink_ptrs[next_sm]->setOrderKey(
-                    best, static_cast<std::uint16_t>(next_sm));
             // progress[next_sm] == best already (published after the
             // previous step), so waitTurn inside any shared access of
             // this step sees the correct key.
@@ -467,25 +440,6 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     for (std::uint32_t w = 0; w < num_workers; ++w)
         if (errors[w])
             std::rethrow_exception(errors[w]);
-
-    if (config.trace) {
-        // Stable (cycle, sm) merge of the shard streams into the real
-        // ring sink reproduces the sequential emission order, including
-        // ring-wrap and drop accounting. Point the components back at
-        // the real sink afterwards so post-loop state is identical to
-        // the sequential path's.
-        std::vector<const TraceSink *> shards(sink_ptrs.begin(),
-                                              sink_ptrs.end());
-        TraceSink::mergeTaggedShards(shards, *config.trace);
-        mem.setShardTraceSinks({});
-        mem.setTraceSink(config.trace);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(config.trace);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    config.trace, static_cast<std::uint16_t>(s));
-        }
-    }
 }
 
 /**
@@ -513,7 +467,7 @@ effectiveShardWorkers(const SimConfig &config,
 /**
  * Shared driver: distribute rays, run the global event loop, gather
  * results. @p units holds one RT unit per SM; @p predictors (possibly
- * null entries) are read for stats merging and trace routing.
+ * null entries) are read for stats merging.
  */
 SimResult
 runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
@@ -527,26 +481,29 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         distributeRays(rays, config.rt.warpSize, num_sms);
     std::vector<std::vector<Ray>> &per_sm_rays = dist.rays;
     std::vector<std::vector<std::uint32_t>> &per_sm_ids = dist.ids;
-    if (config.trace) {
-        mem.setTraceSink(config.trace);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(config.trace);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    config.trace, static_cast<std::uint16_t>(s));
-        }
-    }
+    std::uint32_t shard_workers =
+        effectiveShardWorkers(config, predictors);
+
     InvariantChecker *check = config.check;
-    if (check) {
+    if (check)
         check->setContext(describe(config) + ", " +
                           std::to_string(rays.size()) + " rays");
-        mem.setChecker(check);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setChecker(check);
-            if (predictors[s])
-                predictors[s]->setChecker(check);
-        }
-    }
+    RunObservers observers(config.trace, config.profile, check, num_sms,
+                           shard_workers >= 2);
+    // One attach per run, undone when the run ends or throws: external
+    // predictors outlive the run and must not keep its ports.
+    auto attach = [&](ObserverPort *ports) {
+        mem.setObserver(ports);
+        for (std::uint32_t s = 0; s < num_sms; ++s)
+            units[s]->setObserver(ports ? ports + s : nullptr);
+    };
+    struct Detach
+    {
+        decltype(attach) &undo;
+        ~Detach() { undo(nullptr); }
+    } detach{attach};
+    attach(observers.ports());
+
     TelemetrySampler *telemetry = config.telemetry;
     if (telemetry) {
         std::vector<const RtUnit *> probes;
@@ -555,25 +512,14 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             probes.push_back(units[s].get());
         telemetry->attach(std::move(probes), &mem);
     }
-    CycleProfiler *profile = config.profile;
-    if (profile)
-        profile->attach(num_sms);
-    // Always propagate (nullptr detaches): external predictors persist
-    // across runs, so a profiled run followed by an unprofiled one must
-    // actively clear the stale probe pointer.
-    mem.setProfiler(profile);
-    for (std::uint32_t s = 0; s < num_sms; ++s)
-        units[s]->setProfiler(profile);
 
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         if (!per_sm_rays[s].empty())
             units[s]->submit(std::move(per_sm_rays[s]), per_sm_ids[s]);
     }
 
-    std::uint32_t shard_workers =
-        effectiveShardWorkers(config, predictors);
     if (shard_workers >= 2)
-        runShardedLoop(units, predictors, mem, config, shard_workers);
+        runShardedLoop(units, mem, telemetry, shard_workers);
     else
         runSequentialLoop(units, telemetry);
 
@@ -604,13 +550,7 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     result.avgBusyBanks = mem.dram().avgBusyBanks();
     if (telemetry)
         telemetry->finish(result.cycles);
-    if (profile) {
-        profile->finish(result.cycles);
-        // Driver-side conservation probe: every simulated cycle of
-        // every SM was attributed to exactly one category.
-        if (check)
-            profile->checkConservation(*check);
-    }
+    observers.finish(result.cycles);
     if (check) {
         // End-of-run accounting sweep, then the per-ray oracle: every
         // completed ray must agree with the recursive reference
@@ -659,14 +599,8 @@ PredictorSet::clone() const
 {
     PredictorSet out;
     out.predictors_.reserve(predictors_.size());
-    for (const auto &p : predictors_) {
-        auto copy = std::make_unique<RayPredictor>(*p);
-        // Observers (trace sink, invariant checker) are per-run
-        // attachments; a clone sharing them would interleave two jobs'
-        // events in one sink.
-        copy->detachObservers();
-        out.predictors_.push_back(std::move(copy));
-    }
+    for (const auto &p : predictors_)
+        out.predictors_.push_back(std::make_unique<RayPredictor>(*p));
     return out;
 }
 

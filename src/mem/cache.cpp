@@ -5,28 +5,26 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "util/profile.hpp"
-#include "util/trace.hpp"
+#include "util/observer.hpp"
 
 namespace rtp {
 
 void
-CacheModel::noteProfile(bool hit)
+CacheModel::observe(ObserverPort &obs, TraceEventKind kind, Cycle cycle,
+                    std::uint64_t addr, std::uint64_t arg,
+                    const CacheAccess &res)
 {
-    if (profLevel_ == 1)
-        profile_->noteL1Access(profUnit_, hit);
+    if (level_ == 1)
+        obs.event(kind, cycle, 0, level_, addr, arg);
     else
-        profile_->noteL2Access(hit);
-}
-
-void
-CacheModel::checkAccess(const CacheAccess &res, Cycle cycle)
-{
+        obs.sharedEvent({cycle, 0, kind, 0, level_, addr, arg});
+    if (!obs.checking())
+        return;
     accessesChecked_++;
-    check_->require(!(res.hit && res.merged), "CacheModel",
-                    "an access is never both a hit and an MSHR merge",
-                    [&] { return "cache " + config_.name; });
-    check_->require(
+    obs.require(!(res.hit && res.merged), "CacheModel",
+                "an access is never both a hit and an MSHR merge",
+                [&] { return "cache " + config_.name; });
+    obs.require(
         res.readyCycle >= cycle, "CacheModel",
         "data is never ready before the access issued", [&] {
             return "cache " + config_.name + ": issued at cycle " +
@@ -107,7 +105,8 @@ CacheModel::LineIndex::clear()
     std::fill(table_.begin(), table_.end(), Entry{});
 }
 
-CacheModel::CacheModel(CacheConfig config) : config_(std::move(config))
+CacheModel::CacheModel(CacheConfig config, std::uint16_t level)
+    : config_(std::move(config)), level_(level)
 {
     std::uint32_t num_lines =
         std::max(1u, config_.sizeBytes / config_.lineBytes);
@@ -159,7 +158,8 @@ CacheModel::moveToFront(LruEnds &set, std::uint32_t slot)
 }
 
 CacheAccess
-CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
+CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill,
+                   ObserverPort *obs)
 {
     std::uint64_t line = lineAddr(addr);
     LruEnds &set = sets_[line % numSets_];
@@ -175,24 +175,17 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
             res.merged = true;
             res.readyCycle = l.readyAt + config_.hitLatency;
             stats_.inc(StatId::MshrMerges);
-            if (trace_)
-                trace_->emit({cycle, 0,
-                              TraceEventKind::CacheMshrMerge,
-                              traceUnit_, traceLevel_, addr,
-                              l.readyAt - cycle});
+            if (obs)
+                observe(*obs, TraceEventKind::CacheMshrMerge, cycle, addr,
+                        l.readyAt - cycle, res);
         } else {
             res.hit = true;
             res.readyCycle = cycle + config_.hitLatency;
             stats_.inc(StatId::Hits);
-            if (profile_)
-                noteProfile(true);
-            if (trace_)
-                trace_->emit({cycle, 0, TraceEventKind::CacheHit,
-                              traceUnit_, traceLevel_, addr,
-                              config_.hitLatency});
+            if (obs)
+                observe(*obs, TraceEventKind::CacheHit, cycle, addr,
+                        config_.hitLatency, res);
         }
-        if (check_)
-            checkAccess(res, cycle);
         return res;
     }
 
@@ -203,8 +196,6 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     // already on its way, and the line's ready time gets silently
     // replaced by the new fill's.
     stats_.inc(StatId::Misses);
-    if (profile_)
-        noteProfile(false);
     std::uint32_t victim = kNoSlot;
     bool skipped_inflight = false;
     for (std::uint32_t w = set.tail; w != kNoSlot; w = prev_[w]) {
@@ -226,15 +217,11 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
         stats_.inc(StatId::InflightBypasses);
         Cycle fill_ready = fill(line * config_.lineBytes, cycle);
         stats_.addSample(HistId::MissLatency, fill_ready - cycle);
-        if (trace_)
-            trace_->emit({cycle, 0,
-                          TraceEventKind::CacheInflightBypass,
-                          traceUnit_, traceLevel_, addr,
-                          fill_ready - cycle});
         CacheAccess res;
         res.readyCycle = fill_ready + config_.hitLatency;
-        if (check_)
-            checkAccess(res, cycle);
+        if (obs)
+            observe(*obs, TraceEventKind::CacheInflightBypass, cycle,
+                    addr, fill_ready - cycle, res);
         return res;
     }
 
@@ -249,14 +236,12 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     index_.insert(line, victim);
     l.readyAt = fill(line * config_.lineBytes, cycle);
     stats_.addSample(HistId::MissLatency, l.readyAt - cycle);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::CacheMiss, traceUnit_,
-                      traceLevel_, addr, l.readyAt - cycle});
 
     CacheAccess res;
     res.readyCycle = l.readyAt + config_.hitLatency;
-    if (check_)
-        checkAccess(res, cycle);
+    if (obs)
+        observe(*obs, TraceEventKind::CacheMiss, cycle, addr,
+                l.readyAt - cycle, res);
     return res;
 }
 

@@ -31,9 +31,9 @@
 
 namespace rtp {
 
-class TraceSink;
 class InvariantChecker;
-class CycleProfiler;
+class ObserverPort;
+enum class TraceEventKind : std::uint8_t;
 
 /** Cycle count type used by all timing models. */
 using Cycle = std::uint64_t;
@@ -104,49 +104,28 @@ class CacheModel
     using FillFn = std::function<Cycle(std::uint64_t line_addr,
                                        Cycle cycle)>;
 
-    explicit CacheModel(CacheConfig config);
+    /**
+     * @param level Hierarchy level (1 or 2): the aux field of this
+     *        cache's trace events. An L1 reports as its requesting SM's
+     *        unit, an L2 as unit 0.
+     */
+    explicit CacheModel(CacheConfig config, std::uint16_t level = 1);
 
     /**
      * Access one address at @p cycle.
      * @param addr Byte address (any offset within a line).
      * @param cycle Current cycle.
      * @param fill Invoked on a true miss to obtain the fill-ready cycle.
+     * @param obs The requesting SM's observer port, or nullptr. It sees
+     *        the hit/miss event, and with a checker attached every
+     *        access verifies that it is never both a hit and an MSHR
+     *        merge and that data is never ready before it was issued.
      */
-    CacheAccess access(std::uint64_t addr, Cycle cycle, FillRef fill);
+    CacheAccess access(std::uint64_t addr, Cycle cycle, FillRef fill,
+                       ObserverPort *obs = nullptr);
 
     /** @return true if the line holding @p addr is resident (untimed). */
     bool contains(std::uint64_t addr) const;
-
-    /**
-     * Attach a trace sink (nullptr detaches; emission then costs one
-     * branch). @p unit identifies this cache instance in events (the
-     * owning SM for an L1), @p level the hierarchy level (1 or 2).
-     */
-    void
-    setTraceSink(TraceSink *sink, std::uint16_t unit,
-                 std::uint16_t level)
-    {
-        trace_ = sink;
-        traceUnit_ = unit;
-        traceLevel_ = level;
-    }
-
-    /**
-     * Attach a cycle-attribution profiler (nullptr detaches) for the
-     * hit/miss meta tallies of util/profile.hpp. @p unit and @p level
-     * mirror setTraceSink: an L1 reports its owning SM as the unit
-     * with level 1 (safe for the sharded loop — only that SM's worker
-     * touches it); the shared L2 reports level 2 and is only probed
-     * inside the ShardGate's serialised seam. Pure observer.
-     */
-    void
-    setProfiler(CycleProfiler *profile, std::uint16_t unit,
-                std::uint16_t level)
-    {
-        profile_ = profile;
-        profUnit_ = unit;
-        profLevel_ = level;
-    }
 
     /**
      * Statistics: hits, misses, mshr_merges, evictions,
@@ -189,20 +168,6 @@ class CacheModel
 
     /** Empty the cache (keeps statistics). */
     void reset();
-
-    /**
-     * Attach an invariant checker (nullptr detaches). Every access then
-     * verifies per-access sanity (an access is never both a hit and an
-     * MSHR merge; data is never ready before the access issued), and
-     * the checker counts accesses so the end-of-run sweep can balance
-     * the books.
-     */
-    void
-    setChecker(InvariantChecker *check)
-    {
-        check_ = check;
-        accessesChecked_ = 0;
-    }
 
     /**
      * End-of-run sweep: every access must be accounted exactly once as
@@ -300,19 +265,13 @@ class CacheModel
     std::vector<std::uint32_t> prev_, next_;
     std::vector<LruEnds> sets_;
     LineIndex index_;
-    void checkAccess(const CacheAccess &res, Cycle cycle);
-
-    /** Profiler meta-tally probe at the hit/miss decision sites. */
-    void noteProfile(bool hit);
+    /** Report one access event (and its checks) to @p obs. */
+    void observe(ObserverPort &obs, TraceEventKind kind, Cycle cycle,
+                 std::uint64_t addr, std::uint64_t arg,
+                 const CacheAccess &res);
 
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    std::uint16_t traceLevel_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint16_t profUnit_ = 0;
-    std::uint16_t profLevel_ = 0;
-    InvariantChecker *check_ = nullptr;
+    std::uint16_t level_;
     std::uint64_t accessesChecked_ = 0; //!< only counted while checking
 };
 

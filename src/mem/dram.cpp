@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "util/profile.hpp"
+#include "util/observer.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 namespace rtp {
 
@@ -14,7 +13,7 @@ DramModel::DramModel(DramConfig config) : config_(config)
 }
 
 Cycle
-DramModel::access(std::uint64_t addr, Cycle cycle)
+DramModel::access(std::uint64_t addr, Cycle cycle, ObserverPort *obs)
 {
     // Interleave consecutive rows across banks.
     std::uint64_t row = addr / config_.rowBytes;
@@ -43,18 +42,16 @@ DramModel::access(std::uint64_t addr, Cycle cycle)
         row_hit ? config_.rowHitLatency : config_.rowMissLatency;
     stats_.inc(row_hit ? StatId::RowHits : StatId::RowMisses);
     stats_.inc(StatId::Accesses);
-    if (profile_)
-        profile_->noteDramAccess(row_hit);
 
     bank.openRow = row;
     bank.busyUntil = start + config_.burstOccupancy;
     Cycle done = start + latency;
     stats_.addSample(HistId::Latency, done - cycle);
-    if (trace_)
-        trace_->emit({cycle, done - cycle, TraceEventKind::DramAccess,
-                      static_cast<std::uint16_t>(bank_idx),
-                      static_cast<std::uint16_t>(row_hit ? 1 : 0),
-                      addr, busy});
+    if (obs)
+        obs->sharedEvent({cycle, done - cycle, TraceEventKind::DramAccess,
+                          static_cast<std::uint16_t>(bank_idx),
+                          static_cast<std::uint16_t>(row_hit ? 1 : 0),
+                          addr, busy});
     return done;
 }
 

@@ -18,7 +18,7 @@
 namespace rtp {
 
 struct TelemetryGlobalSample;
-class CycleProfiler;
+class ObserverPort;
 
 /** DRAM timing configuration (cycles in the memory clock domain are
  *  approximated in core cycles for simplicity). */
@@ -43,36 +43,19 @@ class DramModel
      * Service a line fill.
      * @param addr Byte address of the line.
      * @param cycle Cycle the request arrives at DRAM.
+     * @param obs The requesting SM's observer port, or nullptr. Its
+     *        event carries the bank index as unit and the arrival-time
+     *        busy-bank count.
      * @return Cycle the data has been read.
      */
-    Cycle access(std::uint64_t addr, Cycle cycle);
+    Cycle access(std::uint64_t addr, Cycle cycle,
+                 ObserverPort *obs = nullptr);
 
     /**
      * Average number of banks busy when requests arrive — the bank-level
      * parallelism proxy reported with Figure 15.
      */
     double avgBusyBanks() const;
-
-    /** Attach a trace sink (nullptr detaches). Events carry the bank
-     *  index as their unit and the arrival-time busy-bank count. */
-    void
-    setTraceSink(TraceSink *sink)
-    {
-        trace_ = sink;
-    }
-
-    /**
-     * Attach a cycle-attribution profiler (nullptr detaches) for the
-     * access/row-hit meta tallies of util/profile.hpp. DRAM is shared,
-     * but it is only reached through a true L1 miss, which the sharded
-     * loop serialises through the ShardGate — so the probe never races.
-     * Pure observer.
-     */
-    void
-    setProfiler(CycleProfiler *profile)
-    {
-        profile_ = profile;
-    }
 
     const StatGroup &
     stats() const
@@ -106,8 +89,6 @@ class DramModel
     DramConfig config_;
     std::vector<Bank> banks_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    CycleProfiler *profile_ = nullptr;
     std::uint64_t busySamples_ = 0;
     std::uint64_t busyAccum_ = 0;
 };

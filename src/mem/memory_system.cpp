@@ -1,11 +1,8 @@
 #include "mem/memory_system.hpp"
 
-#include <utility>
-
 #include "gpu/shard.hpp"
-#include "util/profile.hpp"
+#include "util/observer.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 namespace rtp {
 
@@ -15,7 +12,7 @@ MemorySystem::MemorySystem(const MemoryConfig &config,
 {
     for (std::uint32_t i = 0; i < num_sms; ++i)
         l1s_.push_back(std::make_unique<CacheModel>(config.l1));
-    l2_ = std::make_unique<CacheModel>(config.l2);
+    l2_ = std::make_unique<CacheModel>(config.l2, 2);
 }
 
 MemAccess
@@ -23,11 +20,12 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
 {
     MemAccess result;
     result.servedBy = MemLevel::L1;
+    ObserverPort *obs = ports_ ? ports_ + sm : nullptr;
 
     auto l2_fill = [&](std::uint64_t line_addr, Cycle c) -> Cycle {
         result.servedBy = MemLevel::Dram;
-        return dram_.access(line_addr,
-                            c + config_.l2ToDramLatency);
+        return dram_.access(line_addr, c + config_.l2ToDramLatency,
+                            obs);
     };
 
     auto l1_fill = [&](std::uint64_t line_addr, Cycle c) -> Cycle {
@@ -37,76 +35,32 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
         // have reached this access; until the owning worker publishes
         // progress past this step, no other SM's later access can
         // enter, so the whole fill (L2 lookup + DRAM) is exclusive.
-        if (gate_) {
+        if (gate_)
             gate_->waitTurn(sm);
-            if (!shardSinks_.empty()) {
-                // Shared-level trace events must carry the order key
-                // of the step that caused them: route the L2 and DRAM
-                // into the requesting SM's tagged sink for this fill.
-                l2_->setTraceSink(shardSinks_[sm], 0, 2);
-                dram_.setTraceSink(shardSinks_[sm]);
-            }
-        }
         if (!config_.l2Enabled) {
             result.servedBy = MemLevel::Dram;
-            return dram_.access(line_addr, c + config_.l1ToL2Latency +
-                                               config_.l2ToDramLatency);
+            return dram_.access(line_addr,
+                                c + config_.l1ToL2Latency +
+                                    config_.l2ToDramLatency,
+                                obs);
         }
         result.servedBy = MemLevel::L2;
         CacheAccess l2_res = l2_->access(
-            line_addr, c + config_.l1ToL2Latency, l2_fill);
+            line_addr, c + config_.l1ToL2Latency, l2_fill, obs);
         return l2_res.readyCycle;
     };
 
-    CacheAccess l1_res = l1s_[sm]->access(addr, cycle, l1_fill);
+    CacheAccess l1_res = l1s_[sm]->access(addr, cycle, l1_fill, obs);
     result.readyCycle = l1_res.readyCycle;
     result.l1MshrMerged = l1_res.merged;
     if (l1_res.merged)
         result.servedBy = MemLevel::L1;
-    if (profile_)
-        profile_->noteMemLevel(
-            sm, result.servedBy == MemLevel::Dram
-                    ? 3
-                    : (result.servedBy == MemLevel::L2 ? 2 : 1));
+    if (obs)
+        obs->noteMemLevel(result.servedBy == MemLevel::Dram
+                              ? 3
+                              : (result.servedBy == MemLevel::L2 ? 2
+                                                                 : 1));
     return result;
-}
-
-void
-MemorySystem::setTraceSink(TraceSink *sink)
-{
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setTraceSink(sink, static_cast<std::uint16_t>(i), 1);
-    l2_->setTraceSink(sink, 0, 2);
-    dram_.setTraceSink(sink);
-}
-
-void
-MemorySystem::setShardTraceSinks(std::vector<TraceSink *> sinks)
-{
-    shardSinks_ = std::move(sinks);
-    if (shardSinks_.empty())
-        return;
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setTraceSink(shardSinks_[i],
-                              static_cast<std::uint16_t>(i), 1);
-}
-
-void
-MemorySystem::setProfiler(CycleProfiler *profile)
-{
-    profile_ = profile;
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setProfiler(profile, static_cast<std::uint16_t>(i), 1);
-    l2_->setProfiler(profile, 0, 2);
-    dram_.setProfiler(profile);
-}
-
-void
-MemorySystem::setChecker(InvariantChecker *check)
-{
-    for (auto &l1 : l1s_)
-        l1->setChecker(check);
-    l2_->setChecker(check);
 }
 
 void

@@ -17,8 +17,7 @@ namespace rtp {
 
 struct TelemetryGlobalSample;
 class ShardGate;
-class TraceSink;
-class CycleProfiler;
+class ObserverPort;
 
 /** Where a request was ultimately served from. */
 enum class MemLevel : std::uint8_t
@@ -92,28 +91,20 @@ class MemorySystem
     }
 
     /**
-     * Attach a trace sink to every level (nullptr detaches): each L1
-     * reports its SM index as the event unit with level 1, the L2 unit
-     * 0 with level 2, DRAM its bank index.
+     * Attach the run's per-SM observer ports (an array indexed by SM;
+     * nullptr detaches). Each access then reports through the issuing
+     * SM's port: the level that served it (the profiler's L1/L2/DRAM
+     * stall classification) and, from inside the caches and DRAM, their
+     * hit/miss and bank events. The shared L2 and DRAM emit with their
+     * own unit ids but through the requesting SM's port, so sharded
+     * runs need no re-routing: the port already holds that SM's order
+     * key, and shared levels are only reached inside the gated seam.
      */
-    void setTraceSink(TraceSink *sink);
-
-    /**
-     * Attach an invariant checker to every cache level (nullptr
-     * detaches); see CacheModel::setChecker.
-     */
-    void setChecker(InvariantChecker *check);
-
-    /**
-     * Attach a cycle-attribution profiler to every level (nullptr
-     * detaches). Each access then reports the level that served it —
-     * the input of the profiler's L1/L2/DRAM stall classification —
-     * into the issuing SM's slice, and the caches and DRAM feed their
-     * hit/row-hit meta tallies. Pure observer; sharded-loop safe (the
-     * per-SM slice belongs to the issuing worker, and the shared
-     * L2/DRAM probes only fire inside the gated seam).
-     */
-    void setProfiler(CycleProfiler *profile);
+    void
+    setObserver(ObserverPort *ports)
+    {
+        ports_ = ports;
+    }
 
     /**
      * Attach the sharded event loop's ordering gate (nullptr detaches).
@@ -128,16 +119,6 @@ class MemorySystem
     {
         gate_ = gate;
     }
-
-    /**
-     * Route trace emission through per-SM order-tagged shard sinks
-     * (empty vector detaches): L1 i emits into sinks[i] permanently,
-     * while the L2 and DRAM sinks are swapped to the requesting SM's
-     * sink at the top of each gated fill, so shared-level events carry
-     * the order key of the step that caused them. Caller keeps
-     * ownership; one sink per SM, indexed by SM id.
-     */
-    void setShardTraceSinks(std::vector<TraceSink *> sinks);
 
     /** End-of-run sweep over every L1 and the L2 (when enabled). */
     void checkFinalState(InvariantChecker &check) const;
@@ -168,9 +149,8 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     std::unique_ptr<CacheModel> l2_;
     DramModel dram_;
-    ShardGate *gate_ = nullptr;            //!< sharded loop only
-    std::vector<TraceSink *> shardSinks_;  //!< per-SM tagged sinks
-    CycleProfiler *profile_ = nullptr;     //!< attribution probes
+    ShardGate *gate_ = nullptr;     //!< sharded loop only
+    ObserverPort *ports_ = nullptr; //!< per-SM observer ports
 };
 
 } // namespace rtp

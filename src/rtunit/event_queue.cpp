@@ -5,13 +5,14 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/observer.hpp"
 
 namespace rtp {
 
 void
 EventQueue::checkPop(const RtEvent &ev)
 {
-    check_->require(
+    obs_->require(
         ev.cycle >= lastPopCycle_, "EventQueue",
         "popped event cycles are monotonically non-decreasing", [&] {
             return "popped cycle " + std::to_string(ev.cycle) +
@@ -147,7 +148,7 @@ EventQueue::pop()
         RtEvent ev = heap_.top();
         heap_.pop();
         size_--;
-        if (check_)
+        if (obs_)
             checkPop(ev);
         return ev;
     }
@@ -193,7 +194,7 @@ EventQueue::pop()
             if (ev.cycle > base_)
                 base_ = ev.cycle; // still <= every remaining event
             size_--;
-            if (check_)
+            if (obs_)
                 checkPop(ev);
             return ev;
         }
@@ -204,7 +205,7 @@ EventQueue::pop()
     if (bucket.empty())
         occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     size_--;
-    if (check_)
+    if (obs_)
         checkPop(ev);
     return ev;
 }

@@ -30,7 +30,7 @@
 
 namespace rtp {
 
-class InvariantChecker;
+class ObserverPort;
 
 /** What a popped RT unit event means. */
 enum class RtEventKind : std::uint8_t
@@ -94,14 +94,15 @@ class EventQueue
     RtEvent pop();
 
     /**
-     * Attach an invariant checker (nullptr detaches). The queue then
-     * verifies on every pop that event cycles never move backwards —
-     * the total-order guarantee the whole simulation rests on.
+     * Attach the owning SM's observer port (nullptr detaches). With a
+     * checker attached the queue verifies on every pop that event
+     * cycles never move backwards — the total-order guarantee the whole
+     * simulation rests on.
      */
     void
-    setChecker(InvariantChecker *check)
+    setObserver(ObserverPort *obs)
     {
-        check_ = check;
+        obs_ = obs;
     }
 
   private:
@@ -117,8 +118,8 @@ class EventQueue
 
     EventQueueImpl impl_;
     std::size_t size_ = 0;
-    InvariantChecker *check_ = nullptr;
-    Cycle lastPopCycle_ = 0; //!< only maintained while check_ is set
+    ObserverPort *obs_ = nullptr;
+    Cycle lastPopCycle_ = 0; //!< only maintained while observed
 
     // --- Calendar state ---
     std::vector<std::vector<RtEvent>> buckets_{kBuckets};

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/observer.hpp"
 
 namespace rtp {
 
@@ -62,14 +63,14 @@ RayBuffer::allocate(const Ray &ray, std::uint32_t global_id,
 void
 RayBuffer::release(std::uint32_t idx)
 {
-    if (check_) {
-        check_->require(idx < slots_.size(), "RayBuffer",
-                        "released slot index is within capacity", [&] {
-                            return "slot " + std::to_string(idx) +
-                                   ", capacity " +
-                                   std::to_string(slots_.size());
-                        });
-        check_->require(
+    if (obs_ && obs_->checking()) {
+        obs_->require(idx < slots_.size(), "RayBuffer",
+                      "released slot index is within capacity", [&] {
+                          return "slot " + std::to_string(idx) +
+                                 ", capacity " +
+                                 std::to_string(slots_.size());
+                      });
+        obs_->require(
             std::find(freeList_.begin(), freeList_.end(), idx) ==
                 freeList_.end(),
             "RayBuffer", "a slot is never released twice", [&] {

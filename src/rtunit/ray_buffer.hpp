@@ -22,6 +22,7 @@
 namespace rtp {
 
 class InvariantChecker;
+class ObserverPort;
 
 /** Traversal phase of a resident ray. */
 enum class RayPhase : std::uint8_t
@@ -117,15 +118,15 @@ class RayBuffer
     }
 
     /**
-     * Attach an invariant checker (nullptr detaches). Every release()
-     * then scans the free list for double-frees and out-of-range slot
-     * indices — the two corruptions that silently shrink or alias the
-     * resident-ray pool.
+     * Attach the owning SM's observer port (nullptr detaches). With a
+     * checker attached every release() scans the free list for
+     * double-frees and out-of-range slot indices — the two corruptions
+     * that silently shrink or alias the resident-ray pool.
      */
     void
-    setChecker(InvariantChecker *check)
+    setObserver(ObserverPort *obs)
     {
-        check_ = check;
+        obs_ = obs;
     }
 
     /**
@@ -138,7 +139,7 @@ class RayBuffer
   private:
     std::vector<RayEntry> slots_;
     std::vector<std::uint32_t> freeList_;
-    InvariantChecker *check_ = nullptr;
+    ObserverPort *obs_ = nullptr;
 };
 
 } // namespace rtp

@@ -44,7 +44,7 @@
 namespace rtp {
 
 struct TelemetrySmSample;
-class CycleProfiler;
+class ObserverPort;
 
 /** RT unit configuration (Section 5.1 / Table 2 defaults). */
 struct RtUnitConfig
@@ -175,35 +175,17 @@ class RtUnit
     void snapshotInto(TelemetrySmSample &out) const;
 
     /**
-     * Attach a trace sink (nullptr detaches). Shared with the partial
-     * warp collector. Emission is a pure observer: enabling a sink
-     * never changes simulated cycles or statistics.
+     * Attach this SM's observer port (nullptr detaches), shared with
+     * the ray buffer, event queue, partial warp collector, and this
+     * SM's predictor (see util/observer.hpp). Every event then reports
+     * its trace events and classifies its own cycle and the wait gap
+     * before it for the profiler; with a checker attached, stack pushes
+     * stay inside the hardware window, completed rays carry consistent
+     * prediction flags, slots are never double-released, and event time
+     * never runs backwards. Pure observer: simulated cycles and
+     * statistics never change.
      */
-    void
-    setTraceSink(TraceSink *sink)
-    {
-        trace_ = sink;
-        collector_.setTraceSink(sink,
-                                static_cast<std::uint16_t>(smId_));
-    }
-
-    /**
-     * Attach an invariant checker (nullptr detaches), shared with the
-     * ray buffer, event queue, and partial warp collector. Probes then
-     * fire at event boundaries: stack pushes stay inside the hardware
-     * window, completed rays carry consistent prediction flags, slots
-     * are never double-released, event time never runs backwards. Same
-     * pure-observer contract as tracing.
-     */
-    void setChecker(InvariantChecker *check);
-
-    /**
-     * Attach a cycle-attribution profiler (nullptr detaches), shared
-     * with the partial warp collector and this SM's predictor. Every
-     * event then classifies its own cycle and the wait gap before it
-     * (see util/profile.hpp). Same pure-observer contract as tracing.
-     */
-    void setProfiler(CycleProfiler *profile);
+    void setObserver(ObserverPort *obs);
 
     /**
      * End-of-run sweep, called by the driver once every ray completed:
@@ -322,9 +304,7 @@ class RtUnit
 
     std::vector<RayResult> results_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    InvariantChecker *check_ = nullptr;
-    CycleProfiler *profile_ = nullptr;
+    ObserverPort *obs_ = nullptr;
     std::uint64_t issueActiveThreads_ = 0;
     std::uint64_t issueSlots_ = 0;
 

@@ -1,5 +1,6 @@
 #include "scene/obj_io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -27,26 +28,36 @@ saveObj(const std::string &path, const Mesh &mesh)
 }
 
 bool
-loadObj(const std::string &path, Mesh &mesh)
+loadObj(const std::string &path, Mesh &mesh, std::string *error)
 {
+    auto fail = [error](const std::string &why) {
+        if (error)
+            *error = why;
+        return false;
+    };
     std::ifstream f(path);
     if (!f)
-        return false;
+        return fail("cannot open " + path);
 
     std::vector<Vec3> vertices;
-    std::size_t before = mesh.size();
+    Mesh parsed;
     std::string line;
-    while (std::getline(f, line)) {
+    for (std::size_t line_no = 1; std::getline(f, line); ++line_no) {
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ss(line);
         std::string tag;
         ss >> tag;
         if (tag == "v") {
+            // Overflowing values and "nan"/"inf" set the fail bit too.
             Vec3 v;
             ss >> v.x >> v.y >> v.z;
-            if (!ss.fail())
-                vertices.push_back(v);
+            if (ss.fail() || !std::isfinite(v.x) ||
+                !std::isfinite(v.y) || !std::isfinite(v.z))
+                return fail(path + ":" + std::to_string(line_no) +
+                            ": vertex needs three finite coordinates: " +
+                            line);
+            vertices.push_back(v);
         } else if (tag == "f") {
             // Face indices may be "i", "i/t", "i/t/n", or "i//n";
             // take the vertex index and fan-triangulate polygons.
@@ -61,12 +72,16 @@ loadObj(const std::string &path, Mesh &mesh)
                     idx.push_back(v - 1);
             }
             for (std::size_t k = 2; k < idx.size(); ++k) {
-                mesh.addTriangle(vertices[idx[0]], vertices[idx[k - 1]],
-                                 vertices[idx[k]]);
+                parsed.addTriangle(vertices[idx[0]],
+                                   vertices[idx[k - 1]],
+                                   vertices[idx[k]]);
             }
         }
     }
-    return mesh.size() > before;
+    if (parsed.size() == 0)
+        return fail(path + ": no triangles");
+    mesh.append(parsed);
+    return true;
 }
 
 } // namespace rtp

@@ -26,9 +26,18 @@ bool saveObj(const std::string &path, const Mesh &mesh);
 
 /**
  * Load triangles from a Wavefront OBJ file.
- * @param mesh Out: triangles are appended.
+ *
+ * A vertex record that does not parse as three finite coordinates
+ * fails the whole load: skipping it would renumber every later vertex
+ * and silently connect faces to the wrong corners. Face indices outside
+ * the vertex list are dropped (a face left with fewer than three
+ * corners produces no triangle).
+ *
+ * @param mesh Out: triangles are appended, only on success.
+ * @param error Out (optional): on failure, the reason, naming the line.
  * @retval true if the file parsed and produced at least one triangle.
  */
-bool loadObj(const std::string &path, Mesh &mesh);
+bool loadObj(const std::string &path, Mesh &mesh,
+             std::string *error = nullptr);
 
 } // namespace rtp

@@ -4,11 +4,12 @@
  *
  * Trace (util/trace.hpp) records what happened; telemetry
  * (util/telemetry.hpp) records rates over time; this layer asserts that
- * what happened was *legal*. Components hold a non-owned
- * `InvariantChecker *` (nullptr = checking off, one branch per probe,
- * the same pure-observer contract as the other two layers: simulated
- * cycles, statistics, and per-ray results are byte-identical with and
- * without a checker) and call require() at event boundaries to enforce
+ * what happened was *legal*. Components reach the checker through the
+ * observer seam (util/observer.hpp, ObserverPort::check(); nullptr =
+ * checking off, one branch per probe, the same pure-observer contract
+ * as the other layers: simulated cycles, statistics, and per-ray
+ * results are byte-identical with and without a checker) and call
+ * require() at event boundaries to enforce
  * conservation laws — event timestamps monotone, cache accounting
  * balanced, ray-buffer slots never leaked, the repacker neither dropping
  * nor duplicating rays, predictor outcome counters consistent, the

@@ -66,7 +66,6 @@ CycleProfiler::attach(std::uint32_t numSms)
         s.execNoted = false;
         s.deepestLevel = 0;
     }
-    attached_ = true;
 }
 
 void
@@ -149,7 +148,6 @@ CycleProfiler::finish(Cycle endCycle)
     }
     elapsed_ += end;
     ++runs_;
-    attached_ = false;
 }
 
 std::uint64_t
@@ -298,7 +296,6 @@ CycleProfiler::clear()
     dramRowHits_ = 0;
     elapsed_ = 0;
     runs_ = 0;
-    attached_ = false;
 }
 
 } // namespace rtp

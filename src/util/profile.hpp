@@ -22,14 +22,15 @@
  * checkConservation() asserts through the InvariantChecker, and which
  * tools/cycles_report re-verifies offline from the JSON.
  *
- * Zero-perturbation contract (same as trace/telemetry/check): the
- * profiler attaches to SimConfig::profile as a non-owned pointer,
- * nullptr means off, every probe site is a single branch, and no
- * simulated state is read back out of the profiler. Per-SM slices are
- * only ever touched from the worker that owns the SM's event loop, and
- * shared-seam tallies (L2/DRAM) only from inside the ShardGate's
- * serialised section, so the sharded loop needs no extra merge step:
- * output is byte-identical at any RTP_SIM_THREADS.
+ * Observer contract: the profiler is attached through
+ * SimConfig::profile and reached only through the observer seam
+ * (util/observer.hpp), which drives the step spans below and feeds
+ * noteEvent() with every event a component emits. The seam's contract
+ * applies: one branch per probe site when off, no simulated state read
+ * back, attach and detach per run. Per-SM slices are only touched
+ * through their SM's port, by the worker that owns the SM, and the
+ * shared L2/DRAM tallies only inside the ShardGate's serialised
+ * section, so output is byte-identical at any RTP_SIM_THREADS.
  */
 
 #pragma once
@@ -39,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/cache.hpp" // Cycle
+#include "util/trace.hpp"
 
 namespace rtp {
 
@@ -101,7 +102,7 @@ public:
     {
         //!< cycles[cat][rayType], exclusive and exhaustive.
         std::uint64_t cycles[kCycleCatCount][kProfRayTypeCount] = {};
-        // Non-conserved event tallies (meta), fed by the unit probes.
+        // Non-conserved event tallies (meta), fed by noteEvent().
         std::uint64_t l1Hits = 0;
         std::uint64_t l1Misses = 0;
         std::uint64_t predLookups = 0;
@@ -125,13 +126,6 @@ public:
      */
     void attach(std::uint32_t numSms);
 
-    /** @return true between attach() and finish(). */
-    bool
-    attached() const
-    {
-        return attached_;
-    }
-
     /**
      * An RtUnit event for @p sm popped at @p now: close the wait gap
      * [cursor, now) under the pending wait category. Same-cycle
@@ -153,13 +147,6 @@ public:
             s.execType = type;
             s.execNoted = true;
         }
-    }
-
-    /** @return true if noteExec has run since the last closeStep. */
-    bool
-    execNoted(std::uint32_t sm) const
-    {
-        return slices_[sm].execNoted;
     }
 
     /**
@@ -189,63 +176,50 @@ public:
 
     /**
      * End of run at @p endCycle (SimResult::cycles): close every SM's
-     * trailing span [cursor, endCycle + 1) as IdleDrain and detach.
+     * trailing span [cursor, endCycle + 1) as IdleDrain.
      * The per-run elapsed time (endCycle + 1 cycles: cycle endCycle is
      * the last one charged) is added to elapsed().
      */
     void finish(Cycle endCycle);
 
-    // ------------------------------------------------------------------
-    // Meta tallies (not part of the conservation law; they feed the
-    // cost/benefit section of tools/cycles_report).
-
-    /** L1 probe: @p unit's private L1 access, hit or miss. */
+    /**
+     * Meta tallies (not part of the conservation law; they feed the
+     * cost/benefit section of tools/cycles_report), fed by the observer
+     * seam with every event @p sm's components emit: L1 and L2 hits and
+     * misses (an in-flight bypass counts as a miss), DRAM accesses and
+     * row hits, predictor lookups and table hits, and repack flushes
+     * with their ray counts. Other kinds are ignored. L2 and DRAM
+     * events only arrive inside the sharded loop's gated seam.
+     */
     void
-    noteL1Access(std::uint32_t unit, bool hit)
+    noteEvent(std::uint32_t sm, const TraceEvent &ev)
     {
-        SmSlice &s = slices_[unit];
-        if (hit)
-            ++s.l1Hits;
-        else
-            ++s.l1Misses;
-    }
-
-    /** Shared-L2 probe; only called inside the gated shard seam. */
-    void
-    noteL2Access(bool hit)
-    {
-        if (hit)
-            ++l2Hits_;
-        else
-            ++l2Misses_;
-    }
-
-    /** DRAM probe; only called inside the gated shard seam. */
-    void
-    noteDramAccess(bool rowHit)
-    {
-        ++dramAccesses_;
-        if (rowHit)
-            ++dramRowHits_;
-    }
-
-    /** Predictor probe: one table lookup, hit or miss. */
-    void
-    notePredictorLookup(std::uint32_t unit, bool hit)
-    {
-        SmSlice &s = slices_[unit];
-        ++s.predLookups;
-        if (hit)
-            ++s.predHits;
-    }
-
-    /** Collector probe: a partial-warp flush of @p rays rays. */
-    void
-    noteRepackFlush(std::uint32_t unit, std::uint32_t rays)
-    {
-        SmSlice &s = slices_[unit];
-        ++s.repackFlushes;
-        s.repackRays += rays;
+        switch (ev.kind) {
+        case TraceEventKind::CacheHit:
+        case TraceEventKind::CacheMiss:
+        case TraceEventKind::CacheInflightBypass: {
+            bool hit = ev.kind == TraceEventKind::CacheHit;
+            if (ev.aux == 1)
+                ++(hit ? slices_[sm].l1Hits : slices_[sm].l1Misses);
+            else
+                ++(hit ? l2Hits_ : l2Misses_);
+            break;
+        }
+        case TraceEventKind::DramAccess:
+            ++dramAccesses_;
+            dramRowHits_ += ev.aux;
+            break;
+        case TraceEventKind::PredictorLookup:
+            ++slices_[sm].predLookups;
+            slices_[sm].predHits += ev.aux;
+            break;
+        case TraceEventKind::RepackFlush:
+            ++slices_[sm].repackFlushes;
+            slices_[sm].repackRays += ev.arg;
+            break;
+        default:
+            break;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -318,7 +292,6 @@ private:
     std::uint64_t dramRowHits_ = 0;
     Cycle elapsed_ = 0;
     std::uint64_t runs_ = 0;
-    bool attached_ = false;
 
     void addSpan(SmSlice &s, CycleCat cat, ProfRayType type,
                  std::uint64_t n);

@@ -12,10 +12,13 @@
  * DramModel, RayPredictor, PartialWarpCollector) into a timeline record,
  * exported as JSON or CSV and summarised by tools/timeline_report.
  *
- * Overhead contract (same as TraceSink): sampling is a pure observer.
- * Probes only read component state, so attaching a sampler cannot change
- * cycle counts, statistics, or per-ray results, and a run without a
- * sampler pays exactly one branch per event step.
+ * Overhead contract: sampling is a pure observer. Probes only read
+ * component state, so attaching a sampler cannot change cycle counts,
+ * statistics, or per-ray results, and a run without a sampler pays
+ * exactly one branch per event step. Unlike the trace, profiler, and
+ * checker (util/observer.hpp), the sampler is not behind the observer
+ * seam: the driver pulls samples between event steps and no component
+ * holds a pointer to it.
  */
 
 #pragma once

@@ -110,16 +110,14 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
-    ScopedEnv c("RTP_CHECK", nullptr), s("RTP_SERVICE", nullptr),
-        t("RTP_TRACE", nullptr), tp("RTP_TRACE_POINT", nullptr),
-        te("RTP_TELEMETRY", nullptr),
+    ScopedEnv c("RTP_CHECK", nullptr), t("RTP_TRACE", nullptr),
+        tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
         tep("RTP_TELEMETRY_POINT", nullptr),
         per("RTP_TELEMETRY_PERIOD", nullptr),
         j("RTP_JSON_DIR", nullptr), sc("RTP_SCALE", nullptr),
         r("RTP_SELFBENCH_REPS", nullptr);
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_FALSE(env.check);
-    EXPECT_FALSE(env.service);
     EXPECT_TRUE(env.tracePath.empty());
     EXPECT_EQ(env.tracePoint, 0u);
     EXPECT_EQ(env.telemetryPeriod, 256u);
@@ -129,15 +127,13 @@ TEST(EnvConfig, FromEnvironmentDefaults)
 
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 {
-    ScopedEnv c("RTP_CHECK", "1"), s("RTP_SERVICE", "1"),
-        t("RTP_TRACE", "/tmp/t.json"), tp("RTP_TRACE_POINT", "2"),
-        te("RTP_TELEMETRY", "/tmp/m.json"),
+    ScopedEnv c("RTP_CHECK", "1"), t("RTP_TRACE", "/tmp/t.json"),
+        tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
         tep("RTP_TELEMETRY_POINT", "1"),
         per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
         sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_TRUE(env.check);
-    EXPECT_TRUE(env.service);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
     EXPECT_EQ(env.tracePoint, 2u);
     EXPECT_EQ(env.telemetryPath, "/tmp/m.json");

@@ -218,8 +218,9 @@ TEST(MetricsBridges, PopulateFromProfileLintsClean)
     profile.attach(1);
     profile.onEvent(0, 0);
     profile.noteExec(0, CycleCat::BoxTest, ProfRayType::Occlusion);
-    profile.noteL1Access(0, true);
-    profile.notePredictorLookup(0, false);
+    profile.noteEvent(0, {0, 0, TraceEventKind::CacheHit, 0, 1, 0, 1});
+    profile.noteEvent(0, {0, 0, TraceEventKind::PredictorLookup, 0, 0,
+                          0, 0});
     profile.closeStep(0, 0, true, false);
     profile.finish(3);
 

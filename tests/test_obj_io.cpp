@@ -103,6 +103,44 @@ TEST(ObjIo, OutOfRangeIndicesDropped)
     std::remove(path.c_str());
 }
 
+/**
+ * Load a file whose second line is the vertex record @p bad. It must
+ * fail with a reason naming line 2 and leave the mesh untouched: a
+ * skipped record would shift every later index, and the face would
+ * load as the wrong triangle.
+ */
+void
+expectBadVertexFails(const std::string &bad)
+{
+    std::string path = "/tmp/rtp_test_bad_vertex.obj";
+    {
+        std::ofstream f(path);
+        f << "v 0 0 0\n" << bad << "\nv 1 0 0\nv 0 1 0\nf 1 2 3\n";
+    }
+    Mesh m;
+    EXPECT_FALSE(loadObj(path, m)) << bad;
+    EXPECT_EQ(m.size(), 0u) << bad;
+    std::string why;
+    EXPECT_FALSE(loadObj(path, m, &why));
+    EXPECT_NE(why.find(path + ":2:"), std::string::npos) << why;
+    std::remove(path.c_str());
+}
+
+TEST(ObjIo, ShortVertexLineFails)
+{
+    expectBadVertexFails("v 1 0");
+}
+
+TEST(ObjIo, NanVertexFails)
+{
+    expectBadVertexFails("v nan 0 0");
+}
+
+TEST(ObjIo, OverflowingVertexFails)
+{
+    expectBadVertexFails("v 1e39 0 0");
+}
+
 TEST(ObjIo, ProceduralSceneSurvivesRoundTrip)
 {
     Scene s = makeScene(SceneId::Sibenik, 0.02f);

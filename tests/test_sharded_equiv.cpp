@@ -4,8 +4,8 @@
  * docs/performance.md): the sharded loop must be byte-identical to the
  * sequential reference loop in every observable output — SimResult
  * JSON, Chrome-trace bytes (including ring-wrap drop accounting),
- * telemetry timelines, and invariant-checker behaviour — at any worker
- * count, on every bundled scene.
+ * telemetry timelines, cycle-attribution profiles, and invariant-checker
+ * behaviour — at any worker count, on every bundled scene.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "gpu/simulator.hpp"
 #include "scene/registry.hpp"
 #include "util/check.hpp"
+#include "util/profile.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
@@ -48,13 +49,15 @@ struct RunOutputs
     std::string traceJson;
     std::uint64_t traceDropped = 0;
     std::string telemetryJson;
+    std::string profileJson;
     std::uint64_t checksRun = 0;
 };
 
 /**
  * Run @p w under @p config at @p sim_threads with every observer
  * attached: a trace sink of @p trace_capacity events, a telemetry
- * sampler at @p telemetry_period, and the invariant checker.
+ * sampler at @p telemetry_period, the cycle profiler, and the invariant
+ * checker.
  */
 RunOutputs
 runObserved(const Workload &w, SimConfig config,
@@ -64,9 +67,11 @@ runObserved(const Workload &w, SimConfig config,
     config.simThreads = sim_threads;
     TraceSink sink(trace_capacity);
     TelemetrySampler sampler(telemetry_period);
+    CycleProfiler profile;
     InvariantChecker check;
     config.trace = &sink;
     config.telemetry = &sampler;
+    config.profile = &profile;
     config.check = &check;
 
     RunOutputs out;
@@ -81,6 +86,7 @@ runObserved(const Workload &w, SimConfig config,
     std::ostringstream telemetry_os;
     sampler.writeJson(telemetry_os);
     out.telemetryJson = telemetry_os.str();
+    out.profileJson = profile.toJson();
     out.checksRun = check.checksRun();
     return out;
 }
@@ -124,13 +130,17 @@ TEST(ShardedEquiv, BaselineConfigIdenticalAcrossWorkerCounts)
 
 TEST(ShardedEquiv, ObserversByteIdenticalAcrossWorkerCounts)
 {
-    // Trace, telemetry, and checker attached: all three observer
-    // outputs must match the sequential bytes exactly, and the checker
-    // must run the same number of probes.
+    // Every observer attached at once: trace, telemetry, and profile
+    // must match the sequential bytes exactly, the checker must run the
+    // same number of probes, and the result must match an unobserved
+    // run at every worker count.
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
     const Workload &w = cache().get(SceneId::Sibenik);
     const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
+    for (std::uint32_t threads : {1u, 2u, 4u})
+        EXPECT_EQ(runPlain(w, config, threads), seq.resultJson)
+            << "simThreads=" << threads;
     for (std::uint32_t threads : {2u, 4u}) {
         const RunOutputs sharded =
             runObserved(w, config, threads, 1u << 16, 128);
@@ -139,6 +149,8 @@ TEST(ShardedEquiv, ObserversByteIdenticalAcrossWorkerCounts)
         EXPECT_EQ(seq.traceJson, sharded.traceJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.telemetryJson, sharded.telemetryJson)
+            << "simThreads=" << threads;
+        EXPECT_EQ(seq.profileJson, sharded.profileJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.checksRun, sharded.checksRun)
             << "simThreads=" << threads;

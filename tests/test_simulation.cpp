@@ -13,6 +13,9 @@
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
+#include "util/check.hpp"
+#include "util/profile.hpp"
+#include "util/trace.hpp"
 
 namespace rtp {
 namespace {
@@ -114,6 +117,67 @@ TEST(Simulation, PredictorSetCarriesTrainedState)
     set.bind(cfg.predictor, cfg.numSms, rig().bvh, false);
     SimResult recold = sim.run(rig().ao.rays);
     EXPECT_EQ(cold.toJson(), recold.toJson());
+}
+
+// --- Observers are attached per run -------------------------------------
+
+TEST(Simulation, ObserversDetachWhenTheRunEnds)
+{
+    // A PredictorSet outlives its runs. An unobserved run after an
+    // observed one must not reach the first run's sink or checker
+    // through the set's predictors.
+    SimConfig cfg = SimConfig::proposed();
+    cfg.numSms = 2;
+    PredictorSet set;
+    set.bind(cfg.predictor, cfg.numSms, rig().bvh);
+    TraceSink sink;
+    InvariantChecker check;
+    SimConfig observed = cfg;
+    observed.trace = &sink;
+    observed.check = &check;
+    Simulation(observed, rig().bvh, rig().scene.mesh.triangles(), set)
+        .run(rig().ao.rays);
+    const std::size_t events = sink.size();
+    const std::uint64_t checks = check.checksRun();
+    ASSERT_GT(events, 0u);
+    ASSERT_EQ(sink.dropped(), 0u);
+    ASSERT_GT(checks, 0u);
+
+    Simulation(cfg, rig().bvh, rig().scene.mesh.triangles(), set)
+        .run(rig().ao.rays);
+    EXPECT_EQ(sink.size(), events);
+    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(check.checksRun(), checks);
+}
+
+TEST(Simulation, UnobservedRunAfterObserversLeaveScope)
+{
+    // The same sequence with the first run's observers destroyed
+    // before the second run, as stack-local checkers are in the bench
+    // harness. A predictor that kept them would write to freed memory
+    // (AddressSanitizer reports it).
+    SimConfig cfg = SimConfig::proposed();
+    cfg.numSms = 2;
+    PredictorSet set;
+    set.bind(cfg.predictor, cfg.numSms, rig().bvh);
+    SimResult first;
+    {
+        TraceSink sink;
+        CycleProfiler profile;
+        InvariantChecker check;
+        SimConfig observed = cfg;
+        observed.trace = &sink;
+        observed.profile = &profile;
+        observed.check = &check;
+        first = Simulation(observed, rig().bvh,
+                           rig().scene.mesh.triangles(), set)
+                    .run(rig().ao.rays);
+    }
+    SimResult second =
+        Simulation(cfg, rig().bvh, rig().scene.mesh.triangles(), set)
+            .run(rig().ao.rays);
+    EXPECT_EQ(second.rayResults.size(), first.rayResults.size());
+    EXPECT_GT(second.stats.get("rays_predicted"), 0u);
 }
 
 // --- SimConfig::validate() ----------------------------------------------
