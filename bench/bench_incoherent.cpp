@@ -83,8 +83,7 @@ main()
     // honour the same knob.
     const EnvConfig env = EnvConfig::fromEnvironment();
     auto apply_env = [&env](SimConfig c) {
-        if (c.simThreads <= 1)
-            c.simThreads = env.budget.simThreads;
+        c.inheritSimThreads(env.budget.simThreads);
         return c;
     };
     struct PtJob

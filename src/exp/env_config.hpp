@@ -18,7 +18,7 @@
  * | Variable             | Meaning                                  | Default            |
  * |----------------------|------------------------------------------|--------------------|
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
- * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
+ * | RTP_SIM_THREADS      | per-simulation event-loop workers        | auto (see below)   |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
  * | RTP_TRACE            | Chrome-trace output path                 | (off)              |
  * | RTP_TRACE_POINT      | sweep-point index to trace               | 0                  |
@@ -31,6 +31,10 @@
  * | RTP_JSON_DIR         | directory for bench_*.json sinks         | working directory  |
  * | RTP_SCALE            | workload fidelity 1..16 (clamped high)   | 1                  |
  * | RTP_SELFBENCH_REPS   | selfbench repetitions per cell           | 3                  |
+ *
+ * RTP_SIM_THREADS unset is auto (simThreadsForPool, exp/parallel.hpp):
+ * 1 under a sweep pool of several workers, and under a pool of one
+ * SimConfig's own default — shard runs of 4 or more SMs.
  *
  * The documented table above is the single source of truth; README.md
  * mirrors it for users.

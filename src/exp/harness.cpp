@@ -92,8 +92,7 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
     const ThreadBudget budget = env.budget;
     auto run = [&env, &budget](const SimPoint &p) {
         SimConfig config = p.config;
-        if (config.simThreads <= 1)
-            config.simThreads = budget.simThreads;
+        config.inheritSimThreads(budget.simThreads);
         if (env.check) {
             InvariantChecker check;
             config.check = &check;

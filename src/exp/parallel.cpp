@@ -39,6 +39,13 @@ parseThreadCountEnv(const char *name, unsigned fallback)
     return static_cast<unsigned>(n);
 }
 
+unsigned
+simThreadsForPool(unsigned pool)
+{
+    const unsigned unset = pool > 1 ? 1u : 0u;
+    return parseThreadCountEnv("RTP_SIM_THREADS", unset);
+}
+
 ThreadBudget
 threadBudgetFromEnv(unsigned hw)
 {
@@ -51,13 +58,14 @@ threadBudgetFromEnv(unsigned hw)
     const bool sim_set = std::getenv("RTP_SIM_THREADS") != nullptr;
 
     ThreadBudget b;
-    b.simThreads = parseThreadCountEnv("RTP_SIM_THREADS", 1);
     if (sweep_set)
         b.sweepThreads = parseThreadCountEnv("RTP_THREADS", hw);
     else if (sim_set)
-        b.sweepThreads = std::max(1u, hw / b.simThreads);
+        b.sweepThreads =
+            std::max(1u, hw / parseThreadCountEnv("RTP_SIM_THREADS", 1));
     else
         b.sweepThreads = hw;
+    b.simThreads = simThreadsForPool(b.sweepThreads);
     return b;
 }
 

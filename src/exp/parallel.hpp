@@ -20,7 +20,9 @@
  * parallelism (the sharded per-SM event loop, gpu/simulator.hpp). The
  * two compose through threadBudgetFromEnv() so the product of sweep
  * workers and per-simulation workers never oversubscribes the host
- * unless both are set explicitly.
+ * unless both are set explicitly. Unset, it is 1 under a pool of
+ * several workers and "auto" (SimConfig::kAutoSimThreads: shard runs
+ * of 4 or more SMs across the host's threads) under a pool of one.
  */
 
 #pragma once
@@ -105,8 +107,17 @@ unsigned parseThreadCountEnv(const char *name, unsigned fallback);
 struct ThreadBudget
 {
     unsigned sweepThreads = 1; //!< runSweep pool size
-    unsigned simThreads = 1;   //!< per-simulation event-loop workers
+    unsigned simThreads = 0;   //!< per-simulation workers; 0 = auto
 };
+
+/**
+ * Per-simulation event-loop workers for a pool running @p pool
+ * simulations at once: RTP_SIM_THREADS when set; otherwise 1 when
+ * @p pool > 1 (the pool already fills the host) and 0 (auto,
+ * SimConfig::kAutoSimThreads) for a pool of one.
+ * @throws std::invalid_argument on a malformed RTP_SIM_THREADS.
+ */
+unsigned simThreadsForPool(unsigned pool);
 
 /**
  * Compose RTP_THREADS (sweep-level) and RTP_SIM_THREADS (per-simulation)
@@ -115,9 +126,9 @@ struct ThreadBudget
  * - both set: honoured verbatim (the user asked for the product);
  * - only RTP_SIM_THREADS: sweep threads = max(1, hw / simThreads), so
  *   sweep x sim stays within the core count;
- * - only RTP_THREADS: simThreads = 1 (sequential event loop);
- * - neither: sweep threads = hw, simThreads = 1 (the historical
- *   behaviour).
+ * - otherwise sweep threads = RTP_THREADS or hw, and simThreads comes
+ *   from simThreadsForPool(sweep threads): 1 (sequential event loop)
+ *   under a pool of several workers, auto under a pool of one.
  *
  * @param hw Hardware thread count; 0 means hardware_concurrency().
  * @throws std::invalid_argument on malformed values (see

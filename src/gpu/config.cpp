@@ -1,8 +1,10 @@
 #include "gpu/config.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "bvh/bvh.hpp"
 
@@ -35,6 +37,24 @@ SimConfig::baseline()
     return c;
 }
 
+std::uint32_t
+SimConfig::eventLoopWorkers() const
+{
+    std::uint32_t want = simThreads;
+    if (want == kAutoSimThreads) {
+        // Below 4 SMs the gate's waits outweigh the parallel work. At
+        // 4 or more, leave one hardware thread to the rest of the
+        // host: the workers advance in lock-step, so one of them
+        // sharing a core with a busy neighbour stalls them all
+        // (docs/performance.md has the measurements for both).
+        if (numSms < 4)
+            return 1;
+        const std::uint32_t hw = std::thread::hardware_concurrency();
+        want = hw > 1 ? hw - 1 : 1;
+    }
+    return std::max(1u, std::min(want, numSms));
+}
+
 void
 SimConfig::validate() const
 {
@@ -43,9 +63,6 @@ SimConfig::validate() const
     };
     if (numSms == 0)
         fail("numSms must be > 0 (no SM would receive rays)");
-    if (simThreads == 0)
-        fail("simThreads must be >= 1 (1 = sequential event loop, "
-             ">= 2 = sharded)");
     if (rt.warpSize == 0)
         fail("rt.warpSize must be > 0 (warps would be empty)");
     if (rt.maxWarps == 0)

@@ -29,16 +29,22 @@ struct SimConfig
     PredictorConfig predictor;
     MemoryConfig memory;
 
+    /** simThreads value that lets the host choose (the default). */
+    static constexpr std::uint32_t kAutoSimThreads = 0;
+
     /**
      * Host worker threads for the event loop (NOT a simulated knob —
      * excluded from configToJson, and results are byte-identical at any
      * value). 1 = the sequential reference loop; >= 2 = the sharded
      * loop with min(simThreads, numSms) workers, each advancing a
      * subset of SMs and meeting at the L2/DRAM seam in exact
-     * (cycle, sm) order (see docs/performance.md). Driven by the
-     * RTP_SIM_THREADS env var in the bench harness. Must be >= 1.
+     * (cycle, sm) order (see docs/performance.md). kAutoSimThreads
+     * (the default) shards with min(hardware threads - 1, numSms)
+     * workers when numSms >= 4 and runs sequentially otherwise; see
+     * eventLoopWorkers(). The bench harness and the job server fill
+     * an auto value from their thread budget (RTP_SIM_THREADS).
      */
-    std::uint32_t simThreads = 1;
+    std::uint32_t simThreads = kAutoSimThreads;
 
     /**
      * Optional cycle-level trace sink (not owned; nullptr = tracing
@@ -88,6 +94,27 @@ struct SimConfig
      * worker that owns the SM).
      */
     CycleProfiler *profile = nullptr;
+
+    /**
+     * Event-loop worker threads a run of this config uses: 1 means
+     * the sequential loop. An explicit simThreads gives
+     * min(simThreads, numSms); auto gives min(hardware threads - 1,
+     * numSms) when numSms >= 4, else 1. Simulation::run still falls
+     * back to 1 when one predictor object is bound to several SMs.
+     */
+    std::uint32_t eventLoopWorkers() const;
+
+    /**
+     * Replace an auto simThreads with @p sim_threads (a thread
+     * budget's per-simulation share, itself possibly auto); an
+     * explicit value, 1 included, is kept.
+     */
+    void
+    inheritSimThreads(std::uint32_t sim_threads)
+    {
+        if (simThreads == kAutoSimThreads)
+            simThreads = sim_threads;
+    }
 
     /** The baseline (Table 2/3) configuration with the predictor on. */
     static SimConfig proposed();

@@ -2,34 +2,62 @@
 
 #include <thread>
 
+#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) ||      \
+    defined(_M_IX86)
+#include <immintrin.h>
+#endif
+
 namespace rtp {
+
+namespace {
+
+/**
+ * Spins on one blocker before the waiter starts yielding. A pause is
+ * about 10 to 140 cycles, so this covers a few to tens of
+ * microseconds — most waits end sooner — while an oversubscribed host
+ * still hands the core to the worker being waited on soon after.
+ * docs/performance.md has the measurements behind the value.
+ */
+constexpr unsigned kSpinsBeforeYield = 1024;
+
+/** A hint that this is a spin-wait loop; no-op where there is none. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) ||      \
+    defined(_M_IX86)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+} // namespace
 
 void
 ShardGate::waitTurn(std::uint32_t sm) const
 {
     const Cycle c = slots_[sm].progress.load(std::memory_order_relaxed);
-    const std::size_t n = slots_.size();
-    // Fast path first, then a short spin, then yield: the wait is
-    // usually satisfied immediately (most misses are far apart in
-    // simulated time), and on oversubscribed hosts a busy spin would
-    // starve the very worker being waited on.
-    for (unsigned attempt = 0;; ++attempt) {
-        bool ready = true;
-        for (std::size_t t = 0; t < n; ++t) {
-            if (t == sm)
-                continue;
-            Cycle p = slots_[t].progress.load(std::memory_order_acquire);
-            if (p < c || (p == c && t < sm)) {
-                ready = false;
+    const std::uint32_t n = numSms();
+    // Progress only grows, so an SM that is past the key stays past
+    // it: visit each other SM once and spin only while it blocks. The
+    // acquire load that lets it pass synchronises with every shared
+    // mutation it made before that publish, as a full rescan would.
+    for (std::uint32_t t = 0; t < n; ++t) {
+        if (t == sm)
+            continue;
+        const std::atomic<Cycle> &slot = slots_[t].progress;
+        for (unsigned spins = 0;; ++spins) {
+            const Cycle p = slot.load(std::memory_order_acquire);
+            if (p > c || (p == c && t > sm))
                 break;
-            }
+            if (abort_.load(std::memory_order_acquire))
+                throw ShardAbort{};
+            if (spins < kSpinsBeforeYield)
+                cpuRelax();
+            else
+                std::this_thread::yield();
         }
-        if (ready)
-            return;
-        if (abort_.load(std::memory_order_acquire))
-            throw ShardAbort{};
-        if (attempt >= 64)
-            std::this_thread::yield();
     }
 }
 

@@ -15,17 +15,20 @@
  *
  * i.e. no other SM can still produce a shared access that the
  * sequential loop (earliest event first, ties to the lowest SM index)
- * would have ordered before this one. The globally smallest pending
- * (cycle, sm) key always passes, so the protocol is deadlock-free, and
- * the release store in setProgress / acquire load in waitTurn give the
- * happens-before edges that make every shared L2/DRAM mutation
- * data-race-free (ThreadSanitizer-clean).
+ * would have ordered before this one. Progress only grows, so the
+ * waiter checks each other SM once and spins only on the current
+ * blocker (a CPU pause per spin, then a yield). The globally smallest
+ * pending (cycle, sm) key always passes, so the protocol is
+ * deadlock-free, and the release store in setProgress / acquire load
+ * in waitTurn give the happens-before edges that make every shared
+ * L2/DRAM mutation data-race-free (ThreadSanitizer-clean).
  */
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
@@ -117,5 +120,30 @@ class ShardGate
     std::vector<Slot> slots_;
     std::atomic<bool> abort_{false};
 };
+
+/**
+ * Start @p count threads running fn(w) for w = 0 .. count-1. When a
+ * start throws (std::system_error once the host is out of threads),
+ * the threads already running are still joinable, and destroying them
+ * would call std::terminate: so @p stop() is called to make them
+ * return, they are joined, and the exception is rethrown.
+ */
+template <class Fn, class Stop>
+std::vector<std::thread>
+startWorkers(std::uint32_t count, const Fn &fn, Stop &&stop)
+{
+    std::vector<std::thread> threads;
+    threads.reserve(count);
+    try {
+        for (std::uint32_t w = 0; w < count; ++w)
+            threads.emplace_back(fn, w);
+    } catch (...) {
+        stop();
+        for (std::thread &t : threads)
+            t.join();
+        throw;
+    }
+    return threads;
+}
 
 } // namespace rtp

@@ -277,6 +277,13 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         static_cast<std::uint32_t>(units.size());
     ShardGate gate(num_sms);
     mem.setShardGate(&gate);
+    // The gate dies with this frame: unhook it on every exit, throws
+    // included.
+    struct Ungate
+    {
+        MemorySystem &mem;
+        ~Ungate() { mem.setShardGate(nullptr); }
+    } ungate{mem};
 
     // Initial progress: next event cycle, or done for idle SMs.
     for (std::uint32_t s = 0; s < num_sms; ++s) {
@@ -387,10 +394,18 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         }
     };
 
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (std::uint32_t w = 0; w < num_workers; ++w)
-        workers.emplace_back(worker_fn, w);
+    // Abort the protocol and release every parked worker for good.
+    auto stop_workers = [&] {
+        gate.requestAbort();
+        {
+            std::lock_guard<std::mutex> lk(m);
+            done = true;
+            epoch++;
+        }
+        cv_worker.notify_all();
+    };
+    std::vector<std::thread> workers =
+        startWorkers(num_workers, worker_fn, stop_workers);
 
     {
         std::unique_lock<std::mutex> lk(m);
@@ -407,14 +422,10 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                 // Without a horizon, workers only park when all their
                 // SMs are finished or on abort; pending events here
                 // mean the protocol broke.
-                gate.requestAbort();
-                done = true;
-                epoch++;
-                cv_worker.notify_all();
                 lk.unlock();
+                stop_workers();
                 for (std::thread &t : workers)
                     t.join();
-                mem.setShardGate(nullptr);
                 throw std::logic_error(
                     "runShardedLoop: barrier reached with pending "
                     "events but no sampling horizon");
@@ -435,7 +446,6 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     }
     for (std::thread &t : workers)
         t.join();
-    mem.setShardGate(nullptr);
 
     for (std::uint32_t w = 0; w < num_workers; ++w)
         if (errors[w])
@@ -443,9 +453,9 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 }
 
 /**
- * Worker count for one run: min(simThreads, numSms), falling back to
- * the sequential loop (0 = sequential) when sharding cannot apply —
- * fewer than two effective workers, or one predictor object bound to
+ * Worker count for one run: SimConfig::eventLoopWorkers(), falling
+ * back to the sequential loop (0 = sequential) when sharding cannot
+ * apply — fewer than two workers, or one predictor object bound to
  * several SMs (expert mode), which breaks the per-SM-private-state
  * assumption the shard protocol rests on.
  */
@@ -453,8 +463,7 @@ std::uint32_t
 effectiveShardWorkers(const SimConfig &config,
                       const std::vector<RayPredictor *> &predictors)
 {
-    std::uint32_t w =
-        std::min<std::uint32_t>(config.simThreads, config.numSms);
+    std::uint32_t w = config.eventLoopWorkers();
     if (w < 2)
         return 0;
     std::unordered_set<const RayPredictor *> seen;

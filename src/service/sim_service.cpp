@@ -99,17 +99,12 @@ SimService::SimService(const ServiceConfig &config) : config_(config)
 {
     // Compose with the batch harness's thread budget unless the caller
     // sized the pool explicitly: sweep-level workers become service
-    // workers, per-simulation sharded-loop threads apply per job.
-    ThreadBudget budget;
-    if (config_.workers == 0 || config_.simThreads == 0)
-        budget = threadBudgetFromEnv();
-    unsigned workers =
-        config_.workers != 0 ? config_.workers : budget.sweepThreads;
-    simThreads_ =
-        config_.simThreads != 0 ? config_.simThreads
-                                : budget.simThreads;
-    if (workers == 0)
-        workers = 1;
+    // workers, and auto jobs get the per-simulation share of this pool.
+    const unsigned workers = config_.workers != 0
+                                 ? config_.workers
+                                 : threadBudgetFromEnv().sweepThreads;
+    simThreads_ = config_.simThreads != 0 ? config_.simThreads
+                                          : simThreadsForPool(workers);
     paused_ = config_.startPaused;
 
     workers_.reserve(workers);
@@ -482,9 +477,8 @@ SimService::workerLoop()
 
         SimConfig config = job->request.config;
         // Same rule as the batch harness: a job that leaves simThreads
-        // at its default inherits the service's per-simulation budget.
-        if (config.simThreads <= 1)
-            config.simThreads = simThreads_;
+        // at auto inherits the service's per-simulation budget.
+        config.inheritSimThreads(simThreads_);
 
         SimResult result;
         std::exception_ptr error;

@@ -83,7 +83,9 @@ struct ServiceConfig
     unsigned workers = 0;
 
     /** Per-job sharded-loop threads applied to jobs that leave
-     *  SimConfig::simThreads at 1; 0 = thread budget's simThreads. */
+     *  SimConfig::simThreads at auto; 0 = simThreadsForPool(workers):
+     *  RTP_SIM_THREADS, else 1 for a pool of several workers and auto
+     *  for a pool of one. */
     unsigned simThreads = 0;
 
     /** Queued-job bound; submissions beyond it are rejected. */
@@ -261,6 +263,13 @@ class SimService
         return static_cast<unsigned>(workers_.size());
     }
 
+    /** simThreads given to jobs that leave theirs at auto (0 = auto). */
+    unsigned
+    jobSimThreads() const
+    {
+        return simThreads_;
+    }
+
     std::size_t queuedCount() const;
     std::size_t runningCount() const;
 
@@ -305,7 +314,7 @@ class SimService
     void stopWorkers(bool cancel_queued);
 
     ServiceConfig config_;
-    unsigned simThreads_ = 1;
+    unsigned simThreads_ = 0;
 
     mutable std::mutex mutex_;
     std::condition_variable workReady_; //!< submit / resume / release

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "exp/parallel.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
+#include "service/sim_service.hpp"
 
 namespace rtp {
 namespace {
@@ -160,7 +162,8 @@ TEST(ThreadBudget, ComposesSweepAndSimThreads)
         EXPECT_EQ(b.simThreads, 16u);
     }
     {
-        // Only RTP_THREADS: sequential event loop, as before.
+        // Only RTP_THREADS, a pool of several: the pool fills the
+        // host, so each simulation runs the sequential event loop.
         ThreadsEnv sweep("5");
         SimThreadsEnv sim(nullptr);
         ThreadBudget b = threadBudgetFromEnv(8);
@@ -168,11 +171,36 @@ TEST(ThreadBudget, ComposesSweepAndSimThreads)
         EXPECT_EQ(b.simThreads, 1u);
     }
     {
+        // Only RTP_THREADS=1: one simulation at a time, so each one
+        // picks its own worker count (auto).
+        ThreadsEnv sweep("1");
+        SimThreadsEnv sim(nullptr);
+        ThreadBudget b = threadBudgetFromEnv(8);
+        EXPECT_EQ(b.sweepThreads, 1u);
+        EXPECT_EQ(b.simThreads, SimConfig::kAutoSimThreads);
+    }
+    {
         // Neither: all hardware goes to the sweep pool.
         ThreadsEnv sweep(nullptr);
         SimThreadsEnv sim(nullptr);
         ThreadBudget b = threadBudgetFromEnv(8);
         EXPECT_EQ(b.sweepThreads, 8u);
+        EXPECT_EQ(b.simThreads, 1u);
+    }
+    {
+        // Neither, on a one-thread host: a pool of one, so auto.
+        ThreadsEnv sweep(nullptr);
+        SimThreadsEnv sim(nullptr);
+        ThreadBudget b = threadBudgetFromEnv(1);
+        EXPECT_EQ(b.sweepThreads, 1u);
+        EXPECT_EQ(b.simThreads, SimConfig::kAutoSimThreads);
+    }
+    {
+        // RTP_SIM_THREADS=1 is an explicit sequential request, even
+        // for a pool of one.
+        ThreadsEnv sweep("1");
+        SimThreadsEnv sim("1");
+        ThreadBudget b = threadBudgetFromEnv(8);
         EXPECT_EQ(b.simThreads, 1u);
     }
     {
@@ -314,9 +342,11 @@ sweepPoints()
     variant.predictor.goUpLevel = 2;
     SimConfig two_sms = SimConfig::baseline();
     two_sms.numSms = 2;
+    SimConfig eight_sms = SimConfig::proposed();
+    eight_sms.numSms = 8; // shards under an auto simThreads
     for (const SimConfig &cfg : {SimConfig::baseline(),
                                  SimConfig::proposed(), variant,
-                                 two_sms}) {
+                                 two_sms, eight_sms}) {
         SimPoint p;
         p.bvh = &rig().bvh;
         p.triangles = &rig().scene.mesh.triangles();
@@ -325,6 +355,104 @@ sweepPoints()
         points.push_back(p);
     }
     return points;
+}
+
+TEST(SimThreadsAuto, DefaultShardsOnlyFromFourSms)
+{
+    // One hardware thread is left to the rest of the host.
+    const std::uint32_t hw = std::thread::hardware_concurrency();
+    const std::uint32_t spare = hw > 1 ? hw - 1 : 1;
+    SimConfig config;
+    EXPECT_EQ(config.simThreads, SimConfig::kAutoSimThreads);
+    config.numSms = 2;
+    EXPECT_EQ(config.eventLoopWorkers(), 1u);
+    config.numSms = 3;
+    EXPECT_EQ(config.eventLoopWorkers(), 1u);
+    config.numSms = 4;
+    EXPECT_EQ(config.eventLoopWorkers(), std::min(spare, 4u));
+    config.numSms = 8;
+    EXPECT_EQ(config.eventLoopWorkers(), std::min(spare, 8u));
+    EXPECT_NO_THROW(config.validate());
+}
+
+TEST(SimThreadsAuto, ExplicitValuesKeepTheirMeaning)
+{
+    SimConfig config;
+    config.numSms = 8;
+    config.simThreads = 1;
+    EXPECT_EQ(config.eventLoopWorkers(), 1u);
+    config.simThreads = 3;
+    EXPECT_EQ(config.eventLoopWorkers(), 3u);
+    config.simThreads = 16; // clamps to one worker per SM
+    EXPECT_EQ(config.eventLoopWorkers(), 8u);
+    config.numSms = 2;
+    config.simThreads = 4; // explicit sharding below 4 SMs is allowed
+    EXPECT_EQ(config.eventLoopWorkers(), 2u);
+}
+
+TEST(SimThreadsAuto, OnlyAutoInheritsTheBudget)
+{
+    // The harness, bench_incoherent and the job server all fill a
+    // config through inheritSimThreads: an explicit 1 stays
+    // sequential under RTP_SIM_THREADS=4, auto takes the budget.
+    SimConfig seq;
+    seq.numSms = 8;
+    seq.simThreads = 1;
+    seq.inheritSimThreads(4);
+    EXPECT_EQ(seq.simThreads, 1u);
+    EXPECT_EQ(seq.eventLoopWorkers(), 1u);
+
+    SimConfig automatic;
+    automatic.numSms = 8;
+    automatic.inheritSimThreads(4);
+    EXPECT_EQ(automatic.simThreads, 4u);
+    automatic.inheritSimThreads(2); // no longer auto: kept
+    EXPECT_EQ(automatic.simThreads, 4u);
+
+    SimConfig still_auto;
+    still_auto.inheritSimThreads(SimConfig::kAutoSimThreads);
+    EXPECT_EQ(still_auto.simThreads, SimConfig::kAutoSimThreads);
+}
+
+TEST(SimThreadsAuto, PoolOfSeveralGetsOneSimThread)
+{
+    {
+        SimThreadsEnv sim(nullptr);
+        EXPECT_EQ(simThreadsForPool(2), 1u);
+        EXPECT_EQ(simThreadsForPool(1), SimConfig::kAutoSimThreads);
+    }
+    {
+        SimThreadsEnv sim("3");
+        EXPECT_EQ(simThreadsForPool(2), 3u);
+        EXPECT_EQ(simThreadsForPool(1), 3u);
+    }
+    {
+        SimThreadsEnv sim("0");
+        EXPECT_THROW(simThreadsForPool(1), std::invalid_argument);
+    }
+}
+
+TEST(SimThreadsAuto, ServiceResolvesAgainstItsOwnPool)
+{
+    // SimService applies the same rule to its worker pool: 1 under
+    // several workers, auto under one, RTP_SIM_THREADS when set, and
+    // an explicit ServiceConfig::simThreads above all.
+    ServiceConfig sc;
+    {
+        SimThreadsEnv sim(nullptr);
+        sc.workers = 2;
+        EXPECT_EQ(SimService(sc).jobSimThreads(), 1u);
+        sc.workers = 1;
+        EXPECT_EQ(SimService(sc).jobSimThreads(),
+                  SimConfig::kAutoSimThreads);
+    }
+    {
+        SimThreadsEnv sim("3");
+        sc.workers = 1;
+        EXPECT_EQ(SimService(sc).jobSimThreads(), 3u);
+        sc.simThreads = 2;
+        EXPECT_EQ(SimService(sc).jobSimThreads(), 2u);
+    }
 }
 
 TEST(RunSweep, SimulationResultsIdenticalAcrossThreadCounts)
@@ -357,10 +485,10 @@ TEST(RunSweep, ShardedSimThreadsEnvPreservesResults)
     // RTP_SIM_THREADS routes every sweep point through the sharded
     // event loop; the results must stay byte-identical to the
     // sequential reference regardless of the sweep pool size.
-    std::vector<SimResult> sequential, sharded;
+    std::vector<SimResult> sequential, sharded, automatic;
     {
         ThreadsEnv sweep("1");
-        SimThreadsEnv sim(nullptr);
+        SimThreadsEnv sim("1");
         sequential = runSimPoints(sweepPoints(), nullptr);
     }
     {
@@ -368,10 +496,22 @@ TEST(RunSweep, ShardedSimThreadsEnvPreservesResults)
         SimThreadsEnv sim("2");
         sharded = runSimPoints(sweepPoints(), nullptr);
     }
+    {
+        // A pool of one leaves each point at auto: the 8-SM point
+        // shards across the host's threads, the others stay
+        // sequential.
+        ThreadsEnv sweep("1");
+        SimThreadsEnv sim(nullptr);
+        automatic = runSimPoints(sweepPoints(), nullptr);
+    }
     ASSERT_EQ(sequential.size(), sharded.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i)
+    ASSERT_EQ(sequential.size(), automatic.size());
+    for (std::size_t i = 0; i < sequential.size(); ++i) {
         EXPECT_EQ(sequential[i].toJson(), sharded[i].toJson())
             << "point " << i;
+        EXPECT_EQ(sequential[i].toJson(), automatic[i].toJson())
+            << "point " << i;
+    }
 }
 
 TEST(SimResultJson, DeterministicAndWellFormed)

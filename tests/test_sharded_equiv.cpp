@@ -205,6 +205,39 @@ TEST(ShardedEquiv, WorkerCountClampsToNumSms)
     EXPECT_EQ(runPlain(w, one, 1), runPlain(w, one, 8));
 }
 
+TEST(ShardedEquiv, OversubscribedRunMatchesSequential)
+{
+    // One worker per SM at 8 SMs — more workers than most hosts have
+    // cores — so waiters must yield to the blockers they wait on.
+    // Every observer output stays byte-identical.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 8;
+    const Workload &w = cache().get(SceneId::Sibenik);
+    const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
+    const RunOutputs over = runObserved(w, config, 8, 1u << 16, 128);
+    EXPECT_EQ(seq.resultJson, over.resultJson);
+    EXPECT_EQ(seq.traceJson, over.traceJson);
+    EXPECT_EQ(seq.telemetryJson, over.telemetryJson);
+    EXPECT_EQ(seq.profileJson, over.profileJson);
+    EXPECT_EQ(seq.checksRun, over.checksRun);
+    EXPECT_EQ(seq.resultJson, runPlain(w, config, 8));
+}
+
+TEST(ShardedEquiv, AutoDefaultMatchesSequential)
+{
+    // The default simThreads (auto) shards an 8-SM run across the
+    // host's threads; its output is the sequential loop's.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 8;
+    ASSERT_EQ(config.simThreads, SimConfig::kAutoSimThreads);
+    for (SceneId id : {SceneId::CrytekSponza, SceneId::FireplaceRoom}) {
+        const Workload &w = cache().get(id);
+        EXPECT_EQ(runPlain(w, config, 1),
+                  runPlain(w, config, SimConfig::kAutoSimThreads))
+            << w.scene.shortName;
+    }
+}
+
 TEST(ShardedEquiv, RepeatedRunsOnOneSimulationStayIdentical)
 {
     // run() must leave no residue: a sharded run sandwiched between

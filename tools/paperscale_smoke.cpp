@@ -12,18 +12,27 @@
  * fails loudly. The budget parses strictly: a value that is not a
  * finite non-negative number is a usage error, never a silent 0.
  *
- * Prints the scene, ray count, simulated cycles, wall seconds, and
- * rays per wall-second. Exit status: 0 inside budget, 1 over budget,
- * 2 on a usage error.
+ * Prints the scene, ray count, the event-loop worker count, simulated
+ * cycles, wall seconds, rays per wall-second, and an FNV-1a digest of
+ * the result JSON. The run is one simulation at a time, so it takes
+ * the thread budget of a pool of one: RTP_SIM_THREADS when set, else
+ * auto (SimConfig::simThreads). The digest is the same at every
+ * worker count; CI compares RTP_SIM_THREADS=1 against the default.
+ * Exit status: 0 inside budget, 1 over budget, 2 on a usage error
+ * (including a malformed RTP_* variable).
  */
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "bvh/builder.hpp"
+#include "exp/env_config.hpp"
 #include "exp/harness.hpp"
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
@@ -55,6 +64,18 @@ parseBudget(const char *text, double &out)
         return false;
     out = v;
     return true;
+}
+
+/** 32-bit FNV-1a of @p bytes. */
+std::uint32_t
+fnv1a32(const std::string &bytes)
+{
+    std::uint32_t h = 2166136261u;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 16777619u;
+    }
+    return h;
 }
 
 } // namespace
@@ -90,6 +111,16 @@ main(int argc, char **argv)
         }
     }
 
+    unsigned sim_threads = 0;
+    try {
+        // Parse every RTP_* knob strictly, as the bench harness does.
+        EnvConfig::fromEnvironment();
+        sim_threads = simThreadsForPool(1);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "paperscale_smoke: %s\n", e.what());
+        return 2;
+    }
+
     std::printf("paperscale_smoke: Sibenik detail=1.0 512x512x1spp, "
                 "8 SMs proposed\n");
 
@@ -108,6 +139,8 @@ main(int argc, char **argv)
 
     SimConfig config = SimConfig::proposed();
     config.numSms = 8;
+    config.inheritSimThreads(sim_threads);
+    std::printf("  event-loop workers: %u\n", config.eventLoopWorkers());
 
     t0 = now_seconds();
     SimResult result =
@@ -121,6 +154,8 @@ main(int argc, char **argv)
                 batch.rays.size(),
                 static_cast<unsigned long long>(result.cycles),
                 sim_seconds, rps);
+    std::printf("  result digest: fnv1a32=%08x\n",
+                static_cast<unsigned>(fnv1a32(result.toJson())));
 
     if (budget_seconds > 0.0 && sim_seconds > budget_seconds) {
         std::fprintf(stderr,
