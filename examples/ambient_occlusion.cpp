@@ -107,10 +107,10 @@ main(int argc, char **argv)
 
     // Feed the very same rays through the cycle-level model.
     std::printf("\nSimulating the workload on the RT unit model...\n");
-    SimResult base = simulate(bvh, tris, all_ao_rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(bvh, tris, all_ao_rays,
-                              SimConfig::proposed());
+    SimResult base =
+        Simulation(SimConfig::baseline(), bvh, tris).run(all_ao_rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), bvh, tris).run(all_ao_rays);
     std::printf("Baseline %llu cycles, predictor %llu cycles -> "
                 "%.2fx speedup\n",
                 static_cast<unsigned long long>(base.cycles),

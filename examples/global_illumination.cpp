@@ -102,10 +102,10 @@ main(int argc, char **argv)
 
     std::printf("\nSimulating bounce rays (closest-hit, tMax "
                 "trimming)...\n");
-    SimResult base = simulate(bvh, tris, bounce_rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(bvh, tris, bounce_rays,
-                              SimConfig::proposed());
+    SimResult base =
+        Simulation(SimConfig::baseline(), bvh, tris).run(bounce_rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), bvh, tris).run(bounce_rays);
     std::printf("Baseline %llu cycles, predictor %llu cycles -> "
                 "%+.1f%% (paper: ~+4%%)\n",
                 static_cast<unsigned long long>(base.cycles),

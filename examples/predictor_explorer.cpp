@@ -85,7 +85,8 @@ main(int argc, char **argv)
                 w.scene.shortName.c_str(), w.scene.mesh.size(),
                 describe(cfg).c_str(), sorted ? ", sorted rays" : "");
 
-    RunOutcome out = runPair(w, SimConfig::baseline(), cfg, sorted);
+    RunOutcome out =
+        runPairsParallel({&w}, SimConfig::baseline(), cfg, sorted).front();
     std::printf("\nBaseline cycles:  %llu\n",
                 static_cast<unsigned long long>(out.baseline.cycles));
     std::printf("Predictor cycles: %llu\n",

@@ -87,7 +87,7 @@ main(int argc, char **argv)
     }
     std::printf("%zu AO rays\n", rays.size());
 
-    SimResult r = simulate(bvh, tris, rays, SimConfig::proposed());
+    SimResult r = Simulation(SimConfig::proposed(), bvh, tris).run(rays);
 
     // Accumulate per-pixel outcome mix.
     std::vector<int> verified(width * height, 0);

@@ -45,10 +45,9 @@ main()
                 static_cast<unsigned long long>(ao.primaryHits));
 
     // 4. Simulate: baseline RT unit vs predictor-augmented RT unit.
-    SimResult base = simulate(bvh, scene.mesh.triangles(), ao.rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(bvh, scene.mesh.triangles(), ao.rays,
-                              SimConfig::proposed());
+    const auto &tris = scene.mesh.triangles();
+    SimResult base = Simulation(SimConfig::baseline(), bvh, tris).run(ao.rays);
+    SimResult pred = Simulation(SimConfig::proposed(), bvh, tris).run(ao.rays);
 
     std::printf("\nBaseline:  %llu cycles\n",
                 static_cast<unsigned long long>(base.cycles));

@@ -99,10 +99,10 @@ main(int argc, char **argv)
                 shadow_rays.size());
 
     std::printf("\nSimulating the shadow pass on the RT unit...\n");
-    SimResult base = simulate(bvh, tris, shadow_rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(bvh, tris, shadow_rays,
-                              SimConfig::proposed());
+    SimResult base =
+        Simulation(SimConfig::baseline(), bvh, tris).run(shadow_rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), bvh, tris).run(shadow_rays);
     std::printf("Baseline %llu cycles, predictor %llu cycles -> "
                 "%+.1f%%; predicted %.0f%%, verified %.0f%%\n",
                 static_cast<unsigned long long>(base.cycles),

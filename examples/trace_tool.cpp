@@ -169,8 +169,9 @@ main(int argc, char **argv)
     if (opt.sorted)
         sortRaysMorton(batch.rays, bvh.sceneBounds());
 
-    SimResult base = simulate(bvh, scene.mesh.triangles(), batch.rays,
-                              SimConfig::baseline());
+    const auto &tris = scene.mesh.triangles();
+    SimResult base =
+        Simulation(SimConfig::baseline(), bvh, tris).run(batch.rays);
     std::printf("\nbaseline : %llu cycles, %.2f fetches/ray, hit %.1f%%\n",
                 static_cast<unsigned long long>(base.cycles),
                 static_cast<double>(base.totalMemAccesses()) /
@@ -179,8 +180,8 @@ main(int argc, char **argv)
                 base.hitRate() * 100);
 
     if (opt.predictor) {
-        SimResult pred = simulate(bvh, scene.mesh.triangles(),
-                                  batch.rays, SimConfig::proposed());
+        SimResult pred =
+            Simulation(SimConfig::proposed(), bvh, tris).run(batch.rays);
         std::printf("predictor: %llu cycles, %.2f fetches/ray  -> "
                     "%+.1f%% speedup\n",
                     static_cast<unsigned long long>(pred.cycles),

@@ -79,20 +79,12 @@ class RayPredictor
      */
     void update(const Ray &ray, std::uint32_t hit_leaf, Cycle cycle);
 
-    /** Hash of @p ray under the configured scheme. */
-    std::uint32_t
-    hashOf(const Ray &ray) const
-    {
-        return hasher_.hash(ray);
-    }
-
     /**
      * Attach the owning SM's observer port (nullptr detaches). Every
      * lookup and training update is then reported, and with a checker
      * attached lookups verify that timed results never become ready
      * before they were issued (port scheduling can delay, never
-     * time-travel). A predictor bound to several SMs reports through
-     * the last SM attached.
+     * time-travel).
      */
     void
     setObserver(ObserverPort *obs)
@@ -103,8 +95,7 @@ class RayPredictor
     /**
      * Telemetry probe: copy the cumulative lookup/hit/train counters
      * into the owning SM's sample row (see util/telemetry.hpp). Pure
-     * observer; a predictor shared by several SMs reports the same
-     * cumulative values on each.
+     * observer.
      */
     void snapshotInto(TelemetrySmSample &out) const;
 

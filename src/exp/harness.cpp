@@ -15,6 +15,7 @@
 
 #include "exp/env_config.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/profile.hpp"
 #include "util/schema.hpp"
@@ -30,32 +31,6 @@ std::size_t
 clampPointIndex(std::size_t idx, std::size_t num_points)
 {
     return idx < num_points ? idx : num_points - 1;
-}
-
-/** Escape a string for embedding in a JSON document. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -308,25 +283,6 @@ runPairsParallel(const std::vector<const Workload *> &workloads,
     return outcomes;
 }
 
-RunOutcome
-runPair(const Workload &w, const SimConfig &baseline,
-        const SimConfig &treatment, bool sorted)
-{
-    RunOutcome out;
-    out.scene = w.scene.shortName;
-    out.baseline = runOne(w, baseline, sorted);
-    out.treatment = runOne(w, treatment, sorted);
-    return out;
-}
-
-SimResult
-runOne(const Workload &w, const SimConfig &config, bool sorted)
-{
-    const RayBatch &batch = sorted ? w.aoSorted : w.ao;
-    return Simulation(config, w.bvh, w.scene.mesh.triangles())
-        .run(batch.rays);
-}
-
 JsonResultSink::JsonResultSink(std::string name) : name_(std::move(name))
 {
     const std::string dir = envString("RTP_JSON_DIR");
@@ -346,18 +302,6 @@ JsonResultSink::add(const std::string &label, const SimResult &result)
                        "\":" + result.toJson());
 }
 
-void
-JsonResultSink::setTiming(const SweepTiming &timing)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"runs\":%zu,\"threads\":%u,\"wall_seconds\":%.6f,"
-                  "\"serial_seconds\":%.6f}",
-                  timing.runs, timing.threads, timing.wallSeconds,
-                  timing.serialSeconds);
-    timingJson_ = buf;
-}
-
 bool
 JsonResultSink::close()
 {
@@ -368,8 +312,6 @@ JsonResultSink::close()
     std::ostringstream os;
     os << "{\"schema_version\":" << kResultSchemaVersion
        << ",\"bench\":\"" << jsonEscape(name_) << "\"";
-    if (!timingJson_.empty())
-        os << ",\"timing\":" << timingJson_;
     os << ",\"results\":{";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         if (i)

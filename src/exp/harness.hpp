@@ -46,10 +46,10 @@ struct RunOutcome
 };
 
 /**
- * One independent simulation run of a sweep: everything simulate()
- * needs, by reference. The referenced BVH / triangles / rays must stay
- * alive and unmodified for the duration of the sweep (they are shared
- * read-only across worker threads).
+ * One independent simulation run of a sweep: everything a Simulation
+ * and its run() need, by reference. The referenced BVH / triangles /
+ * rays must stay alive and unmodified for the duration of the sweep
+ * (they are shared read-only across worker threads).
  */
 struct SimPoint
 {
@@ -84,14 +84,6 @@ std::vector<RunOutcome> runPairsParallel(
     const SimConfig &baseline, const SimConfig &treatment,
     bool sorted = false, const char *label = "pairs");
 
-/** Run baseline + treatment over one scene's AO rays (serial). */
-RunOutcome runPair(const Workload &w, const SimConfig &baseline,
-                   const SimConfig &treatment, bool sorted = false);
-
-/** Run a single configuration over one scene's AO rays (serial). */
-SimResult runOne(const Workload &w, const SimConfig &config,
-                 bool sorted = false);
-
 /**
  * Machine-readable result sink: collects labelled SimResults and
  * writes `<name>.json` into RTP_JSON_DIR (default: the working
@@ -114,9 +106,6 @@ class JsonResultSink
     /** Append one labelled run outcome. */
     void add(const std::string &label, const SimResult &result);
 
-    /** Record the sweep timing block (threads, wall seconds). */
-    void setTiming(const SweepTiming &timing);
-
     /** Write the JSON file now. @return true on success. */
     bool close();
 
@@ -131,7 +120,6 @@ class JsonResultSink
     std::string name_;
     std::string path_;
     std::vector<std::string> entries_; //!< pre-rendered "label":{...}
-    std::string timingJson_;
     bool closed_ = false;
 };
 

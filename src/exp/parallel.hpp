@@ -4,8 +4,8 @@
  * map (runSweep) for independent simulation runs.
  *
  * Every figure/table reproduction in bench/ evaluates a scene x config
- * x sweep-point matrix whose points are independent `simulate()` calls
- * (the simulator constructs all mutable state per call; see the
+ * x sweep-point matrix whose points are independent `Simulation::run()`
+ * calls (each run constructs all mutable state per call; see the
  * thread-safety contract in gpu/simulator.hpp). The natural parallelism
  * is therefore across runs, GPGPU-Sim-study style. runSweep executes
  * the points concurrently but returns results in submission order, so
@@ -166,7 +166,7 @@ void reportSweepTiming(const char *label, const SweepTiming &timing);
  * completes.
  *
  * @param items Sweep points; fn must be safe to run concurrently on
- *        distinct items (see the simulate() thread-safety contract).
+ *        distinct items (see Simulation's thread-safety contract).
  * @param fn Callable taking `const Item &` and returning the result.
  * @param label When non-null, a timing summary is printed to stderr
  *        and per-run wall times are accumulated.

@@ -170,12 +170,7 @@ configToJson(const SimConfig &config)
        << (config.rt.repackEnabled ? "true" : "false")
        << ",\"repacker\":{\"warp_size\":" << config.rt.repacker.warpSize
        << ",\"capacity\":" << config.rt.repacker.capacity
-       << ",\"timeout\":" << config.rt.repacker.timeout << "}"
-       << ",\"event_queue\":\""
-       << (config.rt.eventQueue == EventQueueImpl::Calendar
-               ? "calendar"
-               : "legacy_heap")
-       << "\"}";
+       << ",\"timeout\":" << config.rt.repacker.timeout << "}}";
     const PredictorConfig &p = config.predictor;
     os << ",\"predictor\":{\"enabled\":"
        << (p.enabled ? "true" : "false")

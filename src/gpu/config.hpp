@@ -51,7 +51,7 @@ struct SimConfig
      * off). Reaches the components through the run's observer seam
      * (util/observer.hpp), attached for the run only. Tracing is a pure observer: simulated cycles and statistics are
      * identical with and without a sink. The sink is single-threaded —
-     * trace at most one simulate() call per sink at a time.
+     * at most one Simulation::run() per sink at a time.
      */
     TraceSink *trace = nullptr;
 
@@ -61,8 +61,8 @@ struct SimConfig
      * memory system at event-boundary granularity; see
      * util/telemetry.hpp. Like tracing, sampling is a pure
      * observer: simulated cycles and statistics are byte-identical with
-     * and without a sampler. Single-threaded — at most one simulate()
-     * call per sampler at a time.
+     * and without a sampler. Single-threaded — at most one
+     * Simulation::run() per sampler at a time.
      */
     TelemetrySampler *telemetry = nullptr;
 
@@ -76,7 +76,7 @@ struct SimConfig
      * full context dump. Same pure-observer contract as trace and
      * telemetry: simulated cycles, statistics, and per-ray results are
      * byte-identical with and without a checker. Single-threaded — at
-     * most one simulate() call per checker at a time.
+     * most one Simulation::run() per checker at a time.
      */
     InvariantChecker *check = nullptr;
 
@@ -89,7 +89,7 @@ struct SimConfig
      * pure-observer contract as trace/telemetry/check: simulated
      * cycles, statistics, and per-ray results are byte-identical with
      * and without a profiler, at any simThreads.
-     * Single-threaded driver contract — at most one simulate() call
+     * Single-threaded driver contract — at most one Simulation::run()
      * per profiler at a time (per-SM slices are only touched by the
      * worker that owns the SM).
      */
@@ -99,8 +99,7 @@ struct SimConfig
      * Event-loop worker threads a run of this config uses: 1 means
      * the sequential loop. An explicit simThreads gives
      * min(simThreads, numSms); auto gives min(hardware threads - 1,
-     * numSms) when numSms >= 4, else 1. Simulation::run still falls
-     * back to 1 when one predictor object is bound to several SMs.
+     * numSms) when numSms >= 4, else 1.
      */
     std::uint32_t eventLoopWorkers() const;
 

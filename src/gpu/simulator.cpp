@@ -16,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 namespace rtp {
 
@@ -453,30 +452,10 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 }
 
 /**
- * Worker count for one run: SimConfig::eventLoopWorkers(), falling
- * back to the sequential loop (0 = sequential) when sharding cannot
- * apply — fewer than two workers, or one predictor object bound to
- * several SMs (expert mode), which breaks the per-SM-private-state
- * assumption the shard protocol rests on.
- */
-std::uint32_t
-effectiveShardWorkers(const SimConfig &config,
-                      const std::vector<RayPredictor *> &predictors)
-{
-    std::uint32_t w = config.eventLoopWorkers();
-    if (w < 2)
-        return 0;
-    std::unordered_set<const RayPredictor *> seen;
-    for (const RayPredictor *p : predictors)
-        if (p && !seen.insert(p).second)
-            return 0; // shared predictor: sequential fallback
-    return w;
-}
-
-/**
  * Shared driver: distribute rays, run the global event loop, gather
- * results. @p units holds one RT unit per SM; @p predictors (possibly
- * null entries) are read for stats merging.
+ * results. @p units holds one RT unit per SM; @p predictors (null when
+ * disabled, otherwise one distinct object per SM) are read for stats
+ * merging.
  */
 SimResult
 runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
@@ -486,12 +465,16 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
              const std::vector<Triangle> &triangles)
 {
     std::uint32_t num_sms = static_cast<std::uint32_t>(units.size());
+    // The result outlives this run's temporaries: allocate it first so
+    // that freeing them does not leave a heap hole below it.
+    SimResult result;
+    result.rayResults.resize(rays.size());
     RayDistribution dist =
         distributeRays(rays, config.rt.warpSize, num_sms);
     std::vector<std::vector<Ray>> &per_sm_rays = dist.rays;
     std::vector<std::vector<std::uint32_t>> &per_sm_ids = dist.ids;
-    std::uint32_t shard_workers =
-        effectiveShardWorkers(config, predictors);
+    // One worker: the sequential loop.
+    std::uint32_t shard_workers = config.eventLoopWorkers();
 
     InvariantChecker *check = config.check;
     if (check)
@@ -532,20 +515,13 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     else
         runSequentialLoop(units, telemetry);
 
-    SimResult result;
-    result.rayResults.resize(rays.size());
     double simt_acc = 0.0;
-    // Callers may bind one predictor object to several SMs; merge each
-    // distinct predictor exactly once or its counters get multiplied by
-    // the number of SMs sharing it.
-    std::unordered_set<const RayPredictor *> merged_predictors;
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         const RtUnit &rt = *units[s];
         result.cycles = std::max(result.cycles, rt.completionCycle());
         result.stats.merge(rt.stats());
         result.stats.merge(rt.intersectionUnit().stats());
-        if (predictors[s] &&
-            merged_predictors.insert(predictors[s]).second)
+        if (predictors[s])
             result.stats.merge(predictors[s]->stats());
         simt_acc += rt.simtEfficiency();
         // Each RT unit returns its rays' results in submission order.
@@ -655,16 +631,7 @@ Simulation::Simulation(const SimConfig &config, const Bvh &bvh,
                        const std::vector<Triangle> &triangles,
                        PredictorSet &predictors)
     : config_(config), bvh_(&bvh), triangles_(&triangles),
-      externalSet_(&predictors), externalMode_(true)
-{
-    config_.validate(bvh);
-}
-
-Simulation::Simulation(const SimConfig &config, const Bvh &bvh,
-                       const std::vector<Triangle> &triangles,
-                       std::vector<RayPredictor *> predictors)
-    : config_(config), bvh_(&bvh), triangles_(&triangles),
-      externalPreds_(std::move(predictors)), externalMode_(true)
+      externalSet_(&predictors)
 {
     config_.validate(bvh);
 }
@@ -676,17 +643,18 @@ Simulation::run(const std::vector<Ray> &rays)
     std::vector<std::unique_ptr<RayPredictor>> owned;
     std::vector<RayPredictor *> preds(config_.numSms, nullptr);
 
-    if (externalSet_) {
-        // Cross-frame state lives in the caller's set; pointers are
-        // gathered per run so a bind() between runs takes effect.
-        std::vector<RayPredictor *> ext = externalSet_->pointers();
-        for (std::uint32_t i = 0;
-             i < config_.numSms && i < ext.size(); ++i)
-            preds[i] = ext[i];
-    } else if (externalMode_) {
-        for (std::uint32_t i = 0;
-             i < config_.numSms && i < externalPreds_.size(); ++i)
-            preds[i] = externalPreds_[i];
+    if (config_.predictor.enabled && externalSet_) {
+        // Cross-frame state lives in the caller's set; it is checked and
+        // its pointers gathered per run so a bind() between runs takes
+        // effect.
+        if (externalSet_->size() != config_.numSms)
+            throw std::invalid_argument(
+                "Simulation::run: PredictorSet holds " +
+                std::to_string(externalSet_->size()) +
+                " predictors but the config has " +
+                std::to_string(config_.numSms) +
+                " SMs; bind() the set for numSms first");
+        preds = externalSet_->pointers();
     } else if (config_.predictor.enabled) {
         // Self-contained: cold predictors per run, so repeated runs are
         // independent and the call is thread-compatible with other
@@ -704,23 +672,6 @@ Simulation::run(const std::vector<Ray> &rays)
             config_.rt, *bvh_, *triangles_, mem, i, preds[i]));
     return runEventLoop(units, preds, mem, rays, config_, *bvh_,
                         *triangles_);
-}
-
-SimResult
-simulate(const Bvh &bvh, const std::vector<Triangle> &triangles,
-         const std::vector<Ray> &rays, const SimConfig &config)
-{
-    return Simulation(config, bvh, triangles).run(rays);
-}
-
-SimResult
-simulateWithPredictors(const Bvh &bvh,
-                       const std::vector<Triangle> &triangles,
-                       const std::vector<Ray> &rays,
-                       const SimConfig &config,
-                       const std::vector<RayPredictor *> &predictors)
-{
-    return Simulation(config, bvh, triangles, predictors).run(rays);
 }
 
 } // namespace rtp

@@ -12,17 +12,17 @@
  * RTP_SIM_THREADS in the harness): the sequential reference loop (one
  * worker; the default below 4 SMs) and a sharded loop that runs each
  * SM's events on one of several worker threads (the default at 4 or
- * more SMs), synchronising at the shared L2/DRAM seam through the ShardGate protocol (gpu/shard.hpp). The two
- * are byte-identical in every output — SimResult JSON, trace, telemetry,
- * and checker behaviour — at any thread count; tests/test_sharded_equiv
- * and the CI determinism steps lock this in. Expert-mode runs that bind
- * one predictor object to several SMs fall back to the sequential loop
- * (the shard protocol requires per-SM-private predictor state).
+ * more SMs), synchronising at the shared L2/DRAM seam through the
+ * ShardGate protocol (gpu/shard.hpp). The two are byte-identical in
+ * every output — SimResult JSON, trace, telemetry, and checker
+ * behaviour — at any thread count; tests/test_sharded_equiv and the CI
+ * determinism steps lock this in. Every SM owns a distinct predictor,
+ * which is the per-SM-private state the shard protocol rests on.
  *
- * The primary entry point is the Simulation facade: construct it from a
- * SimConfig and a scene (BVH + triangles), then call run(rays) as many
- * times as needed. The simulate()/simulateWithPredictors() free functions
- * remain as thin wrappers for older call sites.
+ * The one entry point is the Simulation facade: construct it from a
+ * SimConfig and a scene (BVH + triangles), optionally with a
+ * PredictorSet for cross-frame predictor state, then call run(rays) as
+ * many times as needed.
  */
 
 #pragma once
@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "bvh/bvh.hpp"
+#include "core/predictor.hpp"
 #include "gpu/config.hpp"
-#include "gpu/sm.hpp"
 #include "rtunit/rt_unit.hpp"
 
 namespace rtp {
@@ -174,16 +174,19 @@ class PredictorSet
  * DRAM, ray buffers — and, by default, predictors) is constructed fresh
  * inside the call, so repeated runs are independent and repeatable.
  *
- * Predictor state:
- * - Default: predictors (if enabled) are owned and start cold each run.
+ * Predictor state (only when config.predictor.enabled):
+ * - Default: predictors are owned and start cold each run.
  * - PredictorSet constructor: predictors live in the caller's set and
- *   carry trained state across runs/frames (bind() the set first).
- * - Raw-pointer constructor: caller manages predictor objects directly;
- *   one object may serve several SMs (stats merge exactly once).
+ *   carry trained state across runs/frames. bind() the set for
+ *   config.numSms SMs before run(); run() throws std::invalid_argument
+ *   when the set's size differs. With the predictor disabled the set is
+ *   ignored, so an empty set is fine.
  *
  * Thread-safety: concurrent run() calls on DIFFERENT Simulation objects
  * sharing one scene are safe in the default mode (the scene is only
- * read). Runs that share predictor state mutate it and must not overlap.
+ * read): every piece of mutable timing state is constructed per call,
+ * which the parallel sweep harness (exp/parallel.hpp) relies on. Runs
+ * that share a PredictorSet mutate it and must not overlap.
  *
  * The constructor validates the configuration against the scene
  * (SimConfig::validate) and throws std::invalid_argument on
@@ -201,16 +204,6 @@ class Simulation
                const std::vector<Triangle> &triangles,
                PredictorSet &predictors);
 
-    /**
-     * Expert mode: explicit per-SM predictor pointers (entries may be
-     * null or repeated; missing trailing entries mean no predictor).
-     * The pointees must be bound to this scene's BVH and must outlive
-     * the Simulation.
-     */
-    Simulation(const SimConfig &config, const Bvh &bvh,
-               const std::vector<Triangle> &triangles,
-               std::vector<RayPredictor *> predictors);
-
     /** Simulate one ray workload; see the class contract above. */
     SimResult run(const std::vector<Ray> &rays);
 
@@ -225,44 +218,6 @@ class Simulation
     const Bvh *bvh_;
     const std::vector<Triangle> *triangles_;
     PredictorSet *externalSet_ = nullptr; //!< cross-frame mode
-    std::vector<RayPredictor *> externalPreds_; //!< expert mode
-    bool externalMode_ = false; //!< either external flavour
 };
-
-/**
- * Run one workload through the configured GPU model. Thin wrapper over
- * Simulation kept for existing call sites; prefer the facade in new
- * code.
- *
- * Thread-safety contract: this function is safe to call concurrently
- * from N threads against one shared @p bvh and @p triangles — both are
- * only read, and every piece of mutable simulation state (RtUnit,
- * MemorySystem, CacheModel, RayPredictor, the repacker and ray buffer)
- * is constructed locally per call. The parallel sweep harness
- * (src/exp/parallel.hpp) relies on this.
- */
-SimResult simulate(const Bvh &bvh,
-                   const std::vector<Triangle> &triangles,
-                   const std::vector<Ray> &rays,
-                   const SimConfig &config);
-
-/**
- * Run one workload with externally owned per-SM predictors. Thin
- * wrapper over Simulation's expert mode kept for existing call sites;
- * prefer constructing a Simulation (with a PredictorSet for cross-frame
- * state) in new code. Pass one pointer per SM, or an empty vector for
- * no predictors. The predictors must already be bound to @p bvh.
- * Binding one predictor object to several SMs is allowed; its stats are
- * merged into the result exactly once.
- *
- * Thread-safety contract: unlike simulate(), concurrent calls are NOT
- * safe when they share RayPredictor objects — predictors are trained
- * (mutated) during the run. Callers that parallelise across runs must
- * give each concurrent run its own predictor instances.
- */
-SimResult simulateWithPredictors(
-    const Bvh &bvh, const std::vector<Triangle> &triangles,
-    const std::vector<Ray> &rays, const SimConfig &config,
-    const std::vector<RayPredictor *> &predictors);
 
 } // namespace rtp

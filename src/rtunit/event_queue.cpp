@@ -23,19 +23,9 @@ EventQueue::checkPop(const RtEvent &ev)
     lastPopCycle_ = ev.cycle;
 }
 
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl)
-{
-}
-
 void
 EventQueue::push(const RtEvent &ev)
 {
-    if (impl_ == EventQueueImpl::LegacyHeap) {
-        heap_.push(ev);
-        size_++;
-        return;
-    }
-
     if (size_ == 0) {
         // Empty queue: rebase the ring window onto this event for free
         // (ring and overflow are both empty, so no aliasing risk).
@@ -124,8 +114,6 @@ EventQueue::migrateOverflow()
 Cycle
 EventQueue::nextCycle() const
 {
-    if (impl_ == EventQueueImpl::LegacyHeap)
-        return heap_.top().cycle;
     if (cacheValid_)
         return cachedMin_;
     Cycle best = ~0ull;
@@ -144,15 +132,6 @@ EventQueue::nextCycle() const
 RtEvent
 EventQueue::pop()
 {
-    if (impl_ == EventQueueImpl::LegacyHeap) {
-        RtEvent ev = heap_.top();
-        heap_.pop();
-        size_--;
-        if (obs_)
-            checkPop(ev);
-        return ev;
-    }
-
     cacheValid_ = false;
     if (size_ == overflow_.size()) {
         // Ring empty: every pending event sits past the old horizon.

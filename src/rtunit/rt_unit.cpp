@@ -101,8 +101,7 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
       smId_(sm_id), predictor_(predictor),
       buffer_((config.maxWarps + config.additionalWarps) *
               config.warpSize),
-      isect_(config.isect), collector_(config.repacker),
-      events_(config.eventQueue)
+      isect_(config.isect), collector_(config.repacker)
 {
     l1Ports_.assign(std::max(1u, config_.l1PortsPerCycle), 0);
     // Concurrent warps are bounded by one warp per resident ray plus the

@@ -6,39 +6,10 @@
 #include <utility>
 
 #include "exp/parallel.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace rtp {
-
-namespace {
-
-/** Escape a string for embedding in a JSON document. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char *
 jobStateName(JobState state)

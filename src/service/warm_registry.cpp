@@ -52,14 +52,6 @@ WarmStateRegistry::release(const std::string &key, bool keep_state)
 }
 
 bool
-WarmStateRegistry::isLeased(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    auto it = entries_.find(key);
-    return it != entries_.end() && it->second->leased;
-}
-
-bool
 WarmStateRegistry::evict(const std::string &key)
 {
     std::lock_guard<std::mutex> lk(mutex_);
@@ -73,23 +65,6 @@ WarmStateRegistry::evict(const std::string &key)
     entries_.erase(it);
     stats_.evictions++;
     return true;
-}
-
-std::size_t
-WarmStateRegistry::evictAll()
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::size_t evicted = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->second->leased) {
-            ++it;
-            continue;
-        }
-        it = entries_.erase(it);
-        evicted++;
-    }
-    stats_.evictions += evicted;
-    return evicted;
 }
 
 std::size_t

@@ -91,9 +91,6 @@ class WarmStateRegistry
      */
     void release(const std::string &key, bool keep_state = true);
 
-    /** @return true while @p key is leased to a running job. */
-    bool isLeased(const std::string &key) const;
-
     /**
      * Drop @p key's warm state.
      * @return true when the entry was removed; false when the key is
@@ -101,9 +98,6 @@ class WarmStateRegistry
      *         the running job and must not vanish under it).
      */
     bool evict(const std::string &key);
-
-    /** Drop every non-leased entry. @return number evicted. */
-    std::size_t evictAll();
 
     /** @return Number of resident entries (leased or not). */
     std::size_t size() const;

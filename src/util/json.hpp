@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser.
+ * Minimal recursive-descent JSON parser, plus the string escaper every
+ * JSON writer in the project shares.
  *
  * Exists so tools/trace_report and the test suite can validate and
  * summarise the Chrome-trace JSON the TraceSink emits (and the bench
@@ -85,5 +86,12 @@ struct JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text,
                                    std::string *error = nullptr);
+
+/**
+ * Escape @p s for embedding in a JSON string literal: `"`, `\`, `\n`,
+ * `\t` and `\r` get their short escapes, every other control character
+ * becomes `\u00XX`, and all other bytes pass through unchanged.
+ */
+std::string jsonEscape(const std::string &s);
 
 } // namespace rtp

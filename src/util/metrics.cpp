@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
 #include "util/profile.hpp"
 #include "util/schema.hpp"
 #include "util/stats.hpp"
@@ -324,45 +325,6 @@ MetricsRegistry::renderProm() const
     return os.str();
 }
 
-namespace {
-
-std::string
-jsonEscapeStr(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 MetricsRegistry::toJson() const
 {
@@ -374,9 +336,9 @@ MetricsRegistry::toJson() const
             os << ",";
         firstFam = false;
         const Family &fam = famKv.second;
-        os << "{\"name\":\"" << jsonEscapeStr(famKv.first) << "\",\"type\":\""
+        os << "{\"name\":\"" << jsonEscape(famKv.first) << "\",\"type\":\""
            << kindName(fam.kind) << "\",\"help\":\""
-           << jsonEscapeStr(fam.help) << "\",\"series\":[";
+           << jsonEscape(fam.help) << "\",\"series\":[";
         bool firstSer = true;
         for (const auto &serKv : fam.series) {
             if (!firstSer)
@@ -389,8 +351,8 @@ MetricsRegistry::toJson() const
                 if (!firstLab)
                     os << ",";
                 firstLab = false;
-                os << "\"" << jsonEscapeStr(kv.first) << "\":\""
-                   << jsonEscapeStr(kv.second) << "\"";
+                os << "\"" << jsonEscape(kv.first) << "\":\""
+                   << jsonEscape(kv.second) << "\"";
             }
             os << "}";
             if (fam.kind == Kind::Histogram) {

@@ -41,6 +41,14 @@ rig()
     return r;
 }
 
+/** Run @p cfg over the rig's AO rays. */
+SimResult
+runRig(const SimConfig &cfg)
+{
+    return Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
+        .run(rig().ao.rays);
+}
+
 TEST(InvariantChecker, PassingProbesCountAndDoNotThrow)
 {
     InvariantChecker check;
@@ -115,8 +123,7 @@ TEST(CheckedSimulation, ProbesExecuteAcrossComponents)
         InvariantChecker check;
         SimConfig cfg = base;
         cfg.check = &check;
-        SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                               rig().ao.rays, cfg);
+        SimResult r = runRig(cfg);
         EXPECT_EQ(r.stats.get("rays_completed"), rig().ao.rays.size());
         // Per-event probes plus the end-of-run sweep plus the per-ray
         // oracle: a checked run of this size executes many thousands of
@@ -133,15 +140,11 @@ TEST(CheckedSimulation, CheckerDoesNotPerturbSimulation)
     // perturbation is caught.
     for (const SimConfig &base :
          {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            base);
+        SimResult plain = runRig(base);
         InvariantChecker check;
         SimConfig checked_cfg = base;
         checked_cfg.check = &check;
-        SimResult checked = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            checked_cfg);
+        SimResult checked = runRig(checked_cfg);
         EXPECT_GT(check.checksRun(), 0u);
         EXPECT_EQ(plain.cycles, checked.cycles);
         EXPECT_EQ(plain.toJson(), checked.toJson());
@@ -157,8 +160,7 @@ TEST(ReferenceOracle, CatchesCorruptedResults)
 {
     // The oracle must actually be able to fail: corrupt one simulated
     // result and assert the cross-check reports that exact ray.
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::proposed());
+    SimResult r = runRig(SimConfig::proposed());
     std::vector<RayResult> corrupted = r.rayResults;
     corrupted[7].hit = !corrupted[7].hit;
     InvariantChecker check;
@@ -184,10 +186,10 @@ TEST(CheckedSimulation, ConfigToJsonIsDeterministicAndComplete)
                             "\"memory\"", "\"repacker\"", "\"table\"",
                             "\"dram\""})
         EXPECT_NE(a.find(key), std::string::npos) << key;
-    // The two enum-valued knobs serialise symbolically.
-    SimConfig legacy = cfg;
-    legacy.rt.eventQueue = EventQueueImpl::LegacyHeap;
-    EXPECT_NE(configToJson(legacy).find("legacy_heap"),
+    // Enum-valued knobs serialise symbolically.
+    SimConfig lfu = cfg;
+    lfu.predictor.table.nodeReplacement = NodeReplacement::LFU;
+    EXPECT_NE(configToJson(lfu).find("\"node_replacement\":\"lfu\""),
               std::string::npos);
 }
 

@@ -50,6 +50,14 @@ fx()
     return f;
 }
 
+/** Run @p cfg over the fixture's AO rays. */
+SimResult
+runFx(const SimConfig &cfg)
+{
+    return Simulation(cfg, fx().bvh, fx().scene.mesh.triangles())
+        .run(fx().ao.rays);
+}
+
 void
 checkInvariants(const SimResult &r)
 {
@@ -78,8 +86,7 @@ TEST_P(TableSweepTest, InvariantsHold)
     cfg.predictor.table.numEntries = entries;
     cfg.predictor.table.ways = ways;
     cfg.predictor.table.nodesPerEntry = nodes;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(runFx(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,8 +116,7 @@ TEST_P(HashSweepTest, InvariantsHold)
                                           : HashFunction::TwoPoint;
     cfg.predictor.hash.originBits = origin;
     cfg.predictor.hash.directionBits = dir;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(runFx(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -139,8 +145,7 @@ TEST_P(ModeSweepTest, InvariantsHold)
     cfg.predictor.goUpLevel = goup;
     cfg.rt.repackEnabled = repack;
     cfg.rt.additionalWarps = extra;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(runFx(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,8 +174,7 @@ TEST_P(MemSweepTest, InvariantsHold)
     cfg.memory.l1.sizeBytes = l1kb * 1024;
     cfg.memory.l2Enabled = l2;
     cfg.rt.l1PortsPerCycle = ports;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(runFx(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(

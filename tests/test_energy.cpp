@@ -111,7 +111,8 @@ TEST(Energy, RealPredictorRunChargesEveryComponent)
     cfg.viewportFraction = 0.3f;
     RayBatch ao = generateAoRays(scene, bvh, cfg);
     SimConfig sim = SimConfig::proposed();
-    SimResult r = simulate(bvh, scene.mesh.triangles(), ao.rays, sim);
+    SimResult r =
+        Simulation(sim, bvh, scene.mesh.triangles()).run(ao.rays);
     EnergyBreakdown b = computeEnergy(r, sim.numSms);
     EXPECT_GT(b.baseGpu, 0.0);
     EXPECT_GT(b.predictorTable, 0.0);

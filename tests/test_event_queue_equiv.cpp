@@ -1,21 +1,25 @@
 /**
  * @file
- * Equivalence tests for the RT unit's calendar event queue against the
- * original binary-heap implementation.
+ * Equivalence tests for the RT unit's calendar event queue against a
+ * binary-heap reference.
  *
  * Two layers: (1) the queue in isolation against a std::priority_queue
  * reference model (the exact structure the RT unit used before the
  * calendar queue), driven by scripted adversarial scenarios and seeded
- * random schedules shaped like the simulator's access pattern; (2) whole
- * workloads run through both EventQueueImpl settings, asserting the
- * SimResult JSON — every cycle count and counter — is byte-identical.
+ * random schedules shaped like the simulator's access pattern; (2) three
+ * whole workloads pinned to the cycle count and the FNV-1a digest of the
+ * SimResult JSON — every cycle count and counter — that the heap-based
+ * RT unit produced (the calendar queue produced the same bytes), so a
+ * calendar regression also shows at workload level.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bvh/builder.hpp"
@@ -50,7 +54,7 @@ drainAndCompare(EventQueue &q, ReferenceQueue &ref)
 
 TEST(EventQueue, PopsInCycleThenOrderSequence)
 {
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     // Same cycle, shuffled orders; then a later cycle.
     for (std::uint64_t ord : {5ull, 1ull, 3ull, 0ull, 4ull, 2ull}) {
@@ -71,7 +75,7 @@ TEST(EventQueue, OverflowEventCanComeDueBeforeRingEvents)
     // overflow store (scheduled > 1024 cycles ahead at push time) must
     // still pop BEFORE a ring event with a larger cycle that was pushed
     // later, once the window has advanced past it.
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     std::uint64_t ord = 0;
 
@@ -102,7 +106,7 @@ TEST(EventQueue, OverflowEventCanComeDueBeforeRingEvents)
 
 TEST(EventQueue, DuplicateCollectorFlushOrdersAreHandled)
 {
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     // Duplicate CollectorFlush events are bitwise identical in the
     // simulator; the queue may return them in any relative order.
@@ -124,7 +128,7 @@ TEST(EventQueue, RandomizedSchedulesMatchReference)
     // tail of far-future (overflow) events.
     for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
         std::mt19937 rng(seed);
-        EventQueue q(EventQueueImpl::Calendar);
+        EventQueue q;
         ReferenceQueue ref;
         std::uint64_t ord = 0;
         Cycle now = 0;
@@ -166,20 +170,6 @@ TEST(EventQueue, RandomizedSchedulesMatchReference)
     }
 }
 
-TEST(EventQueue, LegacyHeapModeMatchesReferenceToo)
-{
-    std::mt19937 rng(99);
-    EventQueue q(EventQueueImpl::LegacyHeap);
-    ReferenceQueue ref;
-    std::uint64_t ord = 0;
-    for (int i = 0; i < 200; ++i) {
-        RtEvent ev{rng() % 5000, ord++, RtEventKind::WarpStep, 0};
-        q.push(ev);
-        ref.push(ev);
-    }
-    drainAndCompare(q, ref);
-}
-
 // --- Whole-workload equivalence -----------------------------------------
 
 struct EquivRig
@@ -208,39 +198,48 @@ equivRig()
     return r;
 }
 
-/** Run one config under both queue implementations; JSON must match. */
-void
-expectQueueEquivalence(SimConfig cfg)
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
 {
-    cfg.rt.eventQueue = EventQueueImpl::LegacyHeap;
-    SimResult heap =
-        Simulation(cfg, equivRig().bvh,
-                   equivRig().scene.mesh.triangles())
-            .run(equivRig().ao.rays);
-    cfg.rt.eventQueue = EventQueueImpl::Calendar;
-    SimResult cal =
-        Simulation(cfg, equivRig().bvh,
-                   equivRig().scene.mesh.triangles())
-            .run(equivRig().ao.rays);
-    EXPECT_EQ(heap.toJson(), cal.toJson());
-    EXPECT_EQ(heap.cycles, cal.cycles);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Run one config; its cycles and result digest must equal what the
+ * heap-based queue produced for the same workload.
+ */
+void
+expectHeapResult(const SimConfig &cfg, Cycle cycles,
+                 std::uint64_t digest)
+{
+    SimResult r = Simulation(cfg, equivRig().bvh,
+                             equivRig().scene.mesh.triangles())
+                      .run(equivRig().ao.rays);
+    EXPECT_EQ(r.cycles, cycles);
+    EXPECT_EQ(fnv1a64(r.toJson()), digest);
 }
 
 TEST(EventQueueEquivalence, BaselineWorkloadByteIdentical)
 {
-    expectQueueEquivalence(SimConfig::baseline());
+    expectHeapResult(SimConfig::baseline(), 9490, 0x4dc5cce4b415941aull);
 }
 
 TEST(EventQueueEquivalence, ProposedWorkloadByteIdentical)
 {
-    expectQueueEquivalence(SimConfig::proposed());
+    expectHeapResult(SimConfig::proposed(), 9496, 0xdcf28f5ba429185dull);
 }
 
 TEST(EventQueueEquivalence, RepackWithExtraWarpsByteIdentical)
 {
     SimConfig cfg = SimConfig::proposed();
     cfg.rt.additionalWarps = 2; // exercises collector flush events
-    expectQueueEquivalence(cfg);
+    expectHeapResult(cfg, 8795, 0xe259e179c6451eb3ull);
 }
 
 } // namespace

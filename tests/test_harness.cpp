@@ -92,8 +92,10 @@ TEST(Harness, RunPairProducesBothResults)
     wc.raygen.viewportFraction = 24.0f / 1024.0f;
     WorkloadCache cache(wc);
     const Workload &w = cache.get(SceneId::Sibenik);
-    RunOutcome out =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed());
+    RunOutcome out = runPairsParallel({&w}, SimConfig::baseline(),
+                                      SimConfig::proposed(), false,
+                                      nullptr)
+                         .front();
     EXPECT_EQ(out.scene, "SB");
     EXPECT_GT(out.baseline.cycles, 0u);
     EXPECT_GT(out.treatment.cycles, 0u);

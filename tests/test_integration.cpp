@@ -18,13 +18,22 @@ cache()
     return c;
 }
 
+/** Baseline vs @p treatment over one scene's AO rays, via the harness. */
+RunOutcome
+aoPair(const Workload &w, const SimConfig &treatment,
+       bool sorted = false)
+{
+    return runPairsParallel({&w}, SimConfig::baseline(), treatment,
+                            sorted, nullptr)
+        .front();
+}
+
 TEST(Integration, PredictorSpeedsUpAoWorkload)
 {
     // Figure 12's headline: the proposed predictor (with repacking)
     // beats the baseline RT unit on unsorted AO rays.
     const Workload &w = cache().get(SceneId::Sibenik);
-    RunOutcome out =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed());
+    RunOutcome out = aoPair(w, SimConfig::proposed());
     EXPECT_GT(out.speedup(), 1.05) << "predictor should win clearly";
 }
 
@@ -32,18 +41,15 @@ TEST(Integration, PredictorReducesMemoryFetches)
 {
     // Figure 13: net per-ray fetch reduction despite mispredictions.
     const Workload &w = cache().get(SceneId::CrytekSponza);
-    RunOutcome out =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed());
+    RunOutcome out = aoPair(w, SimConfig::proposed());
     EXPECT_LT(out.memAccessDelta(), -0.02);
 }
 
 TEST(Integration, SortedRaysBenefitLess)
 {
     const Workload &w = cache().get(SceneId::Sibenik);
-    RunOutcome unsorted =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed(), false);
-    RunOutcome sorted =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed(), true);
+    RunOutcome unsorted = aoPair(w, SimConfig::proposed(), false);
+    RunOutcome sorted = aoPair(w, SimConfig::proposed(), true);
     EXPECT_LT(sorted.speedup(), unsorted.speedup() * 1.02)
         << "sorting pre-extracts the coherence the predictor exploits";
 }
@@ -55,12 +61,9 @@ TEST(Integration, RepackingRecoversMispredictionTail)
     SimConfig no_repack = SimConfig::proposed();
     no_repack.rt.repackEnabled = false;
     SimConfig repack = SimConfig::proposed();
-    SimResult base = runOne(w, SimConfig::baseline());
-    SimResult def = runOne(w, no_repack);
-    SimResult rep = runOne(w, repack);
-    double def_speedup = static_cast<double>(base.cycles) / def.cycles;
-    double rep_speedup = static_cast<double>(base.cycles) / rep.cycles;
-    EXPECT_GT(rep_speedup, def_speedup);
+    std::vector<SimResult> r = runSimPoints(
+        {makePoint(w, no_repack), makePoint(w, repack)}, nullptr);
+    EXPECT_LT(r[1].cycles, r[0].cycles);
 }
 
 TEST(Integration, Equation1EstimateTracksMeasurement)
@@ -68,8 +71,7 @@ TEST(Integration, Equation1EstimateTracksMeasurement)
     // Table 5: nodes-skipped estimate v*n - p*k*m should be within a
     // factor of ~2 of the measured fetch reduction.
     const Workload &w = cache().get(SceneId::Sibenik);
-    RunOutcome out =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed());
+    RunOutcome out = aoPair(w, SimConfig::proposed());
     double rays = static_cast<double>(
         out.treatment.stats.get("rays_completed"));
     double n = static_cast<double>(out.baseline.totalMemAccesses()) /
@@ -96,8 +98,7 @@ TEST(Integration, EnergyDropsWithPredictor)
     // Table 4: overall energy per ray decreases; the predictor table
     // itself adds only a tiny amount.
     const Workload &w = cache().get(SceneId::Sibenik);
-    RunOutcome out =
-        runPair(w, SimConfig::baseline(), SimConfig::proposed());
+    RunOutcome out = aoPair(w, SimConfig::proposed());
     EnergyBreakdown base = computeEnergy(out.baseline, 2);
     EnergyBreakdown pred = computeEnergy(out.treatment, 2);
     EXPECT_LT(pred.total(), base.total());
@@ -113,9 +114,9 @@ TEST(Integration, GoUpLevelRaisesVerifiedRate)
     lo.predictor.goUpLevel = 0;
     SimConfig hi = SimConfig::proposed();
     hi.predictor.goUpLevel = 4;
-    SimResult rlo = runOne(w, lo);
-    SimResult rhi = runOne(w, hi);
-    EXPECT_GT(rhi.verifiedRate(), rlo.verifiedRate());
+    std::vector<SimResult> r =
+        runSimPoints({makePoint(w, lo), makePoint(w, hi)}, nullptr);
+    EXPECT_GT(r[1].verifiedRate(), r[0].verifiedRate());
 }
 
 TEST(Integration, MoreSmsReduceSavings)
@@ -128,10 +129,10 @@ TEST(Integration, MoreSmsReduceSavings)
         base.numSms = sms;
         SimConfig pred = SimConfig::proposed();
         pred.numSms = sms;
-        SimResult b = runOne(w, base);
-        SimResult p = runOne(w, pred);
-        return 1.0 - static_cast<double>(p.totalMemAccesses()) /
-                         b.totalMemAccesses();
+        RunOutcome out = runPairsParallel({&w}, base, pred, false,
+                                          nullptr)
+                             .front();
+        return -out.memAccessDelta();
     };
     double s2 = savings(2);
     double s8 = savings(8);
@@ -148,10 +149,11 @@ TEST(Integration, GiPredictionTrimsWithoutChangingResults)
     rg.width = 24;
     rg.height = 24;
     RayBatch gi = generateGiRays(w.scene, w.bvh, rg);
-    SimResult base = simulate(w.bvh, w.scene.mesh.triangles(), gi.rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(w.bvh, w.scene.mesh.triangles(), gi.rays,
-                              SimConfig::proposed());
+    const auto &tris = w.scene.mesh.triangles();
+    SimResult base =
+        Simulation(SimConfig::baseline(), w.bvh, tris).run(gi.rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), w.bvh, tris).run(gi.rays);
     ASSERT_EQ(base.rayResults.size(), pred.rayResults.size());
     for (std::size_t i = 0; i < base.rayResults.size(); ++i) {
         EXPECT_EQ(base.rayResults[i].hit, pred.rayResults[i].hit);

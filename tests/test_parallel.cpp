@@ -333,6 +333,14 @@ rig()
     return r;
 }
 
+/** Run @p cfg over the rig's AO rays. */
+SimResult
+runRig(const SimConfig &cfg)
+{
+    return Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
+        .run(rig().ao.rays);
+}
+
 std::vector<SimPoint>
 sweepPoints()
 {
@@ -516,8 +524,7 @@ TEST(RunSweep, ShardedSimThreadsEnvPreservesResults)
 
 TEST(SimResultJson, DeterministicAndWellFormed)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::proposed());
+    SimResult r = runRig(SimConfig::proposed());
     std::string a = r.toJson();
     EXPECT_EQ(a, r.toJson());
     EXPECT_EQ(a.front(), '{');
@@ -529,8 +536,7 @@ TEST(SimResultJson, DeterministicAndWellFormed)
 
 TEST(JsonResultSink, WritesDeterministicFile)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::baseline());
+    SimResult r = runRig(SimConfig::baseline());
     std::string written[2];
     for (int round = 0; round < 2; ++round) {
         std::string dir = ::testing::TempDir();
@@ -572,11 +578,16 @@ TEST(RunPairsParallel, MatchesSerialRunPair)
         nullptr);
     ASSERT_EQ(par.size(), ws.size());
     for (std::size_t i = 0; i < ws.size(); ++i) {
-        RunOutcome ser = runPair(*ws[i], SimConfig::baseline(),
-                                 SimConfig::proposed());
-        EXPECT_EQ(par[i].scene, ser.scene);
-        EXPECT_EQ(par[i].baseline.toJson(), ser.baseline.toJson());
-        EXPECT_EQ(par[i].treatment.toJson(), ser.treatment.toJson());
+        const Workload &w = *ws[i];
+        Simulation base(SimConfig::baseline(), w.bvh,
+                        w.scene.mesh.triangles());
+        Simulation pred(SimConfig::proposed(), w.bvh,
+                        w.scene.mesh.triangles());
+        EXPECT_EQ(par[i].scene, w.scene.shortName);
+        EXPECT_EQ(par[i].baseline.toJson(),
+                  base.run(w.ao.rays).toJson());
+        EXPECT_EQ(par[i].treatment.toJson(),
+                  pred.run(w.ao.rays).toJson());
     }
 }
 

@@ -100,10 +100,11 @@ TEST(ShadowRays, PredictorWorksOnShadowWorkload)
     RayBatch batch =
         generateShadowRays(fx().scene, fx().bvh, cfg, &light);
     ASSERT_GT(batch.rays.size(), 0u);
-    SimResult base = simulate(fx().bvh, fx().scene.mesh.triangles(),
-                              batch.rays, SimConfig::baseline());
-    SimResult pred = simulate(fx().bvh, fx().scene.mesh.triangles(),
-                              batch.rays, SimConfig::proposed());
+    const auto &tris = fx().scene.mesh.triangles();
+    SimResult base =
+        Simulation(SimConfig::baseline(), fx().bvh, tris).run(batch.rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), fx().bvh, tris).run(batch.rays);
     // Correctness.
     for (std::size_t i = 0; i < batch.rays.size(); ++i) {
         bool ref = traverseAnyHit(fx().bvh,

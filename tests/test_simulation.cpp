@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "bvh/builder.hpp"
 #include "gpu/frame_simulator.hpp"
@@ -47,19 +48,6 @@ rig()
 }
 
 // --- Facade behaviour ----------------------------------------------------
-
-TEST(Simulation, FacadeMatchesFreeFunction)
-{
-    for (const SimConfig &cfg :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult direct =
-            Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        SimResult wrapped = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays, cfg);
-        EXPECT_EQ(direct.toJson(), wrapped.toJson());
-    }
-}
 
 TEST(Simulation, RepeatedRunsAreIndependent)
 {
@@ -117,6 +105,49 @@ TEST(Simulation, PredictorSetCarriesTrainedState)
     set.bind(cfg.predictor, cfg.numSms, rig().bvh, false);
     SimResult recold = sim.run(rig().ao.rays);
     EXPECT_EQ(cold.toJson(), recold.toJson());
+}
+
+TEST(Simulation, BaselineIgnoresBoundPredictorSet)
+{
+    // A disabled predictor means no predictor, even when the caller
+    // hands over a bound set.
+    SimConfig cfg = SimConfig::baseline();
+    PredictorSet set;
+    set.bind(SimConfig::proposed().predictor, cfg.numSms, rig().bvh);
+    SimResult with_set =
+        Simulation(cfg, rig().bvh, rig().scene.mesh.triangles(), set)
+            .run(rig().ao.rays);
+    SimResult plain =
+        Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
+            .run(rig().ao.rays);
+    EXPECT_EQ(with_set.toJson(), plain.toJson());
+}
+
+TEST(Simulation, EnabledPredictorRejectsUnboundSet)
+{
+    PredictorSet set;
+    Simulation sim(SimConfig::proposed(), rig().bvh,
+                   rig().scene.mesh.triangles(), set);
+    EXPECT_THROW(sim.run(rig().ao.rays), std::invalid_argument);
+}
+
+TEST(Simulation, EnabledPredictorRejectsSetBoundForFewerSms)
+{
+    SimConfig cfg = SimConfig::proposed();
+    cfg.numSms = 4;
+    PredictorSet set;
+    set.bind(cfg.predictor, 2, rig().bvh);
+    Simulation sim(cfg, rig().bvh, rig().scene.mesh.triangles(), set);
+    try {
+        sim.run(rig().ao.rays);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        // The message names both counts.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("holds 2 predictors"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("has 4 SMs"), std::string::npos) << what;
+    }
 }
 
 // --- Observers are attached per run -------------------------------------

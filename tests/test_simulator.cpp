@@ -41,10 +41,17 @@ rig()
     return r;
 }
 
+/** Run @p cfg over the rig's AO rays. */
+SimResult
+runRig(const SimConfig &cfg)
+{
+    return Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
+        .run(rig().ao.rays);
+}
+
 TEST(Simulator, AllRaysComplete)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::baseline());
+    SimResult r = runRig(SimConfig::baseline());
     EXPECT_EQ(r.stats.get("rays_completed"), rig().ao.rays.size());
     EXPECT_GT(r.cycles, 0u);
     EXPECT_EQ(r.rayResults.size(), rig().ao.rays.size());
@@ -54,8 +61,7 @@ TEST(Simulator, ResultsMatchReferenceBothConfigs)
 {
     for (const SimConfig &cfg :
          {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                               rig().ao.rays, cfg);
+        SimResult r = runRig(cfg);
         for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
             bool ref = traverseAnyHit(rig().bvh,
                                       rig().scene.mesh.triangles(),
@@ -69,10 +75,8 @@ TEST(Simulator, ResultsMatchReferenceBothConfigs)
 TEST(Simulator, DeterministicRepeatRuns)
 {
     SimConfig cfg = SimConfig::proposed();
-    SimResult a = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, cfg);
-    SimResult b = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, cfg);
+    SimResult a = runRig(cfg);
+    SimResult b = runRig(cfg);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.stats.get("rays_verified"), b.stats.get("rays_verified"));
     EXPECT_EQ(a.totalMemAccesses(), b.totalMemAccesses());
@@ -85,15 +89,11 @@ TEST(Simulator, TracingDoesNotPerturbSimulation)
     // results — emission is a pure observer.
     for (const SimConfig &base :
          {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            base);
+        SimResult plain = runRig(base);
         SimConfig traced_cfg = base;
         TraceSink sink;
         traced_cfg.trace = &sink;
-        SimResult traced = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            traced_cfg);
+        SimResult traced = runRig(traced_cfg);
         EXPECT_GT(sink.size(), 0u);
         EXPECT_EQ(plain.cycles, traced.cycles);
         EXPECT_EQ(plain.toJson(), traced.toJson());
@@ -111,15 +111,11 @@ TEST(Simulator, TelemetryDoesNotPerturbSimulation)
     // stats JSON so even counter bookkeeping perturbation is caught.
     for (const SimConfig &base :
          {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            base);
+        SimResult plain = runRig(base);
         SimConfig sampled_cfg = base;
         TelemetrySampler sampler(64);
         sampled_cfg.telemetry = &sampler;
-        SimResult sampled = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            sampled_cfg);
+        SimResult sampled = runRig(sampled_cfg);
         EXPECT_GT(sampler.records().size(), 2u);
         EXPECT_EQ(plain.cycles, sampled.cycles);
         EXPECT_EQ(plain.toJson(), sampled.toJson());
@@ -139,8 +135,7 @@ TEST(Simulator, TelemetryTimelineIsMonotoneAndPopulated)
     SimConfig cfg = SimConfig::proposed();
     TelemetrySampler sampler(128);
     cfg.telemetry = &sampler;
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, cfg);
+    SimResult r = runRig(cfg);
     const auto &recs = sampler.records();
     ASSERT_GT(recs.size(), 2u);
     EXPECT_EQ(sampler.droppedRecords(), 0u);
@@ -168,8 +163,7 @@ TEST(Simulator, TraceCoversComponentTaxonomy)
     SimConfig cfg = SimConfig::proposed();
     TraceSink sink;
     cfg.trace = &sink;
-    simulate(rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-             cfg);
+    runRig(cfg);
     std::uint64_t warps = 0, fetches = 0, cache = 0, lookups = 0;
     for (const TraceEvent &ev : sink.snapshot()) {
         switch (ev.kind) {
@@ -193,21 +187,18 @@ TEST(Simulator, MultiSmDistributesWork)
 {
     SimConfig cfg = SimConfig::baseline();
     cfg.numSms = 4;
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, cfg);
+    SimResult r = runRig(cfg);
     EXPECT_EQ(r.stats.get("rays_completed"), rig().ao.rays.size());
     // More SMs -> fewer cycles for the same workload (more parallelism).
     SimConfig one = cfg;
     one.numSms = 1;
-    SimResult r1 = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                            rig().ao.rays, one);
+    SimResult r1 = runRig(one);
     EXPECT_LT(r.cycles, r1.cycles);
 }
 
 TEST(Simulator, RateHelpersInRange)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::proposed());
+    SimResult r = runRig(SimConfig::proposed());
     EXPECT_GE(r.predictedRate(), 0.0);
     EXPECT_LE(r.predictedRate(), 1.0);
     EXPECT_GE(r.verifiedRate(), 0.0);
@@ -220,8 +211,7 @@ TEST(Simulator, RateHelpersInRange)
 
 TEST(Simulator, BaselineHasNoPredictorActivity)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::baseline());
+    SimResult r = runRig(SimConfig::baseline());
     EXPECT_EQ(r.stats.get("rays_predicted"), 0u);
     EXPECT_EQ(r.stats.get("lookups"), 0u);
     EXPECT_EQ(r.predictedRate(), 0.0);
@@ -229,43 +219,30 @@ TEST(Simulator, BaselineHasNoPredictorActivity)
 
 TEST(Simulator, MemStatsPopulated)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::baseline());
+    SimResult r = runRig(SimConfig::baseline());
     EXPECT_GT(r.memStats.get("l1.hits") + r.memStats.get("l1.misses"),
               0u);
     EXPECT_GT(r.postMergeAccesses(), 0u);
     EXPECT_LE(r.postMergeAccesses(), r.totalMemAccesses() * 3);
 }
 
-TEST(Simulator, SharedPredictorStatsMergedOnce)
-{
-    // Regression: runEventLoop merged predictors[s]->stats() once per
-    // SM, so a predictor object shared between SMs had its counters
-    // double-counted in the result.
-    SimConfig cfg = SimConfig::proposed();
-    cfg.numSms = 2;
-    RayPredictor shared(cfg.predictor, rig().bvh);
-    SimResult r = simulateWithPredictors(
-        rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays, cfg,
-        {&shared, &shared});
-    ASSERT_GT(shared.stats().get("lookups"), 0u);
-    // The merged result must carry the predictor's counters exactly
-    // once, not once per SM that points at it.
-    EXPECT_EQ(r.stats.get("lookups"), shared.stats().get("lookups"));
-    EXPECT_EQ(r.stats.get("trained"), shared.stats().get("trained"));
-}
-
 TEST(Simulator, DistinctPredictorStatsStillSum)
 {
+    // Each SM owns one predictor of the set; the result carries the
+    // sum of their counters.
     SimConfig cfg = SimConfig::proposed();
     cfg.numSms = 2;
-    RayPredictor a(cfg.predictor, rig().bvh);
-    RayPredictor b(cfg.predictor, rig().bvh);
-    SimResult r = simulateWithPredictors(
-        rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays, cfg,
-        {&a, &b});
+    PredictorSet set;
+    set.bind(cfg.predictor, cfg.numSms, rig().bvh);
+    SimResult r =
+        Simulation(cfg, rig().bvh, rig().scene.mesh.triangles(), set)
+            .run(rig().ao.rays);
+    std::vector<RayPredictor *> preds = set.pointers();
+    ASSERT_GT(preds[0]->stats().get("lookups"), 0u);
+    ASSERT_GT(preds[1]->stats().get("lookups"), 0u);
     EXPECT_EQ(r.stats.get("lookups"),
-              a.stats().get("lookups") + b.stats().get("lookups"));
+              preds[0]->stats().get("lookups") +
+                  preds[1]->stats().get("lookups"));
 }
 
 TEST(Simulator, TelemetryHeaderReportsSmCountWithoutRecords)
@@ -277,8 +254,7 @@ TEST(Simulator, TelemetryHeaderReportsSmCountWithoutRecords)
     TelemetrySampler sampler(64, /*max_records=*/0);
     SimConfig cfg = SimConfig::proposed();
     cfg.telemetry = &sampler;
-    simulate(rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-             cfg);
+    runRig(cfg);
     EXPECT_TRUE(sampler.records().empty());
     EXPECT_GT(sampler.droppedRecords(), 0u);
     std::ostringstream os;
@@ -290,8 +266,10 @@ TEST(Simulator, TelemetryHeaderReportsSmCountWithoutRecords)
 
 TEST(Simulator, EmptyWorkload)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(), {},
-                           SimConfig::baseline());
+    SimResult r =
+        Simulation(SimConfig::baseline(), rig().bvh,
+                   rig().scene.mesh.triangles())
+            .run({});
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_EQ(r.stats.get("rays_completed"), 0u);
 }

@@ -173,6 +173,15 @@ TEST(Json, ParsesScalarsArraysObjects)
     const JsonValue *c = v->find("c");
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->numberAt("d"), -2000.0);
+
+    // The shared writer-side escaper: short escapes for quote,
+    // backslash, \n, \t and \r, \u00XX for other control bytes, and a
+    // lossless round trip through the parser.
+    const std::string raw = "q\"b\\s\nn\tt\rr\x01";
+    EXPECT_EQ(jsonEscape(raw), "q\\\"b\\\\s\\nn\\tt\\rr\\u0001");
+    auto round = parseJson("\"" + jsonEscape(raw) + "\"", &error);
+    ASSERT_TRUE(round.has_value()) << error;
+    EXPECT_EQ(round->str, raw);
 }
 
 TEST(Json, RejectsMalformedInput)

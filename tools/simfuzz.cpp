@@ -46,6 +46,7 @@
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/profile.hpp"
 #include "util/rng.hpp"
 
@@ -117,9 +118,6 @@ deriveConfig(Rng &rng, const Bvh &bvh)
     c.rt.repacker.capacity =
         2 * c.rt.warpSize + rng.nextBounded(c.rt.warpSize + 1);
     c.rt.repacker.timeout = 4 + rng.nextBounded(29);
-    c.rt.eventQueue = rng.nextBounded(2) == 0
-                          ? EventQueueImpl::Calendar
-                          : EventQueueImpl::LegacyHeap;
 
     c.predictor.enabled = rng.nextBounded(8) != 0; // mostly on
     std::uint32_t max_goup = bvh.maxDepth() < 6 ? bvh.maxDepth() : 6;
@@ -298,23 +296,6 @@ shrinkRays(PointRunner run, const SimConfig &config,
         chunk = chunk > 1 ? chunk / 2 : (reduced ? 1 : 0);
     }
     return rays;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out += '\\', out += ch;
-        else if (ch == '\n')
-            out += "\\n";
-        else if (static_cast<unsigned char>(ch) < 0x20)
-            out += ' ';
-        else
-            out += ch;
-    }
-    return out;
 }
 
 /** The full reproducer record for one failing seed. */
