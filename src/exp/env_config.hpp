@@ -34,7 +34,8 @@
  *
  * RTP_SIM_THREADS unset is auto (simThreadsForPool, exp/parallel.hpp):
  * 1 under a sweep pool of several workers, and under a pool of one
- * SimConfig's own default — shard runs of 4 or more SMs.
+ * SimConfig's own default — shard each run across the CPUs that are
+ * free when it starts.
  *
  * The documented table above is the single source of truth; README.md
  * mirrors it for users.

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/host.hpp"
+
 namespace rtp {
 
 unsigned
@@ -49,11 +51,8 @@ simThreadsForPool(unsigned pool)
 ThreadBudget
 threadBudgetFromEnv(unsigned hw)
 {
-    if (hw == 0) {
-        hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
-    }
+    if (hw == 0)
+        hw = usableCpuCount();
     const bool sweep_set = std::getenv("RTP_THREADS") != nullptr;
     const bool sim_set = std::getenv("RTP_SIM_THREADS") != nullptr;
 
@@ -72,8 +71,7 @@ threadBudgetFromEnv(unsigned hw)
 unsigned
 ThreadPool::defaultThreadCount()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return parseThreadCountEnv("RTP_THREADS", hw >= 1 ? hw : 1);
+    return parseThreadCountEnv("RTP_THREADS", usableCpuCount());
 }
 
 ThreadPool::ThreadPool(unsigned threads)

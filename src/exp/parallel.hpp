@@ -12,8 +12,9 @@
  * every table printed from the results is byte-identical to a serial
  * run regardless of thread count.
  *
- * Thread count: RTP_THREADS environment variable, defaulting to
- * std::thread::hardware_concurrency(). RTP_THREADS=1 recovers fully
+ * Thread count: RTP_THREADS environment variable, defaulting to the
+ * CPUs this process may run on (usableCpuCount, util/host.hpp, which
+ * honours taskset and cpusets). RTP_THREADS=1 recovers fully
  * serial execution (still through the pool, same ordering).
  *
  * A second knob, RTP_SIM_THREADS, controls *intra*-simulation
@@ -21,8 +22,9 @@
  * two compose through threadBudgetFromEnv() so the product of sweep
  * workers and per-simulation workers never oversubscribes the host
  * unless both are set explicitly. Unset, it is 1 under a pool of
- * several workers and "auto" (SimConfig::kAutoSimThreads: shard runs
- * of 4 or more SMs across the host's threads) under a pool of one.
+ * several workers and "auto" (SimConfig::kAutoSimThreads: shard each
+ * run across the CPUs that are free when it starts) under a pool of
+ * one.
  */
 
 #pragma once
@@ -69,7 +71,7 @@ class ThreadPool
 
     /**
      * @return RTP_THREADS if set (clamped to >= 1), otherwise
-     *         hardware_concurrency (>= 1).
+     *         usableCpuCount() (>= 1).
      */
     static unsigned defaultThreadCount();
 
@@ -130,7 +132,7 @@ unsigned simThreadsForPool(unsigned pool);
  *   from simThreadsForPool(sweep threads): 1 (sequential event loop)
  *   under a pool of several workers, auto under a pool of one.
  *
- * @param hw Hardware thread count; 0 means hardware_concurrency().
+ * @param hw Hardware thread count; 0 means usableCpuCount().
  * @throws std::invalid_argument on malformed values (see
  *         parseThreadCountEnv).
  */

@@ -4,9 +4,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "bvh/bvh.hpp"
+#include "util/host.hpp"
 
 namespace rtp {
 
@@ -38,21 +38,27 @@ SimConfig::baseline()
 }
 
 std::uint32_t
+autoEventLoopWorkers(std::uint32_t num_sms, std::uint32_t usable_cpus,
+                     std::uint32_t runnable_others)
+{
+    // The workers advance in lock-step, so one of them sharing a CPU
+    // with a busy thread stalls them all (docs/performance.md). Use
+    // only CPUs nobody else is running on, and leave one of those to
+    // the rest of the host.
+    if (usable_cpus <= runnable_others + 1)
+        return 1;
+    const std::uint32_t workers =
+        std::min(num_sms, usable_cpus - runnable_others - 1);
+    return workers >= 2 ? workers : 1;
+}
+
+std::uint32_t
 SimConfig::eventLoopWorkers() const
 {
-    std::uint32_t want = simThreads;
-    if (want == kAutoSimThreads) {
-        // Below 4 SMs the gate's waits outweigh the parallel work. At
-        // 4 or more, leave one hardware thread to the rest of the
-        // host: the workers advance in lock-step, so one of them
-        // sharing a core with a busy neighbour stalls them all
-        // (docs/performance.md has the measurements for both).
-        if (numSms < 4)
-            return 1;
-        const std::uint32_t hw = std::thread::hardware_concurrency();
-        want = hw > 1 ? hw - 1 : 1;
-    }
-    return std::max(1u, std::min(want, numSms));
+    if (simThreads == kAutoSimThreads)
+        return autoEventLoopWorkers(numSms, usableCpuCount(),
+                                    runnableOtherThreads());
+    return std::max(1u, std::min(simThreads, numSms));
 }
 
 void

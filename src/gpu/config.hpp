@@ -39,10 +39,10 @@ struct SimConfig
      * loop with min(simThreads, numSms) workers, each advancing a
      * subset of SMs and meeting at the L2/DRAM seam in exact
      * (cycle, sm) order (see docs/performance.md). kAutoSimThreads
-     * (the default) shards with min(hardware threads - 1, numSms)
-     * workers when numSms >= 4 and runs sequentially otherwise; see
-     * eventLoopWorkers(). The bench harness and the job server fill
-     * an auto value from their thread budget (RTP_SIM_THREADS).
+     * (the default) sizes the worker count to the CPUs that are free
+     * when the run starts; see eventLoopWorkers(). The bench harness
+     * and the job server fill an auto value from their thread budget
+     * (RTP_SIM_THREADS).
      */
     std::uint32_t simThreads = kAutoSimThreads;
 
@@ -98,8 +98,9 @@ struct SimConfig
     /**
      * Event-loop worker threads a run of this config uses: 1 means
      * the sequential loop. An explicit simThreads gives
-     * min(simThreads, numSms); auto gives min(hardware threads - 1,
-     * numSms) when numSms >= 4, else 1.
+     * min(simThreads, numSms); auto probes the host (usableCpuCount,
+     * runnableOtherThreads in util/host.hpp) and applies
+     * autoEventLoopWorkers.
      */
     std::uint32_t eventLoopWorkers() const;
 
@@ -137,6 +138,17 @@ struct SimConfig
      */
     void validate(const Bvh &bvh) const;
 };
+
+/**
+ * The auto event-loop worker count for a run of @p num_sms SMs on a
+ * host where @p usable_cpus CPUs are usable and @p runnable_others
+ * other threads are runnable: min(num_sms, usable_cpus −
+ * runnable_others − 1), or 1 (the sequential loop) when that is below
+ * 2. One free CPU is left to the rest of the host.
+ */
+std::uint32_t autoEventLoopWorkers(std::uint32_t num_sms,
+                                   std::uint32_t usable_cpus,
+                                   std::uint32_t runnable_others);
 
 /** One-line summary of a configuration (for bench/table headers). */
 std::string describe(const SimConfig &config);

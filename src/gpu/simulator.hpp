@@ -10,9 +10,9 @@
  * Two interchangeable event-loop implementations sit behind the facade,
  * selected by SimConfig::eventLoopWorkers() (simThreads, or
  * RTP_SIM_THREADS in the harness): the sequential reference loop (one
- * worker; the default below 4 SMs) and a sharded loop that runs each
- * SM's events on one of several worker threads (the default at 4 or
- * more SMs), synchronising at the shared L2/DRAM seam through the
+ * worker) and a sharded loop that runs each SM's events on one of
+ * several worker threads (the default for 2 or more SMs when the host
+ * has CPUs free), synchronising at the shared L2/DRAM seam through the
  * ShardGate protocol (gpu/shard.hpp). The two are byte-identical in
  * every output — SimResult JSON, trace, telemetry, and checker
  * behaviour — at any thread count; tests/test_sharded_equiv and the CI

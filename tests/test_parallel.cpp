@@ -13,12 +13,17 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "bvh/builder.hpp"
 #include "exp/harness.hpp"
 #include "exp/parallel.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
 #include "service/sim_service.hpp"
+#include "util/host.hpp"
 
 namespace rtp {
 namespace {
@@ -365,22 +370,68 @@ sweepPoints()
     return points;
 }
 
-TEST(SimThreadsAuto, DefaultShardsOnlyFromFourSms)
+TEST(SimThreadsAuto, RuleUsesOnlyFreeCpus)
 {
-    // One hardware thread is left to the rest of the host.
-    const std::uint32_t hw = std::thread::hardware_concurrency();
-    const std::uint32_t spare = hw > 1 ? hw - 1 : 1;
+    // Fixed inputs, so the cases do not depend on the host's load.
+    // Idle host with 4 usable CPUs: one is left spare.
+    EXPECT_EQ(autoEventLoopWorkers(2, 4, 0), 2u);
+    EXPECT_EQ(autoEventLoopWorkers(8, 4, 0), 3u);
+    // Three other runnable threads leave no CPU to shard across.
+    EXPECT_EQ(autoEventLoopWorkers(2, 4, 3), 1u);
+    EXPECT_EQ(autoEventLoopWorkers(8, 4, 3), 1u);
+    // One free CPU besides the spare is not enough for two workers.
+    EXPECT_EQ(autoEventLoopWorkers(8, 4, 2), 1u);
+    // One usable CPU, or one SM: the sequential loop.
+    EXPECT_EQ(autoEventLoopWorkers(8, 1, 0), 1u);
+    EXPECT_EQ(autoEventLoopWorkers(1, 4, 0), 1u);
+    // More runnable threads than CPUs must not wrap around.
+    EXPECT_EQ(autoEventLoopWorkers(8, 4, 9), 1u);
+
     SimConfig config;
     EXPECT_EQ(config.simThreads, SimConfig::kAutoSimThreads);
-    config.numSms = 2;
-    EXPECT_EQ(config.eventLoopWorkers(), 1u);
-    config.numSms = 3;
-    EXPECT_EQ(config.eventLoopWorkers(), 1u);
-    config.numSms = 4;
-    EXPECT_EQ(config.eventLoopWorkers(), std::min(spare, 4u));
     config.numSms = 8;
-    EXPECT_EQ(config.eventLoopWorkers(), std::min(spare, 8u));
+    EXPECT_GE(config.eventLoopWorkers(), 1u);
+    EXPECT_LE(config.eventLoopWorkers(), 8u);
     EXPECT_NO_THROW(config.validate());
+}
+
+TEST(SimThreadsAuto, AffinityOfOneCpuRunsSequentially)
+{
+#if defined(__linux__)
+    // Pin this thread to one CPU: every thread-sizing site must see
+    // one usable CPU even though the host has more online.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+    const unsigned usable = usableCpuCount();
+    SimConfig config;
+    config.numSms = 8;
+    const std::uint32_t workers = config.eventLoopWorkers();
+    unsigned pool = 0;
+    ThreadBudget budget;
+    {
+        ThreadsEnv threads(nullptr);
+        SimThreadsEnv sim(nullptr);
+        pool = ThreadPool::defaultThreadCount();
+        budget = threadBudgetFromEnv();
+    }
+
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(usable, 1u);
+    EXPECT_EQ(workers, 1u);
+    EXPECT_EQ(pool, 1u);
+    EXPECT_EQ(budget.sweepThreads, 1u);
+#else
+    GTEST_SKIP() << "CPU affinity is probed on Linux only";
+#endif
 }
 
 TEST(SimThreadsAuto, ExplicitValuesKeepTheirMeaning)
@@ -394,7 +445,7 @@ TEST(SimThreadsAuto, ExplicitValuesKeepTheirMeaning)
     config.simThreads = 16; // clamps to one worker per SM
     EXPECT_EQ(config.eventLoopWorkers(), 8u);
     config.numSms = 2;
-    config.simThreads = 4; // explicit sharding below 4 SMs is allowed
+    config.simThreads = 4; // clamps to 2 SMs
     EXPECT_EQ(config.eventLoopWorkers(), 2u);
 }
 

@@ -5,7 +5,8 @@
  * sequential reference loop in every observable output — SimResult
  * JSON, Chrome-trace bytes (including ring-wrap drop accounting),
  * telemetry timelines, cycle-attribution profiles, and invariant-checker
- * behaviour — at any worker count, on every bundled scene.
+ * behaviour — at any worker count, on every bundled scene, and across
+ * the warm PredictorSet of multi-wave and multi-frame drivers.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "exp/path_driver.hpp"
 #include "exp/workload.hpp"
+#include "gpu/frame_simulator.hpp"
 #include "gpu/simulator.hpp"
 #include "scene/registry.hpp"
 #include "util/check.hpp"
@@ -225,16 +228,59 @@ TEST(ShardedEquiv, OversubscribedRunMatchesSequential)
 
 TEST(ShardedEquiv, AutoDefaultMatchesSequential)
 {
-    // The default simThreads (auto) shards an 8-SM run across the
-    // host's threads; its output is the sequential loop's.
+    // The default simThreads (auto) shards the paper's 2-SM runs and
+    // an 8-SM run across the CPUs free at run start; whatever it
+    // picks, the output is the sequential loop's.
     SimConfig config = SimConfig::proposed();
-    config.numSms = 8;
     ASSERT_EQ(config.simThreads, SimConfig::kAutoSimThreads);
+    ASSERT_EQ(config.numSms, 2u);
+    for (SceneId id : allSceneIds()) {
+        const Workload &w = cache().get(id);
+        EXPECT_EQ(runPlain(w, config, 1),
+                  runPlain(w, config, SimConfig::kAutoSimThreads))
+            << w.scene.shortName << " @ 2 SMs";
+    }
+    config.numSms = 8;
     for (SceneId id : {SceneId::CrytekSponza, SceneId::FireplaceRoom}) {
         const Workload &w = cache().get(id);
         EXPECT_EQ(runPlain(w, config, 1),
                   runPlain(w, config, SimConfig::kAutoSimThreads))
-            << w.scene.shortName;
+            << w.scene.shortName << " @ 8 SMs";
+    }
+}
+
+TEST(ShardedEquiv, PathTraceWavesMatchSequential)
+{
+    // Multi-run drivers keep one PredictorSet warm across runs, so a
+    // sharded run must leave the tables exactly as the sequential loop
+    // does: the path-trace waves and a multi-frame run both match.
+    const Workload &w = cache().get(SceneId::FireplaceRoom);
+    RayGenConfig rg;
+    rg.width = 16;
+    rg.height = 16;
+    rg.pathBounces = 3;
+    for (SimConfig config : {SimConfig::baseline(), SimConfig::proposed()}) {
+        const std::string preset =
+            config.predictor.enabled ? "proposed" : "baseline";
+        config.simThreads = 1;
+        const PathTraceOutcome seq = runPathTrace(w, config, rg);
+        config.simThreads = 2;
+        const PathTraceOutcome sharded = runPathTrace(w, config, rg);
+        EXPECT_GT(seq.waveRays.size(), 1u) << preset;
+        EXPECT_EQ(seq.waveRays, sharded.waveRays) << preset;
+        EXPECT_EQ(seq.total.toJson(), sharded.total.toJson()) << preset;
+
+        config.simThreads = 1;
+        FrameSimulator seq_frames(config);
+        config.simThreads = 2;
+        FrameSimulator sharded_frames(config);
+        for (int frame = 0; frame < 3; ++frame) {
+            const auto &tris = w.scene.mesh.triangles();
+            EXPECT_EQ(seq_frames.runFrame(w.bvh, tris, w.ao.rays).toJson(),
+                      sharded_frames.runFrame(w.bvh, tris, w.ao.rays)
+                          .toJson())
+                << preset << " frame " << frame;
+        }
     }
 }
 
