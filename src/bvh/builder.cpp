@@ -1,9 +1,11 @@
 #include "bvh/builder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace rtp {
 
@@ -16,19 +18,24 @@ struct PrimInfo
     Vec3 centroid;
 };
 
+/** SAH bin accumulator. */
+struct Bin
+{
+    Aabb bounds;
+    std::uint32_t count = 0;
+};
+
 struct BuildContext
 {
     const std::vector<PrimInfo> &prims;
     std::vector<std::uint32_t> &primIndices;
     std::vector<BvhNode> &nodes;
     const BvhBuildConfig &config;
-};
-
-/** SAH bin accumulator. */
-struct Bin
-{
-    Aabb bounds;
-    std::uint32_t count = 0;
+    // SAH scratch, sahBins entries each, sized once per build. A node
+    // is done with it before it recurses, so one set serves every node.
+    std::vector<Bin> bins;
+    std::vector<float> rightArea;
+    std::vector<std::uint32_t> rightCount;
 };
 
 /**
@@ -79,7 +86,8 @@ buildRecursive(BuildContext &ctx, std::uint32_t first, std::uint32_t count,
     } else {
         // Binned SAH on the longest centroid axis.
         const int n_bins = ctx.config.sahBins;
-        std::vector<Bin> bins(n_bins);
+        std::vector<Bin> &bins = ctx.bins;
+        std::fill(bins.begin(), bins.end(), Bin{});
         float inv_extent = n_bins / axis_extent;
         auto bin_of = [&](std::uint32_t prim) {
             float c = ctx.prims[prim].centroid[axis];
@@ -94,8 +102,8 @@ buildRecursive(BuildContext &ctx, std::uint32_t first, std::uint32_t count,
         }
 
         // Sweep to find the cheapest split plane between bins.
-        std::vector<float> right_area(n_bins, 0.0f);
-        std::vector<std::uint32_t> right_count(n_bins, 0);
+        std::vector<float> &right_area = ctx.rightArea;
+        std::vector<std::uint32_t> &right_count = ctx.rightCount;
         Aabb acc;
         std::uint32_t cnt = 0;
         for (int b = n_bins - 1; b > 0; --b) {
@@ -164,7 +172,30 @@ buildRecursive(BuildContext &ctx, std::uint32_t first, std::uint32_t count,
     return node_idx;
 }
 
+void
+requireCost(float cost, const char *field)
+{
+    if (!std::isfinite(cost) || cost < 0.0f)
+        throw std::invalid_argument(
+            std::string("BvhBuilder: BvhBuildConfig::") + field +
+            " must be finite and >= 0, got " + std::to_string(cost));
+}
+
 } // namespace
+
+BvhBuilder::BvhBuilder(BvhBuildConfig config) : config_(config)
+{
+    if (config_.sahBins < 2)
+        throw std::invalid_argument(
+            "BvhBuilder: BvhBuildConfig::sahBins must be >= 2, got " +
+            std::to_string(config_.sahBins));
+    if (config_.maxLeafSize < 1)
+        throw std::invalid_argument(
+            "BvhBuilder: BvhBuildConfig::maxLeafSize must be >= 1, got " +
+            std::to_string(config_.maxLeafSize));
+    requireCost(config_.traversalCost, "traversalCost");
+    requireCost(config_.intersectCost, "intersectCost");
+}
 
 Bvh
 BvhBuilder::build(const std::vector<Triangle> &triangles) const
@@ -183,19 +214,28 @@ BvhBuilder::build(const std::vector<Triangle> &triangles) const
     std::iota(bvh.primIndices_.begin(), bvh.primIndices_.end(), 0u);
     bvh.nodes_.reserve(2 * triangles.size());
 
-    BuildContext ctx{prims, bvh.primIndices_, bvh.nodes_, config_};
-    buildRecursive(ctx, 0, static_cast<std::uint32_t>(triangles.size()),
-                   0);
+    {
+        // Scoped so the scratch is freed before the post-pass allocates,
+        // as the per-node vectors it replaced were. Holding it longer
+        // shifted the heap layout and ao_paperscale's peak_rss_mb
+        // (docs/performance.md).
+        const auto n_bins = static_cast<std::size_t>(config_.sahBins);
+        BuildContext ctx{prims,
+                         bvh.primIndices_,
+                         bvh.nodes_,
+                         config_,
+                         std::vector<Bin>(n_bins),
+                         std::vector<float>(n_bins),
+                         std::vector<std::uint32_t>(n_bins)};
+        buildRecursive(ctx, 0,
+                       static_cast<std::uint32_t>(triangles.size()), 0);
+    }
 
     // Post-pass: parent links, max depth, Euler intervals, slot->leaf map.
     bvh.slotToLeaf_.resize(triangles.size());
     std::uint32_t euler = 0;
-    std::vector<std::uint32_t> stack;
-    stack.push_back(kBvhRoot);
-    // Iterative preorder: assign eulerIn on entry; eulerOut is filled by a
-    // second pass using subtree sizes implied by preorder (children are
-    // contiguous in preorder).
-    // Simpler: recursive lambda with explicit stack of (node, state).
+    // Iterative preorder walk: eulerIn is assigned on entry, eulerOut
+    // when the node's frame is popped again after its subtree.
     struct Frame
     {
         std::uint32_t node;

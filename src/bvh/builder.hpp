@@ -30,7 +30,11 @@ struct BvhBuildConfig
 class BvhBuilder
 {
   public:
-    explicit BvhBuilder(BvhBuildConfig config = {}) : config_(config) {}
+    /**
+     * @throws std::invalid_argument naming the field if sahBins < 2,
+     *         maxLeafSize < 1, or an SAH cost is negative or not finite.
+     */
+    explicit BvhBuilder(BvhBuildConfig config = {});
 
     /**
      * Build a BVH.

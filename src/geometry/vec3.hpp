@@ -148,18 +148,37 @@ normalize(const Vec3 &v)
     return v / length(v);
 }
 
-/** @return Component-wise minimum. */
+/**
+ * fminf as an inline select: a NaN operand yields the other operand,
+ * and equal operands, the ±0 tie included, yield @p b as glibc's fminf
+ * does (std::fmin leaves that tie unspecified). GCC compiles std::fmin
+ * to a libm call, six of which per Aabb::extend dominated BVH builds.
+ */
+inline float
+minNum(float a, float b)
+{
+    return b != b ? a : (a < b ? a : b);
+}
+
+/** Maximum with fmaxf's NaN rule and tie rule; see minNum. */
+inline float
+maxNum(float a, float b)
+{
+    return b != b ? a : (a > b ? a : b);
+}
+
+/** @return Component-wise minimum (minNum per component). */
 inline Vec3
 min(const Vec3 &a, const Vec3 &b)
 {
-    return {std::fmin(a.x, b.x), std::fmin(a.y, b.y), std::fmin(a.z, b.z)};
+    return {minNum(a.x, b.x), minNum(a.y, b.y), minNum(a.z, b.z)};
 }
 
-/** @return Component-wise maximum. */
+/** @return Component-wise maximum (maxNum per component). */
 inline Vec3
 max(const Vec3 &a, const Vec3 &b)
 {
-    return {std::fmax(a.x, b.x), std::fmax(a.y, b.y), std::fmax(a.z, b.z)};
+    return {maxNum(a.x, b.x), maxNum(a.y, b.y), maxNum(a.z, b.z)};
 }
 
 /** @return Linear interpolation a + t (b - a). */

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+
 #include "bvh/builder.hpp"
 #include "scene/registry.hpp"
 #include "util/rng.hpp"
@@ -25,6 +31,67 @@ randomTriangles(int n, std::uint64_t seed)
                      rng.nextRange(-1, 1)});
     }
     return tris;
+}
+
+/** 64 triangles sharing one centroid: forces the median fallback. */
+std::vector<Triangle>
+coincidentCentroidSoup()
+{
+    std::vector<Triangle> tris;
+    for (int i = 0; i < 64; ++i) {
+        float s = 0.1f + 0.01f * i;
+        tris.emplace_back(Vec3{-s, -s, 0}, Vec3{s, -s, 0},
+                          Vec3{0, 2 * s, 0});
+    }
+    return tris;
+}
+
+/** Incremental 64-bit FNV-1a over raw bytes. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    template <typename T>
+    void
+    add(const T &v)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * Digest of everything the simulator reads from a BVH: every node
+ * field (box bits included), primIndices, leafOfPrimSlot and
+ * maxDepth. Any change to the tree changes it.
+ */
+std::uint64_t
+bvhDigest(const Bvh &bvh)
+{
+    Fnv1a f;
+    for (const BvhNode &n : bvh.nodes()) {
+        for (float c : {n.box.lo.x, n.box.lo.y, n.box.lo.z, n.box.hi.x,
+                        n.box.hi.y, n.box.hi.z})
+            f.add(c);
+        f.add(n.left);
+        f.add(n.right);
+        f.add(n.firstPrim);
+        f.add(n.primCount);
+        f.add(n.parent);
+        f.add(n.depth);
+        f.add(n.eulerIn);
+        f.add(n.eulerOut);
+    }
+    for (std::uint32_t p : bvh.primIndices())
+        f.add(p);
+    for (std::uint32_t s = 0; s < bvh.primIndices().size(); ++s)
+        f.add(bvh.leafOfPrimSlot(s));
+    f.add(bvh.maxDepth());
+    return f.h;
 }
 
 TEST(BvhBuild, SingleTriangle)
@@ -89,13 +156,7 @@ TEST(BvhBuild, LeafSizeRespected)
 
 TEST(BvhBuild, IdenticalCentroidsStillTerminate)
 {
-    // Many triangles with the same centroid force the median fallback.
-    std::vector<Triangle> tris;
-    for (int i = 0; i < 64; ++i) {
-        float s = 0.1f + 0.01f * i;
-        tris.emplace_back(Vec3{-s, -s, 0}, Vec3{s, -s, 0},
-                          Vec3{0, 2 * s, 0});
-    }
+    auto tris = coincidentCentroidSoup();
     Bvh bvh = BvhBuilder().build(tris);
     EXPECT_EQ(bvh.validate(tris.size()), "");
 }
@@ -167,6 +228,115 @@ TEST(BvhBuild, SceneBvhDepthInPaperBallpark)
     EXPECT_GE(bvh.maxDepth(), 12u);
     EXPECT_LE(bvh.maxDepth(), 40u);
     EXPECT_EQ(bvh.validate(s.mesh.size()), "");
+}
+
+/**
+ * Golden digests of the default build. The RT unit's timing depends on
+ * the exact tree, so a geometry or builder change that moves any node,
+ * box bit or primitive slot must fail here. The digests were recorded
+ * with libm fminf/fmaxf bounds, before the inline selects replaced
+ * them.
+ */
+TEST(BvhBuild, GoldenDigestsBundledScenes)
+{
+    const std::uint64_t golden[] = {
+        0x50805e9f74dc4cabULL, // SB
+        0x32a13457be5887d6ULL, // SP
+        0xa0b6ecd80ed08dcdULL, // LE
+        0xd2a58d11267d08d5ULL, // LR
+        0xb0c01b4d8be812a8ULL, // FR
+        0x5f82f7f9d341fbb8ULL, // BI
+        0xeb3998a08e2f2a86ULL, // CK
+    };
+    const auto &ids = allSceneIds();
+    ASSERT_EQ(ids.size(), std::size(golden));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        Scene s = makeScene(ids[i], 0.12f);
+        Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+        EXPECT_EQ(bvhDigest(bvh), golden[i])
+            << s.shortName << " 0x" << std::hex << bvhDigest(bvh);
+    }
+}
+
+TEST(BvhBuild, GoldenDigestSibenikFullDetail)
+{
+    Scene s = makeScene(SceneId::Sibenik, 1.0f);
+    Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+    EXPECT_EQ(bvhDigest(bvh), 0x5e78cf1abd25b146ULL)
+        << "0x" << std::hex << bvhDigest(bvh);
+}
+
+TEST(BvhBuild, GoldenDigestCoincidentCentroids)
+{
+    Bvh bvh = BvhBuilder().build(coincidentCentroidSoup());
+    EXPECT_EQ(bvhDigest(bvh), 0x51d89cd2b9572897ULL)
+        << "0x" << std::hex << bvhDigest(bvh);
+}
+
+TEST(BvhBuild, GoldenDigestAfterRefit)
+{
+    auto tris = randomTriangles(2000, 21);
+    Bvh bvh = BvhBuilder().build(tris);
+    Rng rng(22);
+    for (auto &t : tris) {
+        Vec3 d{rng.nextRange(-0.5f, 0.5f), rng.nextRange(-0.5f, 0.5f),
+               rng.nextRange(-0.5f, 0.5f)};
+        t.v0 += d;
+        t.v1 += d * 0.5f;
+        t.v2 -= d;
+    }
+    bvh.refit(tris);
+    EXPECT_EQ(bvh.validate(tris.size()), "");
+    EXPECT_EQ(bvhDigest(bvh), 0x859ef79a150965eULL)
+        << "0x" << std::hex << bvhDigest(bvh);
+}
+
+/** Bad configurations are rejected up front, naming the field. */
+TEST(BvhBuild, RejectsInvalidConfig)
+{
+    auto expect_rejected = [](BvhBuildConfig cfg, const char *field) {
+        try {
+            Bvh bvh = BvhBuilder(cfg).build(randomTriangles(50, 3));
+            ADD_FAILURE() << field << ": accepted, "
+                          << bvh.nodeCount() << " nodes";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (int bins : {-1, 0, 1}) {
+        BvhBuildConfig cfg;
+        cfg.sahBins = bins;
+        expect_rejected(cfg, "sahBins");
+    }
+    for (int leaf : {-1, 0}) {
+        BvhBuildConfig cfg;
+        cfg.maxLeafSize = leaf;
+        expect_rejected(cfg, "maxLeafSize");
+    }
+    for (float c : {-1.0f, inf, -inf, nan}) {
+        BvhBuildConfig cfg;
+        cfg.traversalCost = c;
+        expect_rejected(cfg, "traversalCost");
+        cfg = {};
+        cfg.intersectCost = c;
+        expect_rejected(cfg, "intersectCost");
+    }
+}
+
+TEST(BvhBuild, AcceptsSmallestValidConfig)
+{
+    BvhBuildConfig cfg;
+    cfg.sahBins = 2;
+    cfg.maxLeafSize = 1;
+    cfg.traversalCost = 0.0f;
+    cfg.intersectCost = 0.0f;
+    auto tris = randomTriangles(300, 4);
+    Bvh bvh = BvhBuilder(cfg).build(tris);
+    EXPECT_EQ(bvh.validate(tris.size()), "");
 }
 
 } // namespace

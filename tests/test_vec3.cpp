@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <math.h>
+
 #include "geometry/vec3.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +81,54 @@ TEST(Vec3, MinMaxLerp)
     EXPECT_EQ(lerp(a, b, 1.0f), b);
     Vec3 mid = lerp(a, b, 0.5f);
     EXPECT_FLOAT_EQ(mid.x, 1.5f);
+}
+
+std::uint32_t
+floatBits(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+}
+
+/**
+ * min/max must equal libm fminf/fmaxf bit for bit over the special
+ * values, in both operand orders, so swapping them in cannot move a
+ * BVH box bit. libm is called through volatile pointers: GCC treats
+ * the fmin builtin as commutative and may swap its operands.
+ */
+TEST(Vec3, MinMaxMatchLibmBitForBit)
+{
+    float (*volatile libm_fmin)(float, float) = &::fminf;
+    float (*volatile libm_fmax)(float, float) = &::fmaxf;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min() * 3;
+    const float values[] = {0.0f,     -0.0f,    1.0f,    -1.0f,
+                            inf,      -inf,     FLT_MAX, -FLT_MAX,
+                            FLT_MIN,  -FLT_MIN, denorm,  -denorm,
+                            nan,      -nan};
+    auto expect_same = [](float got, float want, float a, float b,
+                          const char *op) {
+        if (std::isnan(a) && std::isnan(b)) {
+            EXPECT_TRUE(std::isnan(got) && std::isnan(want))
+                << op << "(" << a << ", " << b << ") = " << got;
+        } else {
+            EXPECT_EQ(floatBits(got), floatBits(want))
+                << op << "(" << a << ", " << b << ") = " << got
+                << ", libm " << want;
+        }
+    };
+    for (float a : values) {
+        for (float b : values) {
+            Vec3 lo = min(Vec3{a, b, 0.0f}, Vec3{b, a, 0.0f});
+            Vec3 hi = max(Vec3{a, b, 0.0f}, Vec3{b, a, 0.0f});
+            expect_same(lo.x, libm_fmin(a, b), a, b, "fmin");
+            expect_same(lo.y, libm_fmin(b, a), b, a, "fmin");
+            expect_same(hi.x, libm_fmax(a, b), a, b, "fmax");
+            expect_same(hi.y, libm_fmax(b, a), b, a, "fmax");
+        }
+    }
 }
 
 TEST(Vec3, CrossIsOrthogonalProperty)
