@@ -151,9 +151,9 @@ main(int argc, char **argv)
 
     RayBatch batch;
     if (!opt.rayFile.empty()) {
-        if (!loadRayFile(opt.rayFile, batch)) {
-            std::fprintf(stderr, "cannot load %s\n",
-                         opt.rayFile.c_str());
+        std::string why;
+        if (!loadRayFile(opt.rayFile, batch, &why)) {
+            std::fprintf(stderr, "cannot load %s\n", why.c_str());
             return 1;
         }
         std::printf("loaded %zu rays from %s\n", batch.rays.size(),

@@ -32,12 +32,18 @@ cpuRelax()
 #endif
 }
 
+/** @return true if SM @p t's published progress @p p is past (c, s). */
+inline bool
+pastKey(Cycle p, std::uint32_t t, Cycle c, std::uint32_t s)
+{
+    return p > c || (p == c && t > s);
+}
+
 } // namespace
 
 void
-ShardGate::waitTurn(std::uint32_t sm) const
+ShardGate::waitTurn(std::uint32_t sm, Cycle c) const
 {
-    const Cycle c = slots_[sm].progress.load(std::memory_order_relaxed);
     const std::uint32_t n = numSms();
     // Progress only grows, so an SM that is past the key stays past
     // it: visit each other SM once and spin only while it blocks. The
@@ -48,8 +54,7 @@ ShardGate::waitTurn(std::uint32_t sm) const
             continue;
         const std::atomic<Cycle> &slot = slots_[t].progress;
         for (unsigned spins = 0;; ++spins) {
-            const Cycle p = slot.load(std::memory_order_acquire);
-            if (p > c || (p == c && t > sm))
+            if (pastKey(slot.load(std::memory_order_acquire), t, c, sm))
                 break;
             if (abort_.load(std::memory_order_acquire))
                 throw ShardAbort{};
@@ -59,6 +64,18 @@ ShardGate::waitTurn(std::uint32_t sm) const
                 std::this_thread::yield();
         }
     }
+}
+
+bool
+ShardGate::mayEnter(std::uint32_t sm, Cycle c) const
+{
+    const std::uint32_t n = numSms();
+    for (std::uint32_t t = 0; t < n; ++t)
+        if (t != sm &&
+            !pastKey(slots_[t].progress.load(std::memory_order_acquire),
+                     t, c, sm))
+            return false;
+    return true;
 }
 
 } // namespace rtp

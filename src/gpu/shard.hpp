@@ -5,11 +5,15 @@
  * every request in the exact (cycle, SM) order of the sequential loop.
  *
  * Design (docs/performance.md has the full writeup): every SM
- * publishes its *progress* — the cycle of its next pending (or
- * currently executing) event — in a cache-line-padded atomic slot.
- * Progress is monotone because per-SM event queues pop monotonically.
- * Before touching shared state on behalf of SM s at event cycle c, a
- * worker spins in waitTurn(s) until every other SM t satisfies
+ * publishes its *progress* — the smallest order key it may still
+ * produce a shared access under — in a cache-line-padded atomic slot.
+ * That is the cycle of its next pending (or currently executing)
+ * event, or the key of its oldest deferred L1-miss fill if that is
+ * smaller (MemorySystem: a fill that cannot return within the L1→L2
+ * lookahead waits in a per-SM queue). Progress is monotone. Before
+ * applying a shared access keyed (c, s) — an L1-miss fill issued by SM
+ * s in its step at cycle c — a worker checks, without blocking in
+ * mayEnter or spinning in waitTurn, that every other SM t satisfies
  *
  *     progress[t] > c  ||  (progress[t] == c && t > s)
  *
@@ -19,8 +23,9 @@
  * waiter checks each other SM once and spins only on the current
  * blocker (a CPU pause per spin, then a yield). The globally smallest
  * pending (cycle, sm) key always passes, so the protocol is
- * deadlock-free, and the release store in setProgress / acquire load
- * in waitTurn give the happens-before edges that make every shared
+ * deadlock-free as long as each worker only ever waits on its own
+ * smallest key, and the release store in setProgress / acquire load in
+ * waitTurn give the happens-before edges that make every shared
  * L2/DRAM mutation data-race-free (ThreadSanitizer-clean).
  */
 
@@ -81,13 +86,26 @@ class ShardGate
     }
 
     /**
-     * Block until SM @p sm (whose published progress is its current
-     * event cycle) holds the globally smallest (cycle, sm) key, i.e.
-     * until the sequential loop would have reached this shared access.
-     * Called from MemorySystem on every true L1 miss.
+     * Block until the key (@p cycle, @p sm) is the globally smallest,
+     * i.e. until the sequential loop would have reached this shared
+     * access.
      * @throws ShardAbort when another worker requested an abort.
      */
-    void waitTurn(std::uint32_t sm) const;
+    void waitTurn(std::uint32_t sm, Cycle cycle) const;
+
+    /** waitTurn keyed on SM @p sm's own published progress. */
+    void
+    waitTurn(std::uint32_t sm) const
+    {
+        waitTurn(sm, slots_[sm].progress.load(std::memory_order_relaxed));
+    }
+
+    /**
+     * Non-blocking waitTurn: @return true if the key (@p cycle, @p sm)
+     * is the globally smallest now. A true answer stays true (progress
+     * only grows) and carries the same happens-before edges.
+     */
+    bool mayEnter(std::uint32_t sm, Cycle cycle) const;
 
     /** Ask every spinning waiter to bail out with ShardAbort. */
     void

@@ -250,15 +250,190 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 }
 
 /**
- * The sharded event loop: each worker owns the SMs congruent to its
- * index mod the worker count and advances them with the same local
- * earliest-(cycle, sm) rule the sequential loop uses globally. Shared
- * L2/DRAM accesses synchronise through the ShardGate (see
+ * The sharded loop's workers and the deferred-fill protocol they run
+ * (gpu/shard.hpp, mem/memory_system.hpp). Worker w owns the SMs
+ * congruent to w mod the worker count. Each worker keeps the rules
+ * that make the gate deadlock-free and the output exact:
+ *
+ * - it applies its SMs' fills in (key, sm) order and blocks only on
+ *   the smallest of those keys;
+ * - it steps no event, and lets no SM access its L1, at a cycle that
+ *   a fill of its own could already have reached (MemorySystem calls
+ *   settleDue for the access; settleBefore covers the event);
+ * - an SM's progress is the smaller of the cycle of the event it runs
+ *   or runs next and the key of its oldest fill, republished after
+ *   every change to either.
+ *
+ * Every method runs on the thread of the worker owning the SM at hand.
+ */
+class ShardWorkers final : public FillSettler
+{
+  public:
+    ShardWorkers(std::vector<std::unique_ptr<RtUnit>> &units,
+                 MemorySystem &mem, ShardGate &gate,
+                 std::uint32_t num_workers)
+        : units_(units), mem_(mem), gate_(gate), workers_(num_workers)
+    {
+        for (std::uint32_t s = 0; s < units.size(); ++s) {
+            Worker &me = workers_[s % num_workers];
+            me.mine.push_back(s);
+            me.published.push_back(gate.progress(s));
+        }
+    }
+
+    /** The SMs worker @p w owns, ascending. */
+    const std::vector<std::uint32_t> &
+    mine(std::uint32_t w) const
+    {
+        return workers_[w].mine;
+    }
+
+    /** Step SM @p sm's next event, at @p cycle, on worker @p w. */
+    void
+    step(std::uint32_t w, std::uint32_t sm, Cycle cycle)
+    {
+        Worker &me = workers_[w];
+        me.stepping = sm;
+        me.stepCycle = cycle;
+        mem_.beginStep(sm, cycle);
+        units_[sm]->step();
+        me.stepping = kNone;
+    }
+
+    /**
+     * Publish SM @p sm's progress (see the class comment). While it
+     * holds a fill, its progress stays at that fill's key over many
+     * steps: storing only changes keeps the slot's cache line shared
+     * with the workers that poll it.
+     */
+    void
+    publish(std::uint32_t sm)
+    {
+        Worker &me = workers_[sm % workers_.size()];
+        Cycle &last = me.published[sm / workers_.size()];
+        const Cycle p = std::min(floor(sm), mem_.oldestFillKey(sm));
+        if (p != last) {
+            last = p;
+            gate_.setProgress(sm, p);
+        }
+    }
+
+    void
+    settleDue(std::uint32_t sm, Cycle cycle) override
+    {
+        Worker &me = workers_[sm % workers_.size()];
+        while (mem_.fillDue(sm, cycle))
+            applyOldest(me, true);
+    }
+
+    /**
+     * Before worker @p w steps an event at @p cycle: apply every fill of
+     * its SMs that could be ready by then. @return true if any was
+     * applied; the fills may have queued earlier events.
+     */
+    bool
+    settleBefore(std::uint32_t w, Cycle cycle)
+    {
+        Worker &me = workers_[w];
+        bool applied = false;
+        for (std::uint32_t s : me.mine)
+            while (mem_.fillDue(s, cycle)) {
+                applyOldest(me, true);
+                applied = true;
+            }
+        return applied;
+    }
+
+    /** Apply worker @p w's fills while the gate lets them pass now. */
+    void
+    settleReady(std::uint32_t w)
+    {
+        Worker &me = workers_[w];
+        while (applyOldest(me, false)) {
+        }
+    }
+
+    /** Apply worker @p w's oldest fill, waiting for its turn.
+     *  @return false if it holds none. */
+    bool
+    drainOne(std::uint32_t w)
+    {
+        return applyOldest(workers_[w], true);
+    }
+
+  private:
+    static constexpr std::uint32_t kNone = ~0u;
+
+    struct alignas(64) Worker
+    {
+        std::vector<std::uint32_t> mine;
+        std::vector<Cycle> published; //!< last progress, per SM of mine
+        std::uint32_t stepping = kNone; //!< SM inside step(), if any
+        Cycle stepCycle = 0;
+    };
+
+    /** The cycle of the event SM @p sm runs or runs next. */
+    Cycle
+    floor(std::uint32_t sm) const
+    {
+        const Worker &me = workers_[sm % workers_.size()];
+        if (me.stepping == sm)
+            return me.stepCycle;
+        const RtUnit &rt = *units_[sm];
+        return rt.finished() || !rt.hasEvents() ? ShardGate::kDone
+                                                : rt.nextEventCycle();
+    }
+
+    /**
+     * Apply the oldest (key, sm) fill among @p me's SMs, waiting for
+     * its turn when @p block, else only if the gate lets it pass now.
+     * @return true if a fill was applied.
+     */
+    bool
+    applyOldest(Worker &me, bool block)
+    {
+        std::uint32_t sm = kNone;
+        Cycle key = ShardGate::kDone;
+        for (std::uint32_t s : me.mine) {
+            // `mine` ascends, so `<` keeps the lowest SM on ties.
+            Cycle k = mem_.oldestFillKey(s);
+            if (k < key) {
+                key = k;
+                sm = s;
+            }
+        }
+        if (sm == kNone)
+            return false;
+        if (block)
+            gate_.waitTurn(sm, key);
+        else if (!gate_.mayEnter(sm, key))
+            return false;
+        units_[sm]->fillApplied(mem_.applyOldestFill(sm));
+        publish(sm);
+        return true;
+    }
+
+    std::vector<std::unique_ptr<RtUnit>> &units_;
+    MemorySystem &mem_;
+    ShardGate &gate_;
+    std::vector<Worker> workers_;
+};
+
+/**
+ * The sharded event loop: each worker advances its SMs with the same
+ * local earliest-(cycle, sm) rule the sequential loop uses globally.
+ * Shared L2/DRAM accesses synchronise through the ShardGate (see
  * gpu/shard.hpp), so the shared levels observe the exact sequential
  * order and every output — stats, trace, telemetry, checker — is
  * byte-identical to simThreads = 1. The trace and profiler need nothing
  * from this loop: each SM reports through its own observer port, which
  * keys its events by the step that emitted them (util/observer.hpp).
+ *
+ * Without an observer, L1-miss fills are deferred within the lookahead
+ * (ShardWorkers above). With one, each fill is applied at issue: the
+ * profiler classifies a step's stall by the level that served it when
+ * the step closes, and every observer's events stay keyed by the step
+ * that caused them.
  *
  * Telemetry turns the sampling period into a cycle horizon: workers
  * process every event strictly below the next sample boundary, park at
@@ -270,12 +445,11 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                MemorySystem &mem, TelemetrySampler *telemetry,
-               std::uint32_t num_workers)
+               std::uint32_t num_workers, bool observed)
 {
     const std::uint32_t num_sms =
         static_cast<std::uint32_t>(units.size());
     ShardGate gate(num_sms);
-    mem.setShardGate(&gate);
     // The gate dies with this frame: unhook it on every exit, throws
     // included.
     struct Ungate
@@ -294,6 +468,8 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         else
             gate.setProgress(s, rt->nextEventCycle());
     }
+    ShardWorkers team(units, mem, gate, num_workers);
+    mem.setShardGate(&gate, observed ? nullptr : &team);
 
     // Horizon barrier: hand-rolled so the main thread can run the
     // sampler between epochs while every worker is parked.
@@ -307,9 +483,9 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     std::vector<std::exception_ptr> errors(num_workers);
 
     // One epoch of local leader-stepping: run every owned event with
-    // cycle < the epoch's horizon.
-    auto run_epoch = [&](const std::vector<std::uint32_t> &mine,
-                         Cycle h) {
+    // cycle < the epoch's horizon, then apply every owned fill.
+    auto run_epoch = [&](std::uint32_t w, Cycle h) {
+        const std::vector<std::uint32_t> &mine = team.mine(w);
         Cycle last_stepped = 0;
         while (true) {
             if (gate.aborted())
@@ -321,9 +497,13 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                 RtUnit *rt = units[s].get();
                 if (rt->finished())
                     continue;
-                if (!rt->hasEvents())
-                    throwStuckUnit(s, last_stepped,
-                                   rt->outstandingRays());
+                if (!rt->hasEvents()) {
+                    // Every warp may be parked on a deferred fill.
+                    if (!mem.hasDeferredFills(s))
+                        throwStuckUnit(s, last_stepped,
+                                       rt->outstandingRays());
+                    continue;
+                }
                 // `mine` ascends, so `<` keeps the lowest SM on ties —
                 // the same tie-break the sequential loop applies.
                 Cycle c = rt->nextEventCycle();
@@ -333,28 +513,31 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                     next_sm = s;
                 }
             }
-            if (!next || best >= h)
+            if (!next || best >= h) {
+                // Nothing left below the horizon: apply the remaining
+                // fills, which may queue more events.
+                if (team.drainOne(w))
+                    continue;
                 return;
+            }
+            if (team.settleBefore(w, best))
+                continue; // the fills may have queued earlier events
             last_stepped = best;
-            // progress[next_sm] == best already (published after the
-            // previous step), so waitTurn inside any shared access of
-            // this step sees the correct key.
-            next->step();
-            if (next->finished())
+            // progress[next_sm] <= best already (published after the
+            // previous step), so every shared access of this step is
+            // keyed at or after what the gate has seen.
+            team.step(w, next_sm, best);
+            if (!next->finished() && !next->hasEvents() &&
+                !mem.hasDeferredFills(next_sm)) {
                 gate.setProgress(next_sm, ShardGate::kDone);
-            else if (!next->hasEvents()) {
-                gate.setProgress(next_sm, ShardGate::kDone);
-                throwStuckUnit(next_sm, best,
-                               next->outstandingRays());
-            } else
-                gate.setProgress(next_sm, next->nextEventCycle());
+                throwStuckUnit(next_sm, best, next->outstandingRays());
+            }
+            team.publish(next_sm);
+            team.settleReady(w);
         }
     };
 
     auto worker_fn = [&](std::uint32_t w) {
-        std::vector<std::uint32_t> mine;
-        for (std::uint32_t s = w; s < num_sms; s += num_workers)
-            mine.push_back(s);
         bool erred = false;
         Cycle h;
         {
@@ -364,7 +547,7 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         while (true) {
             if (!erred) {
                 try {
-                    run_epoch(mine, h);
+                    run_epoch(w, h);
                 } catch (const ShardAbort &) {
                     erred = true;
                 } catch (...) {
@@ -377,7 +560,7 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                     // "done" so other workers drain instead of hanging,
                     // then keep participating in barriers so the park
                     // accounting stays balanced until the driver stops.
-                    for (std::uint32_t s : mine)
+                    for (std::uint32_t s : team.mine(w))
                         gate.setProgress(s, ShardGate::kDone);
             }
             std::unique_lock<std::mutex> lk(m);
@@ -511,7 +694,8 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     }
 
     if (shard_workers >= 2)
-        runShardedLoop(units, mem, telemetry, shard_workers);
+        runShardedLoop(units, mem, telemetry, shard_workers,
+                       observers.ports() != nullptr);
     else
         runSequentialLoop(units, telemetry);
 

@@ -173,8 +173,13 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill,
         if (l.readyAt > cycle) {
             // Fill still in flight: merge into it (MSHR behaviour).
             res.merged = true;
-            res.readyCycle = l.readyAt + config_.hitLatency;
             stats_.inc(StatId::MshrMerges);
+            if (l.readyAt == kFillDeferred) {
+                res.deferred = true;
+                res.slot = found;
+                return res;
+            }
+            res.readyCycle = l.readyAt + config_.hitLatency;
             if (obs)
                 observe(*obs, TraceEventKind::CacheMshrMerge, cycle, addr,
                         l.readyAt - cycle, res);
@@ -216,6 +221,11 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill,
         // and their merged waiters intact.
         stats_.inc(StatId::InflightBypasses);
         Cycle fill_ready = fill(line * config_.lineBytes, cycle);
+        if (fill_ready == kFillDeferred) {
+            CacheAccess res;
+            res.deferred = true;
+            return res;
+        }
         stats_.addSample(HistId::MissLatency, fill_ready - cycle);
         CacheAccess res;
         res.readyCycle = fill_ready + config_.hitLatency;
@@ -235,14 +245,27 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill,
     l.tag = line;
     index_.insert(line, victim);
     l.readyAt = fill(line * config_.lineBytes, cycle);
+    CacheAccess res;
+    if (l.readyAt == kFillDeferred) {
+        res.deferred = true;
+        res.slot = victim;
+        return res;
+    }
     stats_.addSample(HistId::MissLatency, l.readyAt - cycle);
 
-    CacheAccess res;
     res.readyCycle = l.readyAt + config_.hitLatency;
     if (obs)
         observe(*obs, TraceEventKind::CacheMiss, cycle, addr,
                 l.readyAt - cycle, res);
     return res;
+}
+
+void
+CacheModel::settleFill(std::uint32_t slot, Cycle issued, Cycle ready)
+{
+    if (slot != kNoSlot)
+        lines_[slot].readyAt = ready;
+    stats_.addSample(HistId::MissLatency, ready - issued);
 }
 
 bool

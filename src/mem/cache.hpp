@@ -48,12 +48,18 @@ struct CacheConfig
     std::string name = "cache";
 };
 
-/** Result of a timed cache access. */
+/** Result of a timed cache access (16 bytes: returned in registers). */
 struct CacheAccess
 {
-    bool hit = false;        //!< line present and filled
-    bool merged = false;     //!< miss merged into an in-flight fill
-    Cycle readyCycle = 0;    //!< cycle the data is available
+    Cycle readyCycle = 0;     //!< cycle the data is available
+    std::uint32_t slot = ~0u; //!< line slot of a deferred fill or merge
+    bool hit = false;         //!< line present and filled
+    bool merged = false;      //!< miss merged into an in-flight fill
+    /**
+     * The line's fill is deferred (see CacheModel::kFillDeferred):
+     * readyCycle is unknown until settleFill, and `slot` names the line.
+     */
+    bool deferred = false;
 };
 
 /**
@@ -97,6 +103,16 @@ class CacheModel
 {
   public:
     /**
+     * A fill callback may return this instead of a ready cycle to defer
+     * the fill: the line is allocated in flight, stays in flight for
+     * every later access (merges onto it come back `deferred`) and
+     * cannot be evicted, until settleFill gives its ready cycle. The
+     * caller must not access the cache at or after that cycle before
+     * then. No observer may be attached to a deferring access.
+     */
+    static constexpr Cycle kFillDeferred = ~static_cast<Cycle>(0);
+
+    /**
      * Owning fill-callback type; kept for callers that store a fill
      * function. access() itself takes a FillRef, which any FillFn (or
      * plain lambda) converts to implicitly.
@@ -123,6 +139,13 @@ class CacheModel
      */
     CacheAccess access(std::uint64_t addr, Cycle cycle, FillRef fill,
                        ObserverPort *obs = nullptr);
+
+    /**
+     * Complete a deferred fill issued at @p issued: the line in @p slot
+     * (the access's CacheAccess::slot; ~0u for an in-flight bypass)
+     * becomes ready at @p ready, and the miss latency is sampled.
+     */
+    void settleFill(std::uint32_t slot, Cycle issued, Cycle ready);
 
     /** @return true if the line holding @p addr is resident (untimed). */
     bool contains(std::uint64_t addr) const;
@@ -164,6 +187,13 @@ class CacheModel
     config() const
     {
         return config_;
+    }
+
+    /** @return Number of line slots (sets x ways). */
+    std::uint32_t
+    numSlots() const
+    {
+        return static_cast<std::uint32_t>(lines_.size());
     }
 
     /** Empty the cache (keeps statistics). */

@@ -1,7 +1,10 @@
 #include "rays/rayfile.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 namespace rtp {
 
@@ -58,16 +61,57 @@ saveRayFile(const std::string &path, const RayBatch &batch)
     return static_cast<bool>(f);
 }
 
-bool
-loadRayFile(const std::string &path, RayBatch &batch)
+namespace {
+
+/** @return why @p r is not a valid ray, or nullptr if it is one. */
+const char *
+invalidRay(const RayRecord &r)
 {
+    auto finite = [](float a, float b, float c) {
+        return std::isfinite(a) && std::isfinite(b) && std::isfinite(c);
+    };
+    if (r.kind > static_cast<std::uint8_t>(RayKind::Secondary))
+        return "unknown ray kind";
+    if (!finite(r.ox, r.oy, r.oz))
+        return "origin is not finite";
+    if (!finite(r.dx, r.dy, r.dz))
+        return "direction is not finite";
+    if (r.dx == 0.0f && r.dy == 0.0f && r.dz == 0.0f)
+        return "direction is zero";
+    if (!std::isfinite(r.tmin) || std::isnan(r.tmax))
+        return "tMin is not finite or tMax is NaN";
+    if (r.tmin > r.tmax)
+        return "tMin is greater than tMax";
+    return nullptr;
+}
+
+} // namespace
+
+bool
+loadRayFile(const std::string &path, RayBatch &batch, std::string *error)
+{
+    auto fail = [&](const std::string &why) {
+        if (error)
+            *error = path + ": " + why;
+        return false;
+    };
     std::ifstream f(path, std::ios::binary);
     if (!f)
-        return false;
+        return fail("cannot open");
     Header h{};
     f.read(reinterpret_cast<char *>(&h), sizeof(h));
     if (!f || std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0)
-        return false;
+        return fail("not a ray file (bad header)");
+    // Trust the count only as far as the file backs it: reserving an
+    // unchecked count lets a corrupt header exhaust memory.
+    const std::streampos body = f.tellg();
+    f.seekg(0, std::ios::end);
+    const std::uint64_t room =
+        static_cast<std::uint64_t>(f.tellg() - body) / sizeof(RayRecord);
+    f.seekg(body);
+    if (!f || h.count > room)
+        return fail("header claims " + std::to_string(h.count) +
+                    " rays but the file holds " + std::to_string(room));
     batch.rays.clear();
     batch.rays.reserve(h.count);
     batch.primaryRays = h.primaryRays;
@@ -76,7 +120,9 @@ loadRayFile(const std::string &path, RayBatch &batch)
         RayRecord rec;
         f.read(reinterpret_cast<char *>(&rec), sizeof(rec));
         if (!f)
-            return false;
+            return fail("truncated at ray " + std::to_string(i));
+        if (const char *why = invalidRay(rec))
+            return fail("ray " + std::to_string(i) + ": " + why);
         Ray r;
         r.origin = {rec.ox, rec.oy, rec.oz};
         r.dir = {rec.dx, rec.dy, rec.dz};

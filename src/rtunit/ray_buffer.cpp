@@ -45,6 +45,7 @@ RayBuffer::allocate(const Ray &ray, std::uint32_t global_id,
     e.phase = RayPhase::Lookup;
     e.stack.reset(stack_entries);
     e.readyAt = 0;
+    e.fetch = RayEntry::kNoFetch;
     e.dispatchedAt = 0;
     e.predEvalStart = 0;
     e.predicted = false;

@@ -39,10 +39,20 @@ struct RayEntry
     // Read by every warp step's member scans (stepWarp, doLookups,
     // doTraversal), so they lead the entry and share its first cache
     // line with the ray.
+    /** Sentinel for `fetch`: readyAt is exact. */
+    static constexpr std::uint32_t kNoFetch = ~0u;
+
     Cycle readyAt = 0;          //!< next cycle this ray can issue
     RayPhase phase = RayPhase::Lookup;
     bool hit = false;           //!< result: a hit was found
     std::uint32_t localId = 0;  //!< submission order, set at dispatch
+    /**
+     * The RT unit's pending fetch whose deferred L1 fill this ray's
+     * node data waits on, or kNoFetch. While set, readyAt is a lower
+     * bound and the exact value is the fetch's ready cycle plus
+     * fetchLatency.
+     */
+    std::uint32_t fetch = kNoFetch;
 
     Ray ray;                    //!< current ray (tMax shrinks, GI trim)
     RayBoxPrecomp pre;          //!< safeInv reciprocal, cached at entry
@@ -65,6 +75,9 @@ struct RayEntry
     std::uint32_t nodeFetches = 0;    //!< interior node fetches
     std::uint32_t triFetches = 0;     //!< leaf/triangle fetches
     std::uint32_t predPhaseFetches = 0; //!< fetches while in PredEval
+
+    std::uint32_t fetchLatency = 0; //!< node test cycles after `fetch`
+    std::uint32_t nextWaiting = 0;  //!< next ray slot on `fetch`'s list
 };
 
 /** Slot manager for resident rays. */

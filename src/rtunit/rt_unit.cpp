@@ -1,6 +1,7 @@
 #include "rtunit/rt_unit.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -286,8 +287,8 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
         }
     }
 
-    bool did_work =
-        any_lookup ? doLookups(warp, now) : doTraversal(warp, now);
+    bool did_work = any_lookup ? doLookups(warp, now)
+                               : doTraversal(warp_idx, now);
     if (did_work) {
         if (now != lastBusyCycle_) {
             lastBusyCycle_ = now;
@@ -331,11 +332,117 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
         return;
     }
 
-    // Next event: the earliest time any member ray can issue again.
-    Cycle next = ~0ull;
-    for (std::uint32_t s : warp.slots)
-        next = std::min(next, buffer_.slot(s).readyAt);
-    scheduleWarp(warp_idx, std::max(next, now + 1));
+    scheduleOrPark(warp_idx, now + 1);
+}
+
+void
+RtUnit::scheduleOrPark(std::uint32_t warp_idx, Cycle floor)
+{
+    // Next event: the earliest time any member ray can issue again. A
+    // pending ray's readyAt is a lower bound, so it decides nothing
+    // unless a ray with an exact readyAt is at least as early.
+    Warp &warp = warps_[warp_idx];
+    constexpr Cycle kNever = ~Cycle{0};
+    Cycle next = kNever;
+    Cycle pending = kNever;
+    for (std::uint32_t s : warp.slots) {
+        const RayEntry &e = buffer_.slot(s);
+        const bool waits = e.fetch != RayEntry::kNoFetch;
+        next = std::min(next, waits ? kNever : e.readyAt);
+        pending = std::min(pending, waits ? e.readyAt : kNever);
+    }
+    warp.parked = pending < next;
+    if (warp.parked)
+        warp.parkFloor = floor;
+    else
+        scheduleWarp(warp_idx, std::max(next, floor));
+}
+
+std::uint32_t
+RtUnit::openFetch(std::uint32_t warp_idx, Cycle start)
+{
+    std::uint32_t idx;
+    if (!freeFetches_.empty()) {
+        idx = freeFetches_.back();
+        freeFetches_.pop_back();
+    } else {
+        idx = static_cast<std::uint32_t>(fetches_.size());
+        fetches_.emplace_back();
+    }
+    fetches_[idx] = {0, start, 1, warp_idx, RayEntry::kNoFetch};
+    return idx;
+}
+
+void
+RtUnit::waitOnFill(std::uint64_t seq, std::uint32_t fetch)
+{
+    if (seq - nextFillSeq_ >= fillWaiters_.size()) {
+        // Grow the head ring to cover every unapplied fill up to seq.
+        std::size_t size = std::max<std::size_t>(
+            64, std::bit_ceil(2 * (seq - nextFillSeq_ + 1)));
+        std::vector<std::uint32_t> grown(size, RayEntry::kNoFetch);
+        for (std::uint64_t f = nextFillSeq_;
+             f < nextFillSeq_ + fillWaiters_.size(); ++f)
+            grown[f & (size - 1)] =
+                fillWaiters_[f & (fillWaiters_.size() - 1)];
+        fillWaiters_ = std::move(grown);
+    }
+    std::uint32_t link;
+    if (freeWaiter_ != RayEntry::kNoFetch) {
+        link = freeWaiter_;
+        freeWaiter_ = waiters_[link].next;
+    } else {
+        link = static_cast<std::uint32_t>(waiters_.size());
+        waiters_.emplace_back();
+    }
+    std::uint32_t &head = fillWaiters_[seq & (fillWaiters_.size() - 1)];
+    waiters_[link] = {fetch, head};
+    head = link;
+    fetches_[fetch].holds++;
+}
+
+void
+RtUnit::fillApplied(const FillDone &done)
+{
+    nextFillSeq_ = done.seq + 1;
+    if (fillWaiters_.empty())
+        return;
+    std::uint32_t &head =
+        fillWaiters_[done.seq & (fillWaiters_.size() - 1)];
+    std::uint32_t link = head;
+    head = RayEntry::kNoFetch;
+    while (link != RayEntry::kNoFetch) {
+        const FillWaiter w = waiters_[link];
+        waiters_[link].next = freeWaiter_;
+        freeWaiter_ = link;
+        PendingFetch &f = fetches_[w.fetch];
+        f.ready = std::max(f.ready, done.readyCycle);
+        releaseFetch(w.fetch);
+        link = w.next;
+    }
+}
+
+void
+RtUnit::releaseFetch(std::uint32_t fetch)
+{
+    if (--fetches_[fetch].holds != 0)
+        return;
+    const PendingFetch f = fetches_[fetch];
+    freeFetches_.push_back(fetch);
+    stats_.addSample(HistId::NodeFetchCycles, f.ready - f.start);
+    for (std::uint32_t s = f.rays; s != RayEntry::kNoFetch;) {
+        RayEntry &e = buffer_.slot(s);
+        s = e.nextWaiting;
+        e.fetch = RayEntry::kNoFetch;
+        e.readyAt = f.ready + e.fetchLatency;
+    }
+    // Its rays are members of the issuing warp: pending rays are past
+    // the lookup phase, so repacking never moves them. If they all
+    // completed, the warp may have retired; a reused slot is not
+    // parked on this fetch, and scheduleOrPark leaves it as it is.
+    Warp &warp = warps_[f.warp];
+    if (warp.parked)
+        scheduleOrPark(f.warp, warp.parkFloor);
 }
 
 bool
@@ -480,8 +587,9 @@ RtUnit::processNode(RayEntry &entry, std::uint32_t node_idx,
 }
 
 bool
-RtUnit::doTraversal(Warp &warp, Cycle now)
+RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now)
 {
+    Warp &warp = warps_[warp_idx];
     // Collect the next node of each ready ray; merge duplicate node
     // requests within the warp into a single memory access.
     issueScratch_.clear();
@@ -583,10 +691,12 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
         }
 
         Cycle data_ready = 0;
+        std::uint32_t fetch = RayEntry::kNoFetch;
         bool merged = false;
-        for (const auto &kv : servedScratch_) {
-            if (kv.first == addr) {
-                data_ready = kv.second;
+        for (const Served &sv : servedScratch_) {
+            if (sv.addr == addr) {
+                data_ready = sv.ready;
+                fetch = sv.fetch;
                 merged = true;
                 break;
             }
@@ -603,21 +713,35 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
             Cycle start = std::max(now, *port);
             *port = start + 1;
             // A request per cache line covered by the data.
+            // A line whose fill is deferred gives a lower bound; the
+            // exact ready cycle then arrives through the fetch.
             std::uint32_t line = mem_.config().l1.lineBytes;
             Cycle ready = 0;
+            Cycle known = 0;
             for (std::uint64_t a = addr; a < addr + bytes;
                  a += line) {
                 MemAccess acc = mem_.access(smId_, a, start);
                 ready = std::max(ready, acc.readyCycle);
+                if (acc.fill == MemAccess::kNoFill) {
+                    known = std::max(known, acc.readyCycle);
+                    continue;
+                }
+                if (fetch == RayEntry::kNoFetch)
+                    fetch = openFetch(warp_idx, start);
+                waitOnFill(acc.fill, fetch);
             }
             data_ready = ready;
-            servedScratch_.emplace_back(addr, data_ready);
+            servedScratch_.push_back({addr, data_ready, fetch});
             stats_.inc(is.isLeaf ? StatId::MemTriAccesses
                                  : StatId::MemNodeAccesses);
             if (e.phase == RayPhase::PredEval)
                 stats_.inc(StatId::MemPredPhaseAccesses);
-            stats_.addSample(HistId::NodeFetchCycles,
-                             data_ready - start);
+            if (fetch == RayEntry::kNoFetch)
+                stats_.addSample(HistId::NodeFetchCycles,
+                                 data_ready - start);
+            else
+                fetches_[fetch].ready =
+                    std::max(fetches_[fetch].ready, known);
             if (obs_)
                 obs_->event(TraceEventKind::NodeFetchReady, start,
                             data_ready > start ? data_ready - start : 0,
@@ -643,6 +767,13 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
             e.predPhaseFetches++;
 
         e.readyAt = processNode(e, is.node, data_ready);
+        if (fetch != RayEntry::kNoFetch) {
+            e.fetch = fetch;
+            e.fetchLatency =
+                static_cast<std::uint32_t>(e.readyAt - data_ready);
+            e.nextWaiting = fetches_[fetch].rays;
+            fetches_[fetch].rays = is.slot;
+        }
 
         // Any-hit rays finish on the spot when a hit is found.
         if (e.hit && e.ray.kind == RayKind::Occlusion) {
@@ -656,6 +787,11 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
             e.phase = RayPhase::Done;
         }
     }
+    // The step's holds kept each new fetch open while its rays joined
+    // it; a fetch whose fills all arrived meanwhile completes here.
+    for (const Served &sv : servedScratch_)
+        if (sv.fetch != RayEntry::kNoFetch)
+            releaseFetch(sv.fetch);
     return true;
 }
 
@@ -665,6 +801,14 @@ RtUnit::completeRay(std::uint32_t slot, Cycle now)
     RayEntry &e = buffer_.slot(slot);
     if (obs_)
         checkCompletedRay(e);
+    if (e.fetch != RayEntry::kNoFetch) {
+        // Leave the fetch's list before the slot is reused.
+        std::uint32_t *link = &fetches_[e.fetch].rays;
+        while (*link != slot)
+            link = &buffer_.slot(*link).nextWaiting;
+        *link = e.nextWaiting;
+        e.fetch = RayEntry::kNoFetch;
+    }
     RayResult res;
     res.hit = e.hit;
     res.t = e.hitT;

@@ -22,9 +22,16 @@
  * per cycle. Warp repacking (Section 4.4) pulls predicted rays into the
  * partial warp collector after the lookup phase.
  *
+ * Under the sharded loop an L1 miss may come back with a deferred fill
+ * (mem/memory_system.hpp): its ready cycle is only a lower bound. The
+ * node is still tested at once; only the ray's readyAt waits, as a
+ * pending fetch that fillApplied completes. A warp whose next event
+ * depends on such a ray is parked, with no event queued, until then.
+ *
  * Steady-state operation is allocation-free: warp slot vectors, ray
- * entries, traversal stacks, and the scheduler's scratch buffers are all
- * pooled and reused, so a run's heap traffic is bounded by its warm-up.
+ * entries, traversal stacks, pending fetches, and the scheduler's
+ * scratch buffers are all pooled and reused, so a run's heap traffic is
+ * bounded by its warm-up.
  */
 
 #pragma once
@@ -117,6 +124,14 @@ class RtUnit
     /** Process the next pending event. */
     void step();
 
+    /**
+     * Sharded loop: this SM's deferred L1 fill @p done was applied
+     * (fills arrive in sequence order). Completes the fetches that
+     * waited on it, gives their rays exact ready cycles and schedules
+     * the warps that were parked on them.
+     */
+    void fillApplied(const FillDone &done);
+
     /** @return Cycle the last ray completed. */
     Cycle
     completionCycle() const
@@ -201,6 +216,9 @@ class RtUnit
         std::uint32_t raysAtDispatch = 0; //!< member count at dispatch
         bool repacked = false;
         bool notPredictedResidue = false; //!< residue after repacking
+        /** No event queued: the next one waits on a pending fetch. */
+        bool parked = false;
+        Cycle parkFloor = 0; //!< earliest cycle of that next event
 
         /** Return to the pristine state, keeping slots' capacity. */
         void
@@ -212,7 +230,33 @@ class RtUnit
             raysAtDispatch = 0;
             repacked = false;
             notPredictedResidue = false;
+            parked = false;
         }
+    };
+
+    /** A memory request whose data waits on deferred L1 fills. */
+    struct PendingFetch
+    {
+        Cycle ready = 0;         //!< max ready cycle of its known lines
+        Cycle start = 0;         //!< issue cycle (fetch-latency sample)
+        std::uint32_t holds = 0; //!< unapplied fills + 1 while issuing
+        std::uint32_t warp = 0;  //!< warp of the rays that wait on it
+        std::uint32_t rays = RayEntry::kNoFetch; //!< first waiting slot
+    };
+
+    /** One link of a deferred fill's list of waiting fetches. */
+    struct FillWaiter
+    {
+        std::uint32_t fetch;
+        std::uint32_t next;
+    };
+
+    /** A unique request of one warp step (intra-warp merge table). */
+    struct Served
+    {
+        std::uint64_t addr;
+        Cycle ready;         //!< exact, or a lower bound with `fetch`
+        std::uint32_t fetch; //!< pending fetch, or RayEntry::kNoFetch
     };
 
     /** One ready ray's next node fetch within a warp step. */
@@ -236,7 +280,24 @@ class RtUnit
 
     /** One traversal iteration for all ready rays of a warp.
      *  @return true when at least one ray issued or retired. */
-    bool doTraversal(Warp &warp, Cycle now);
+    bool doTraversal(std::uint32_t warp_idx, Cycle now);
+
+    /** Open a pending fetch for warp @p warp_idx issued at @p start,
+     *  holding it until releaseFetch. */
+    std::uint32_t openFetch(std::uint32_t warp_idx, Cycle start);
+
+    /** Make fetch @p fetch wait on this SM's deferred fill @p seq. */
+    void waitOnFill(std::uint64_t seq, std::uint32_t fetch);
+
+    /** Drop one hold on @p fetch; the last one completes it. */
+    void releaseFetch(std::uint32_t fetch);
+
+    /**
+     * Queue the warp's next event at the earliest ready cycle of its
+     * rays, but not before @p floor — or park it while a ray whose
+     * ready cycle is still a lower bound could come first.
+     */
+    void scheduleOrPark(std::uint32_t warp_idx, Cycle floor);
 
     /** Process a node fetched for a ray; returns post-test ready time. */
     Cycle processNode(RayEntry &entry, std::uint32_t node_idx,
@@ -296,8 +357,18 @@ class RtUnit
     std::vector<std::uint32_t> predictedScratch_; //!< doLookups repack set
     std::vector<std::uint32_t> predNodesScratch_; //!< predictor lookup out
     std::vector<Issue> issueScratch_;             //!< doTraversal issues
-    std::vector<std::pair<std::uint64_t, Cycle>>
-        servedScratch_; //!< intra-warp request merge table (<= warpSize)
+    std::vector<Served> servedScratch_; //!< merge table (<= warpSize)
+
+    // Pending fetches and the lists of them waiting on each deferred
+    // fill, pooled. fillWaiters_ holds list heads indexed by fill
+    // sequence number modulo its power-of-two size; it always spans
+    // every unapplied fill a fetch waits on.
+    std::vector<PendingFetch> fetches_;
+    std::vector<std::uint32_t> freeFetches_;
+    std::vector<FillWaiter> waiters_;
+    std::uint32_t freeWaiter_ = RayEntry::kNoFetch;
+    std::vector<std::uint32_t> fillWaiters_;
+    std::uint64_t nextFillSeq_ = 0; //!< oldest unapplied fill
 
     std::vector<RayResult> results_;
     StatGroup stats_;

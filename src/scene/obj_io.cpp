@@ -1,6 +1,8 @@
 #include "scene/obj_io.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -61,15 +63,32 @@ loadObj(const std::string &path, Mesh &mesh, std::string *error)
         } else if (tag == "f") {
             // Face indices may be "i", "i/t", "i/t/n", or "i//n";
             // take the vertex index and fan-triangulate polygons.
-            std::vector<int> idx;
+            std::vector<std::size_t> idx;
             std::string tok;
             while (ss >> tok) {
-                int v = std::atoi(tok.c_str()); // stops at '/'
-                if (v < 0)
-                    v = static_cast<int>(vertices.size()) + v + 1;
-                if (v >= 1 &&
-                    v <= static_cast<int>(vertices.size()))
-                    idx.push_back(v - 1);
+                const char *first = tok.data();
+                const char *last = first + tok.find('/');
+                if (last < first)
+                    last = first + tok.size();
+                std::int64_t v = 0;
+                auto [end, ec] = std::from_chars(first, last, v);
+                if (ec == std::errc::result_out_of_range)
+                    return fail(path + ":" + std::to_string(line_no) +
+                                ": face index overflows: " + tok);
+                if (ec != std::errc() || end != last)
+                    return fail(path + ":" + std::to_string(line_no) +
+                                ": face index is not an integer: " +
+                                tok);
+                // Relative indices count back from the last vertex.
+                // Both forms are range-checked before any arithmetic
+                // that could overflow; an index outside the list
+                // drops the corner.
+                const auto count =
+                    static_cast<std::int64_t>(vertices.size());
+                if (v < 0 && v >= -count)
+                    idx.push_back(static_cast<std::size_t>(count + v));
+                else if (v >= 1 && v <= count)
+                    idx.push_back(static_cast<std::size_t>(v - 1));
             }
             for (std::size_t k = 2; k < idx.size(); ++k) {
                 parsed.addTriangle(vertices[idx[0]],

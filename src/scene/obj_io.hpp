@@ -31,7 +31,8 @@ bool saveObj(const std::string &path, const Mesh &mesh);
  * fails the whole load: skipping it would renumber every later vertex
  * and silently connect faces to the wrong corners. Face indices outside
  * the vertex list are dropped (a face left with fewer than three
- * corners produces no triangle).
+ * corners produces no triangle). A face index that is not an integer,
+ * or does not fit in 64 bits, fails the load.
  *
  * @param mesh Out: triangles are appended, only on success.
  * @param error Out (optional): on failure, the reason, naming the line.

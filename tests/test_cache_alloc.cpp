@@ -2,8 +2,10 @@
  * @file
  * Steady-state allocation contract of CacheModel: once constructed, a
  * cache handles any number of hits, misses, MSHR merges, and evictions
- * without touching the heap. Global operator new is replaced by a
- * counting version, which is why this test has an executable of its own.
+ * without touching the heap. The same holds for the memory system's
+ * deferred-fill queue once it has grown to its high-water mark. Global
+ * operator new is replaced by a counting version, which is why this
+ * test has an executable of its own.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "gpu/shard.hpp"
 #include "mem/cache.hpp"
+#include "mem/memory_system.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -104,6 +108,50 @@ TEST(CacheAlloc, ResetThenRefillAllocatesNothing)
     l1.reset();
     EXPECT_EQ(g_allocations.load() - before, 0u);
     EXPECT_EQ(allocationsDuring(l1, 50000, 3), 0u);
+}
+
+/** Applies one SM's due fills in queue order. */
+struct ApplyingSettler final : FillSettler
+{
+    MemorySystem *mem = nullptr;
+
+    void
+    settleDue(std::uint32_t sm, Cycle cycle) override
+    {
+        while (mem->fillDue(sm, cycle))
+            mem->applyOldestFill(sm);
+    }
+};
+
+TEST(CacheAlloc, DeferredFillQueueReusesItsCapacity)
+{
+    MemoryConfig cfg;
+    MemorySystem mem(cfg, 1);
+    ShardGate gate(1);
+    ApplyingSettler settler;
+    settler.mem = &mem;
+    mem.setShardGate(&gate, &settler);
+    Rng rng(4);
+    Cycle cycle = 0;
+    auto run = [&] {
+        std::uint64_t misses = 0;
+        for (int i = 0; i < 100000; ++i) {
+            cycle += rng.nextBounded(2);
+            mem.beginStep(0, cycle);
+            MemAccess a = mem.access(
+                0, 128ull * rng.nextBounded(64 * 1024), cycle);
+            misses += a.fill != MemAccess::kNoFill;
+        }
+        while (mem.hasDeferredFills(0))
+            mem.applyOldestFill(0);
+        return misses;
+    };
+    run(); // grows the queue to its high-water mark
+    std::uint64_t before = g_allocations.load();
+    std::uint64_t misses = run();
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_GT(misses, 50000u);
+    mem.setShardGate(nullptr);
 }
 
 } // namespace

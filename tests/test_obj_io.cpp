@@ -141,6 +141,57 @@ TEST(ObjIo, OverflowingVertexFails)
     expectBadVertexFails("v 1e39 0 0");
 }
 
+/**
+ * Load a file whose face line (line 4) is @p bad. It must fail with a
+ * reason naming line 4 and leave the mesh untouched.
+ */
+void
+expectBadFaceFails(const std::string &bad)
+{
+    std::string path = "/tmp/rtp_test_bad_face.obj";
+    {
+        std::ofstream f(path);
+        f << "v 0 0 0\nv 1 0 0\nv 0 1 0\n" << bad << "\nf 1 2 3\n";
+    }
+    Mesh m;
+    std::string why;
+    EXPECT_FALSE(loadObj(path, m, &why)) << bad;
+    EXPECT_EQ(m.size(), 0u) << bad;
+    EXPECT_NE(why.find(path + ":4:"), std::string::npos) << why;
+    std::remove(path.c_str());
+}
+
+TEST(ObjIo, NonNumericFaceIndexFails)
+{
+    expectBadFaceFails("f 1 2 x");
+    expectBadFaceFails("f 1 2 3abc");
+    expectBadFaceFails("f 1 2 /3");
+}
+
+TEST(ObjIo, OverflowingFaceIndexFails)
+{
+    expectBadFaceFails("f 1 2 99999999999999999999");
+    expectBadFaceFails("f 1 2 -99999999999999999999/1");
+}
+
+TEST(ObjIo, HugeIndicesWithinRangeOfInt64AreDropped)
+{
+    // Past int but inside int64: out of the vertex list, so the face
+    // is dropped as any out-of-range index is, never wrapped around.
+    std::string path = "/tmp/rtp_test_huge_index.obj";
+    {
+        std::ofstream f(path);
+        f << "v 0 0 0\nv 1 0 0\nv 0 1 0\n";
+        f << "f 1 2 4294967298\n";
+        f << "f 1 2 -9223372036854775808\n";
+        f << "f -3 -2 -1\n";
+    }
+    Mesh m;
+    ASSERT_TRUE(loadObj(path, m));
+    EXPECT_EQ(m.size(), 1u);
+    std::remove(path.c_str());
+}
+
 TEST(ObjIo, ProceduralSceneSurvivesRoundTrip)
 {
     Scene s = makeScene(SceneId::Sibenik, 0.02f);

@@ -284,6 +284,100 @@ TEST(ShardedEquiv, PathTraceWavesMatchSequential)
     }
 }
 
+TEST(ShardedEquiv, NarrowLookaheadWindowIdentical)
+{
+    // l1ToL2Latency = 10 leaves an 11-cycle window between a miss and
+    // the earliest cycle its fill could land, so deferred fills fall
+    // due within a few steps and most are applied by a blocking wait.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 4;
+    config.memory.l1ToL2Latency = 10;
+    ASSERT_EQ(config.memory.minL1FillCycles(), 11u);
+    for (SceneId id : {SceneId::Sibenik, SceneId::FireplaceRoom}) {
+        const Workload &w = cache().get(id);
+        const std::string seq = runPlain(w, config, 1);
+        for (std::uint32_t threads : {2u, 4u})
+            EXPECT_EQ(seq, runPlain(w, config, threads))
+                << w.scene.shortName << " @ simThreads=" << threads;
+    }
+}
+
+TEST(ShardedEquiv, TelemetryOnlyRunDrainsFillsAtEveryHorizon)
+{
+    // Telemetry is not an observer port, so this sharded run defers
+    // fills; each sample horizon must first apply every fill issued
+    // below it, or the L2/DRAM counters and the event-queue depths
+    // sampled there would differ from the sequential loop's.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 4;
+    const Workload &w = cache().get(SceneId::CrytekSponza);
+    auto run_at = [&](std::uint32_t threads, std::string &timeline) {
+        TelemetrySampler sampler(64);
+        SimConfig c = config;
+        c.telemetry = &sampler;
+        c.simThreads = threads;
+        std::string json = Simulation(c, w.bvh, w.scene.mesh.triangles())
+                               .run(w.ao.rays)
+                               .toJson();
+        std::ostringstream os;
+        sampler.writeJson(os);
+        timeline = os.str();
+        return json;
+    };
+    std::string seq_timeline;
+    const std::string seq = run_at(1, seq_timeline);
+    for (std::uint32_t threads : {2u, 4u}) {
+        std::string timeline;
+        EXPECT_EQ(seq, run_at(threads, timeline)) << threads;
+        EXPECT_EQ(seq_timeline, timeline) << threads;
+    }
+}
+
+TEST(ShardedEquiv, SmWithEveryWarpParkedOnFillsIsNotStuck)
+{
+    // One resident warp per SM and no repacking: after each miss the
+    // warp's only rays wait on a deferred fill, so the SM has no event
+    // queued at all until the fill is applied. It must not be reported
+    // as a stuck unit, and the result must match the sequential loop.
+    SimConfig config = SimConfig::baseline();
+    config.numSms = 4;
+    config.rt.maxWarps = 1;
+    config.rt.warpSize = 4;
+    const Workload &w = cache().get(SceneId::FireplaceRoom);
+    const std::string seq = runPlain(w, config, 1);
+    for (std::uint32_t threads : {2u, 4u}) {
+        std::string sharded;
+        EXPECT_NO_THROW(sharded = runPlain(w, config, threads))
+            << threads;
+        EXPECT_EQ(seq, sharded) << threads;
+    }
+}
+
+TEST(ShardedEquiv, MergesOntoPendingFillsIdentical)
+{
+    // Every ray repeated warpSize times: all threads of a warp request
+    // the same nodes (intra-warp merges onto one pending fetch), and
+    // consecutive warps of one SM request them again while the first
+    // miss is still in flight (L1 MSHR merges onto a deferred line).
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 2;
+    const Workload &w = cache().get(SceneId::Sibenik);
+    std::vector<Ray> rays;
+    for (std::size_t i = 0; i < w.ao.rays.size() && rays.size() < 4096;
+         i += 7)
+        for (std::uint32_t k = 0; k < config.rt.warpSize; ++k)
+            rays.push_back(w.ao.rays[i]);
+    auto run_at = [&](std::uint32_t threads) {
+        SimConfig c = config;
+        c.simThreads = threads;
+        return Simulation(c, w.bvh, w.scene.mesh.triangles()).run(rays);
+    };
+    const SimResult seq = run_at(1);
+    ASSERT_GT(seq.stats.get("warp_merged_requests"), 0u);
+    ASSERT_GT(seq.memStats.get("l1.mshr_merges"), 0u);
+    EXPECT_EQ(seq.toJson(), run_at(2).toJson());
+}
+
 TEST(ShardedEquiv, RepeatedRunsOnOneSimulationStayIdentical)
 {
     // run() must leave no residue: a sharded run sandwiched between

@@ -12,11 +12,16 @@
  *
  * With --sharded the differential changes target: each seed runs the
  * derived point with the sequential event loop (simThreads = 1) and
- * with the sharded loop at 2 and 4 workers, all under the invariant
- * checker, and byte-compares the SimResult JSON plus the number of
- * checker probes. Any divergence — or any exception — fails the seed,
- * fuzzing the sharded loop's byte-identical contract
- * (docs/performance.md) across the whole randomised config space.
+ * with the sharded loop at 2 and 4 workers, in two legs. The checked
+ * leg attaches the invariant checker and the cycle profiler and
+ * byte-compares the SimResult JSON, the number of checker probes and
+ * the profile; with an observer attached the sharded loop applies
+ * every L1-miss fill at issue. The bare leg attaches nothing, so the
+ * sharded loop defers fills within the L1->L2 lookahead (whose width
+ * the derived l1ToL2Latency varies), and byte-compares the SimResult
+ * JSON. Any divergence — or any exception — fails the seed, fuzzing
+ * the sharded loop's byte-identical contract (docs/performance.md)
+ * across the whole randomised config space.
  *
  * On failure the tool prints an exact reproducer — the seed plus the
  * derived configuration as JSON — greedily shrinks the failing ray set
@@ -201,9 +206,11 @@ runPoint(const SimConfig &config, const FuzzScene &fs,
 /**
  * Sequential-vs-sharded differential (--sharded): run the point with
  * the sequential event loop and with 2 and 4 sharded workers (worker
- * count clamps to numSms inside the simulator), all under the
- * invariant checker, and byte-compare the SimResult JSON and the
- * checker-probe count. @return The failure message, or empty.
+ * count clamps to numSms inside the simulator). The checked leg runs
+ * under the invariant checker and the profiler and byte-compares the
+ * SimResult JSON, the checker-probe count and the profile; the bare
+ * leg runs with no observer (deferred fills) and byte-compares the
+ * SimResult JSON. @return The failure message, or empty.
  */
 std::string
 runShardedPoint(const SimConfig &config, const FuzzScene &fs,
@@ -252,6 +259,22 @@ runShardedPoint(const SimConfig &config, const FuzzScene &fs,
                        ") diverged from the sequential reference "
                        "cycle-attribution profile JSON";
         }
+        auto run_bare = [&](std::uint32_t threads) {
+            SimConfig c = config;
+            c.simThreads = threads;
+            return Simulation(c, fs.bvh, fs.scene.mesh.triangles())
+                .run(rays)
+                .toJson();
+        };
+        if (run_bare(1) != ref)
+            return "unobserved sequential run diverged from the "
+                   "checked one";
+        for (std::uint32_t threads : {2u, 4u})
+            if (run_bare(threads) != ref)
+                return "unobserved sharded loop (simThreads=" +
+                       std::to_string(threads) +
+                       ", deferred fills) diverged from the sequential "
+                       "reference SimResult JSON";
         return std::string();
     } catch (const std::exception &e) {
         return e.what();
