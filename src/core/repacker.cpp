@@ -1,6 +1,5 @@
 #include "core/repacker.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "util/check.hpp"
@@ -14,21 +13,21 @@ PartialWarpCollector::checkConservation(const char *site) const
 {
     obs_->require(
         collectedIds_ ==
-            emittedIds_ + droppedIds_ + pending_.size(),
+            emittedIds_ + droppedIds_ + size_,
         "PartialWarpCollector", site, [&] {
             return "collected " + std::to_string(collectedIds_) +
                    " != emitted " + std::to_string(emittedIds_) +
                    " + dropped " + std::to_string(droppedIds_) +
-                   " + pending " + std::to_string(pending_.size());
+                   " + pending " + std::to_string(size_);
         });
 }
 
 void
 PartialWarpCollector::checkFinalState(InvariantChecker &check) const
 {
-    check.require(pending_.empty(), "PartialWarpCollector",
+    check.require(size_ == 0, "PartialWarpCollector",
                   "collector drains fully by end of run", [&] {
-                      return std::to_string(pending_.size()) +
+                      return std::to_string(size_) +
                              " ray IDs still pending after the last "
                              "ray completed";
                   });
@@ -45,20 +44,34 @@ PartialWarpCollector::checkFinalState(InvariantChecker &check) const
 void
 PartialWarpCollector::snapshotInto(TelemetrySmSample &out) const
 {
-    out.repack_queue_depth = pending_.size();
+    out.repack_queue_depth = size_;
 }
 
-std::vector<std::vector<std::uint32_t>>
+void
+PartialWarpCollector::take(std::size_t count,
+                           std::vector<std::uint32_t> &out)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        out.push_back(ring_[head_].id);
+        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    }
+    size_ -= count;
+    emittedIds_ += count;
+}
+
+void
 PartialWarpCollector::add(const std::vector<std::uint32_t> &ray_ids,
-                          Cycle cycle)
+                          Cycle cycle, std::vector<std::uint32_t> &warps)
 {
     for (std::uint32_t id : ray_ids) {
         // The collector capacity (64) exceeds what a single warp can add
         // past a full batch, so overflow beyond capacity cannot occur;
         // guard anyway to keep the invariant explicit.
-        if (pending_.size() <
-            static_cast<std::size_t>(config_.capacity)) {
-            pending_.push_back(Pending{id, cycle});
+        if (size_ < ring_.size()) {
+            std::size_t tail = head_ + size_;
+            ring_[tail < ring_.size() ? tail : tail - ring_.size()] =
+                Pending{id, cycle};
+            size_++;
             collectedIds_++;
         } else {
             stats_.inc(StatId::OverflowDrops);
@@ -75,16 +88,9 @@ PartialWarpCollector::add(const std::vector<std::uint32_t> &ray_ids,
     // every leftover ray stays anchored to its own insertion cycle
     // (stored per entry), so warp formation can never restart the
     // flush timer for rays still waiting.
-    std::vector<std::vector<std::uint32_t>> warps;
-    while (pending_.size() >= config_.warpSize) {
-        std::vector<std::uint32_t> warp;
-        warp.reserve(config_.warpSize);
-        for (std::uint32_t i = 0; i < config_.warpSize; ++i)
-            warp.push_back(pending_[i].id);
-        pending_.erase(pending_.begin(),
-                       pending_.begin() + config_.warpSize);
-        emittedIds_ += config_.warpSize;
-        warps.push_back(std::move(warp));
+    warps.clear();
+    while (size_ >= config_.warpSize) {
+        take(config_.warpSize, warps);
         stats_.inc(StatId::FullWarpsFormed);
         if (obs_)
             obs_->event(TraceEventKind::RepackFlush, cycle, 0, 0, 0,
@@ -92,41 +98,32 @@ PartialWarpCollector::add(const std::vector<std::uint32_t> &ray_ids,
     }
     if (obs_)
         checkConservation("add() conserves ray IDs");
-    return warps;
 }
 
-std::vector<std::uint32_t>
-PartialWarpCollector::flushIfExpired(Cycle cycle)
+void
+PartialWarpCollector::flushIfExpired(Cycle cycle,
+                                     std::vector<std::uint32_t> &warp)
 {
-    if (pending_.empty() || cycle < deadline())
-        return {};
-    std::vector<std::uint32_t> warp;
-    warp.reserve(pending_.size());
-    for (const Pending &p : pending_)
-        warp.push_back(p.id);
-    pending_.clear();
-    emittedIds_ += warp.size();
+    warp.clear();
+    if (size_ == 0 || cycle < deadline())
+        return;
+    take(size_, warp);
     stats_.inc(StatId::TimeoutFlushes);
     if (obs_) {
         obs_->event(TraceEventKind::RepackFlush, cycle, 0, 1, 0,
                     warp.size());
         checkConservation("flushIfExpired() conserves ray IDs");
     }
-    return warp;
 }
 
-std::vector<std::uint32_t>
-PartialWarpCollector::flushAll()
+void
+PartialWarpCollector::flushAll(std::vector<std::uint32_t> &warp)
 {
     // flushAll() drains at end-of-run and has no caller cycle; anchor
     // the event to the oldest pending ray's insertion cycle.
     Cycle at = oldestPendingCycle();
-    std::vector<std::uint32_t> warp;
-    warp.reserve(pending_.size());
-    for (const Pending &p : pending_)
-        warp.push_back(p.id);
-    pending_.clear();
-    emittedIds_ += warp.size();
+    warp.clear();
+    take(size_, warp);
     if (!warp.empty()) {
         stats_.inc(StatId::DrainFlushes);
         if (obs_)
@@ -135,7 +132,6 @@ PartialWarpCollector::flushAll()
     }
     if (obs_)
         checkConservation("flushAll() conserves ray IDs");
-    return warp;
 }
 
 } // namespace rtp

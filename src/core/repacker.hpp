@@ -7,12 +7,15 @@
  * have accumulated, or a short timeout expires, they are emitted as a new
  * repacked warp. The structure holds up to 64 IDs so a freshly arriving
  * warp's predictions can overflow past a full batch of 32.
+ *
+ * The collector allocates only when constructed: pending IDs live in a
+ * ring of `capacity` entries, and formed warps are written into a
+ * vector the caller owns and reuses.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
@@ -37,33 +40,33 @@ class PartialWarpCollector
 {
   public:
     explicit PartialWarpCollector(const RepackerConfig &config = {})
-        : config_(config)
+        : config_(config), ring_(config.capacity)
     {}
 
     /**
-     * Add predicted ray IDs at @p cycle.
-     * @return Any full warps (exactly warpSize IDs each) ready to
-     *         dispatch immediately.
+     * Add predicted ray IDs at @p cycle. @p warps is cleared, then
+     * receives the full warps ready to dispatch immediately, oldest
+     * first, back to back: exactly warpSize IDs each.
      */
-    std::vector<std::vector<std::uint32_t>> add(
-        const std::vector<std::uint32_t> &ray_ids, Cycle cycle);
+    void add(const std::vector<std::uint32_t> &ray_ids, Cycle cycle,
+             std::vector<std::uint32_t> &warps);
 
     /**
      * Flush a partial warp if the timeout has expired by @p cycle.
-     * @return The flushed (possibly partial) warp, or an empty vector.
+     * @p warp is cleared, then receives the flushed (possibly partial)
+     * warp; it stays empty when nothing expired.
      */
-    std::vector<std::uint32_t> flushIfExpired(Cycle cycle);
+    void flushIfExpired(Cycle cycle, std::vector<std::uint32_t> &warp);
 
-    /** Flush whatever is pending regardless of timeout (drain at end). */
-    std::vector<std::uint32_t> flushAll();
+    /** Flush whatever is pending into @p warp (cleared first)
+     *  regardless of timeout (drain at end). */
+    void flushAll(std::vector<std::uint32_t> &warp);
 
     /** @return Cycle at which the current contents time out, or 0. */
     Cycle
     deadline() const
     {
-        return pending_.empty()
-                   ? 0
-                   : pending_.front().addedAt + config_.timeout;
+        return size_ == 0 ? 0 : ring_[head_].addedAt + config_.timeout;
     }
 
     /**
@@ -77,13 +80,13 @@ class PartialWarpCollector
     Cycle
     oldestPendingCycle() const
     {
-        return pending_.empty() ? 0 : pending_.front().addedAt;
+        return size_ == 0 ? 0 : ring_[head_].addedAt;
     }
 
     std::size_t
     pendingCount() const
     {
-        return pending_.size();
+        return size_;
     }
 
     /**
@@ -129,14 +132,19 @@ class PartialWarpCollector
 
     void checkConservation(const char *site) const;
 
+    /** Move the @p count oldest pending IDs to the end of @p out. */
+    void take(std::size_t count, std::vector<std::uint32_t> &out);
+
     RepackerConfig config_;
-    std::deque<Pending> pending_;
+    std::vector<Pending> ring_; //!< FIFO of pending IDs, `capacity` long
+    std::size_t head_ = 0;      //!< oldest pending entry
+    std::size_t size_ = 0;      //!< pending entries
     StatGroup stats_;
     ObserverPort *obs_ = nullptr;
     // Conservation ledger: plain members, not StatGroup counters, so
     // the stats JSON stays byte-identical with checking off (the
     // zero-perturbation contract). Cheap enough to maintain always.
-    std::uint64_t collectedIds_ = 0; //!< IDs accepted into pending_
+    std::uint64_t collectedIds_ = 0; //!< IDs accepted into the ring
     std::uint64_t emittedIds_ = 0;   //!< IDs handed out in warps
     std::uint64_t droppedIds_ = 0;   //!< IDs lost to overflow
 };

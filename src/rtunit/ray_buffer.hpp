@@ -36,9 +36,9 @@ enum class RayPhase : std::uint8_t
 /** One ray buffer slot: ray data, status, and traversal bookkeeping. */
 struct RayEntry
 {
-    // Read by every warp step's member scans (stepWarp, doLookups,
-    // doTraversal), so they lead the entry and share its first cache
-    // line with the ray.
+    // Read for every member by each warp step's one pass over its warp
+    // (doTraversal's gather or doLookups), so they lead the entry and
+    // share its first cache line with the ray.
     /** Sentinel for `fetch`: readyAt is exact. */
     static constexpr std::uint32_t kNoFetch = ~0u;
 

@@ -114,6 +114,7 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
     predNodesScratch_.reserve(8);
     issueScratch_.reserve(warp);
     servedScratch_.reserve(warp);
+    repackScratch_.reserve(config_.repacker.capacity);
 }
 
 std::uint32_t
@@ -170,9 +171,8 @@ RtUnit::step()
         obs_->beginStep(ev.cycle);
 
     if (ev.kind == RtEventKind::CollectorFlush) {
-        auto flushed = collector_.flushIfExpired(ev.cycle);
-        if (!flushed.empty())
-            dispatchRepacked(flushed, ev.cycle);
+        collector_.flushIfExpired(ev.cycle, repackScratch_);
+        dispatchRepacked(repackScratch_, ev.cycle);
         scheduleCollectorFlush();
         if (obs_) {
             obs_->noteExec(CycleCat::RepackWait, ProfRayType::None);
@@ -218,6 +218,7 @@ RtUnit::dispatchPending(Cycle now)
             w.slots.push_back(slot);
         }
         w.raysAtDispatch = static_cast<std::uint32_t>(count);
+        w.lookups = static_cast<std::uint32_t>(count);
         pendingNext_ += count;
         activeExternalWarps_++;
         activeWarps_++;
@@ -230,7 +231,7 @@ RtUnit::dispatchPending(Cycle now)
 }
 
 void
-RtUnit::dispatchRepacked(const std::vector<std::uint32_t> &slots,
+RtUnit::dispatchRepacked(std::span<const std::uint32_t> slots,
                          Cycle now)
 {
     if (slots.empty())
@@ -268,6 +269,23 @@ RtUnit::scheduleCollectorFlush()
 }
 
 void
+RtUnit::checkLookupCount(const Warp &warp) const
+{
+    if (!obs_->checking())
+        return;
+    std::uint32_t lookups = 0;
+    for (std::uint32_t s : warp.slots)
+        lookups += buffer_.slot(s).phase == RayPhase::Lookup;
+    obs_->require(lookups == warp.lookups, "RtUnit",
+                  "a warp's lookup count matches its members", [&] {
+                      return "warp " + std::to_string(warp.order) +
+                             ": counted " + std::to_string(warp.lookups) +
+                             ", members in lookup " +
+                             std::to_string(lookups);
+                  });
+}
+
+void
 RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
 {
     Warp &warp = warps_[warp_idx];
@@ -278,17 +296,18 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
             obs_->closeStep(now, false, collector_.pendingCount() > 0);
         return;
     }
+    if (obs_)
+        checkLookupCount(warp);
 
-    bool any_lookup = false;
-    for (std::uint32_t s : warp.slots) {
-        if (buffer_.slot(s).phase == RayPhase::Lookup) {
-            any_lookup = true;
-            break;
-        }
-    }
-
-    bool did_work = any_lookup ? doLookups(warp, now)
-                               : doTraversal(warp_idx, now);
+    // A traversal step finds the warp's next event in its own pass over
+    // the members. A lookup step, or a fill applied to this SM during
+    // the step (it turns a waiting ray's bound, already folded, into
+    // its exact ready cycle), rescans the warp instead.
+    const bool lookup = warp.lookups > 0;
+    const std::uint64_t fills = nextFillSeq_;
+    NextEvent next;
+    bool did_work = lookup ? doLookups(warp, now)
+                           : doTraversal(warp_idx, now, next);
     if (did_work) {
         if (now != lastBusyCycle_) {
             lastBusyCycle_ = now;
@@ -301,16 +320,18 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
     if (obs_)
         obs_->closeStep(now, did_work, collector_.pendingCount() > 0);
 
-    // Retire completed rays from the warp (in-place compaction).
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < warp.slots.size(); ++i) {
-        std::uint32_t s = warp.slots[i];
-        if (buffer_.slot(s).phase == RayPhase::Done)
-            completeRay(s, now);
-        else
-            warp.slots[live++] = s;
+    if (next.retired) {
+        // Retire completed rays from the warp (in-place compaction).
+        std::size_t live = 0;
+        for (std::size_t i = 0; i < warp.slots.size(); ++i) {
+            std::uint32_t s = warp.slots[i];
+            if (buffer_.slot(s).phase == RayPhase::Done)
+                completeRay(s, now);
+            else
+                warp.slots[live++] = s;
+        }
+        warp.slots.resize(live);
     }
-    warp.slots.resize(live);
 
     if (warp.slots.empty()) {
         // Warp complete: free the slot and admit pending work.
@@ -332,30 +353,34 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
         return;
     }
 
-    scheduleOrPark(warp_idx, now + 1);
+    if (lookup || nextFillSeq_ != fills)
+        scheduleOrPark(warp_idx, now + 1);
+    else
+        scheduleNext(warp_idx, next, now + 1);
 }
 
 void
 RtUnit::scheduleOrPark(std::uint32_t warp_idx, Cycle floor)
 {
+    NextEvent next;
+    for (std::uint32_t s : warps_[warp_idx].slots)
+        next.fold(buffer_.slot(s));
+    scheduleNext(warp_idx, next, floor);
+}
+
+void
+RtUnit::scheduleNext(std::uint32_t warp_idx, const NextEvent &next,
+                     Cycle floor)
+{
     // Next event: the earliest time any member ray can issue again. A
     // pending ray's readyAt is a lower bound, so it decides nothing
     // unless a ray with an exact readyAt is at least as early.
     Warp &warp = warps_[warp_idx];
-    constexpr Cycle kNever = ~Cycle{0};
-    Cycle next = kNever;
-    Cycle pending = kNever;
-    for (std::uint32_t s : warp.slots) {
-        const RayEntry &e = buffer_.slot(s);
-        const bool waits = e.fetch != RayEntry::kNoFetch;
-        next = std::min(next, waits ? kNever : e.readyAt);
-        pending = std::min(pending, waits ? e.readyAt : kNever);
-    }
-    warp.parked = pending < next;
+    warp.parked = next.bound < next.exact;
     if (warp.parked)
         warp.parkFloor = floor;
     else
-        scheduleWarp(warp_idx, std::max(next, floor));
+        scheduleWarp(warp_idx, std::max(next.exact, floor));
 }
 
 std::uint32_t
@@ -464,6 +489,7 @@ RtUnit::doLookups(Warp &warp, Cycle now)
             continue;
         }
         processed = true;
+        warp.lookups--;
         if (obs_)
             obs_->noteExec(predictor_ ? CycleCat::PredLookup
                                       : CycleCat::WarpIssue,
@@ -506,9 +532,11 @@ RtUnit::doLookups(Warp &warp, Cycle now)
     if (!predictedScratch_.empty()) {
         // Repacking: predicted rays leave for the collector; the
         // not-predicted residue continues as a partial warp.
-        auto full = collector_.add(predictedScratch_, now);
-        for (auto &w : full)
-            dispatchRepacked(w, now);
+        collector_.add(predictedScratch_, now, repackScratch_);
+        const std::span<const std::uint32_t> full(repackScratch_);
+        const std::size_t size = config_.repacker.warpSize;
+        for (std::size_t i = 0; i < full.size(); i += size)
+            dispatchRepacked(full.subspan(i, size), now);
         scheduleCollectorFlush();
         if (!warp.notPredictedResidue) {
             warp.notPredictedResidue = true;
@@ -587,26 +615,26 @@ RtUnit::processNode(RayEntry &entry, std::uint32_t node_idx,
 }
 
 bool
-RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now)
+RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now, NextEvent &next)
 {
     Warp &warp = warps_[warp_idx];
     // Collect the next node of each ready ray; merge duplicate node
-    // requests within the warp into a single memory access.
+    // requests within the warp into a single memory access. A ray that
+    // waits keeps its readyAt through the step: fold it now.
     issueScratch_.clear();
-    bool retired = false;
 
     for (std::uint32_t s : warp.slots) {
         RayEntry &e = buffer_.slot(s);
-        if (e.phase == RayPhase::Done)
+        if (e.readyAt > now) {
+            next.fold(e);
             continue;
-        if (e.readyAt > now)
-            continue;
+        }
 
         // Any-hit rays stop as soon as a hit is known; closest-hit rays
         // continue until the stack drains.
         if (e.hit && e.ray.kind == RayKind::Occlusion) {
             e.phase = RayPhase::Done;
-            retired = true;
+            next.retired = true;
             continue;
         }
 
@@ -640,7 +668,7 @@ RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now)
                 top = e.stack.pop();
             } else {
                 e.phase = RayPhase::Done;
-                retired = true;
+                next.retired = true;
                 continue;
             }
         }
@@ -666,7 +694,7 @@ RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now)
     }
 
     if (issueScratch_.empty())
-        return retired;
+        return next.retired;
 
     // SIMT efficiency: threads issuing work this step vs the warp width.
     issueActiveThreads_ += issueScratch_.size();
@@ -792,6 +820,13 @@ RtUnit::doTraversal(std::uint32_t warp_idx, Cycle now)
     for (const Served &sv : servedScratch_)
         if (sv.fetch != RayEntry::kNoFetch)
             releaseFetch(sv.fetch);
+    for (const Issue &is : issueScratch_) {
+        const RayEntry &e = buffer_.slot(is.slot);
+        if (e.phase == RayPhase::Done)
+            next.retired = true;
+        else
+            next.fold(e);
+    }
     return true;
 }
 
@@ -839,7 +874,7 @@ RtUnit::completeRay(std::uint32_t slot, Cycle now)
 
     if (remainingRays_ == 0) {
         // Drain the collector so nothing is left behind at the end.
-        collector_.flushAll();
+        collector_.flushAll(repackScratch_);
     }
 }
 

@@ -22,6 +22,13 @@
  * per cycle. Warp repacking (Section 4.4) pulls predicted rays into the
  * partial warp collector after the lookup phase.
  *
+ * A traversal step walks its warp's members once: the gather that picks
+ * each ready ray's next node also folds every waiting ray's ready cycle
+ * into the warp's next event, and the issued rays are folded after
+ * their fetches settled. Finished rays are retired only when the step
+ * saw one finish. A lookup step, and a step during which one of this
+ * SM's deferred fills was applied, rescan the warp instead.
+ *
  * Under the sharded loop an L1 miss may come back with a deferred fill
  * (mem/memory_system.hpp): its ready cycle is only a lower bound. The
  * node is still tested at once; only the ray's readyAt waits, as a
@@ -29,14 +36,16 @@
  * depends on such a ray is parked, with no event queued, until then.
  *
  * Steady-state operation is allocation-free: warp slot vectors, ray
- * entries, traversal stacks, pending fetches, and the scheduler's
- * scratch buffers are all pooled and reused, so a run's heap traffic is
- * bounded by its warm-up.
+ * entries, traversal stacks, pending fetches, the partial warp
+ * collector's ring, and the scheduler's scratch buffers are all pooled
+ * and reused, so a run's heap traffic is bounded by its warm-up.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bvh/bvh.hpp"
@@ -214,6 +223,7 @@ class RtUnit
         std::uint64_t order = 0;          //!< dispatch order (GTO age)
         Cycle dispatchedAt = 0;           //!< cycle the warp was formed
         std::uint32_t raysAtDispatch = 0; //!< member count at dispatch
+        std::uint32_t lookups = 0;        //!< members in RayPhase::Lookup
         bool repacked = false;
         bool notPredictedResidue = false; //!< residue after repacking
         /** No event queued: the next one waits on a pending fetch. */
@@ -228,9 +238,33 @@ class RtUnit
             order = 0;
             dispatchedAt = 0;
             raysAtDispatch = 0;
+            lookups = 0;
             repacked = false;
             notPredictedResidue = false;
             parked = false;
+        }
+    };
+
+    /**
+     * A warp's next event, folded over its live rays: the earliest
+     * exact ready cycle, and the earliest lower bound of a ray whose
+     * node data waits on a deferred fill. A traversal step folds each
+     * member once, as it gathers or after it issued.
+     */
+    struct NextEvent
+    {
+        static constexpr Cycle kNever = ~Cycle{0};
+        Cycle exact = kNever;
+        Cycle bound = kNever;
+        bool retired = false; //!< a member reached RayPhase::Done
+
+        void
+        fold(const RayEntry &e)
+        {
+            if (e.fetch == RayEntry::kNoFetch)
+                exact = std::min(exact, e.readyAt);
+            else
+                bound = std::min(bound, e.readyAt);
         }
     };
 
@@ -271,16 +305,21 @@ class RtUnit
     /** Try to dispatch pending external warps into free slots. */
     void dispatchPending(Cycle now);
 
-    /** Run one scheduling step for a warp. */
+    /** Run one scheduling step for a warp: its lookups or one
+     *  traversal iteration, retirement, and its next event. */
     void stepWarp(std::uint32_t warp_idx, Cycle now);
 
     /** Handle the lookup phase for the given warp members.
      *  @return true when at least one lookup was processed. */
     bool doLookups(Warp &warp, Cycle now);
 
-    /** One traversal iteration for all ready rays of a warp.
-     *  @return true when at least one ray issued or retired. */
-    bool doTraversal(std::uint32_t warp_idx, Cycle now);
+    /**
+     * One traversal iteration for all ready rays of a warp, in one pass
+     * over its members: each ray that is not ready is folded into
+     * @p next as it is skipped, each issued ray once its fetch settled.
+     * @return true when at least one ray issued or retired.
+     */
+    bool doTraversal(std::uint32_t warp_idx, Cycle now, NextEvent &next);
 
     /** Open a pending fetch for warp @p warp_idx issued at @p start,
      *  holding it until releaseFetch. */
@@ -292,12 +331,19 @@ class RtUnit
     /** Drop one hold on @p fetch; the last one completes it. */
     void releaseFetch(std::uint32_t fetch);
 
+    /** Rescan the warp's members, then scheduleNext. */
+    void scheduleOrPark(std::uint32_t warp_idx, Cycle floor);
+
     /**
-     * Queue the warp's next event at the earliest ready cycle of its
-     * rays, but not before @p floor — or park it while a ray whose
+     * Queue the warp's next event at @p next's earliest exact ready
+     * cycle, but not before @p floor — or park it while a ray whose
      * ready cycle is still a lower bound could come first.
      */
-    void scheduleOrPark(std::uint32_t warp_idx, Cycle floor);
+    void scheduleNext(std::uint32_t warp_idx, const NextEvent &next,
+                      Cycle floor);
+
+    /** Checker probe: the warp's lookup count matches its members. */
+    void checkLookupCount(const Warp &warp) const;
 
     /** Process a node fetched for a ray; returns post-test ready time. */
     Cycle processNode(RayEntry &entry, std::uint32_t node_idx,
@@ -313,7 +359,7 @@ class RtUnit
     void checkCompletedRay(const RayEntry &e) const;
 
     /** Create a warp from collector ray IDs (repacked). */
-    void dispatchRepacked(const std::vector<std::uint32_t> &slots,
+    void dispatchRepacked(std::span<const std::uint32_t> slots,
                           Cycle now);
 
     /** Allocate a warp structure (reusing retired slots). */
@@ -358,6 +404,7 @@ class RtUnit
     std::vector<std::uint32_t> predNodesScratch_; //!< predictor lookup out
     std::vector<Issue> issueScratch_;             //!< doTraversal issues
     std::vector<Served> servedScratch_; //!< merge table (<= warpSize)
+    std::vector<std::uint32_t> repackScratch_;    //!< collector output
 
     // Pending fetches and the lists of them waiting on each deferred
     // fill, pooled. fillWaiters_ holds list heads indexed by fill

@@ -148,8 +148,9 @@ TEST(BvhBuild, LeafSizeRespected)
     auto tris = randomTriangles(500, 9);
     Bvh bvh = BvhBuilder(cfg).build(tris);
     for (const auto &n : bvh.nodes()) {
-        if (n.isLeaf())
+        if (n.isLeaf()) {
             EXPECT_LE(n.primCount, 8u); // SAH may keep small clusters
+        }
     }
     EXPECT_EQ(bvh.validate(tris.size()), "");
 }

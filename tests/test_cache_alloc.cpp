@@ -4,55 +4,20 @@
  * cache handles any number of hits, misses, MSHR merges, and evictions
  * without touching the heap. The same holds for the memory system's
  * deferred-fill queue once it has grown to its high-water mark. Global
- * operator new is replaced by a counting version, which is why this
- * test has an executable of its own.
+ * operator new is replaced by a counting version (alloc_count.hpp),
+ * which is why this test has an executable of its own.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 
+#include "alloc_count.hpp"
 #include "gpu/shard.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory_system.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-} // namespace
-
-void *
-operator new(std::size_t bytes)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
-        return p;
-    throw std::bad_alloc();
-}
-
-// The replacement operator new above allocates with malloc, which GCC's
-// -Wmismatched-new-delete cannot see when it flags the matching free.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#pragma GCC diagnostic pop
 
 namespace rtp {
 namespace {
@@ -68,21 +33,21 @@ allocationsDuring(CacheModel &cache, int ops, std::uint64_t seed)
     };
     Rng rng(seed);
     Cycle cycle = 0;
-    std::uint64_t before = g_allocations.load();
+    std::uint64_t before = allocationCount();
     for (int i = 0; i < ops; ++i) {
         cycle += rng.nextBounded(3);
         std::uint64_t line = rng.nextBounded(lines * 4);
         cache.access(line * cache.config().lineBytes, cycle, fill);
     }
-    return g_allocations.load() - before;
+    return allocationCount() - before;
 }
 
 TEST(CacheAlloc, CountingOperatorNewIsActive)
 {
     // A direct call: unlike a new-expression, it cannot be elided.
-    std::uint64_t before = g_allocations.load();
+    std::uint64_t before = allocationCount();
     ::operator delete(::operator new(16));
-    EXPECT_EQ(g_allocations.load() - before, 1u);
+    EXPECT_EQ(allocationCount() - before, 1u);
 }
 
 TEST(CacheAlloc, FullyAssociativeL1AccessesAllocateNothing)
@@ -104,9 +69,9 @@ TEST(CacheAlloc, SetAssociativeL2AccessesAllocateNothing)
 TEST(CacheAlloc, ResetThenRefillAllocatesNothing)
 {
     CacheModel l1({64 * 1024, 128, 0, 1, "l1"});
-    std::uint64_t before = g_allocations.load();
+    std::uint64_t before = allocationCount();
     l1.reset();
-    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(allocationCount() - before, 0u);
     EXPECT_EQ(allocationsDuring(l1, 50000, 3), 0u);
 }
 
@@ -147,9 +112,9 @@ TEST(CacheAlloc, DeferredFillQueueReusesItsCapacity)
         return misses;
     };
     run(); // grows the queue to its high-water mark
-    std::uint64_t before = g_allocations.load();
+    std::uint64_t before = allocationCount();
     std::uint64_t misses = run();
-    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(allocationCount() - before, 0u);
     EXPECT_GT(misses, 50000u);
     mem.setShardGate(nullptr);
 }

@@ -224,8 +224,9 @@ TEST(RtUnit, ClosestHitRaysMatchReference)
         HitRecord ref = traverseClosestHit(
             rig.bvh, rig.scene.mesh.triangles(), rays[i]);
         EXPECT_EQ(ref.hit, rt.results()[i].hit) << "ray " << i;
-        if (ref.hit)
+        if (ref.hit) {
             EXPECT_NEAR(ref.t, rt.results()[i].t, 1e-3f) << "ray " << i;
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 #include "exp/workload.hpp"
 #include "gpu/frame_simulator.hpp"
 #include "gpu/simulator.hpp"
+#include "rays/raygen.hpp"
 #include "scene/registry.hpp"
 #include "util/check.hpp"
 #include "util/profile.hpp"
@@ -376,6 +377,91 @@ TEST(ShardedEquiv, MergesOntoPendingFillsIdentical)
     ASSERT_GT(seq.stats.get("warp_merged_requests"), 0u);
     ASSERT_GT(seq.memStats.get("l1.mshr_merges"), 0u);
     EXPECT_EQ(seq.toJson(), run_at(2).toJson());
+}
+
+/**
+ * `simfuzz --sharded` seed 5's derived configuration, as its
+ * `--repro-out` reproducer records it.
+ */
+SimConfig
+fuzzSeed5Config()
+{
+    SimConfig c;
+    c.numSms = 3;
+    c.rt.warpSize = 16;
+    c.rt.maxWarps = 8;
+    c.rt.additionalWarps = 1;
+    c.rt.stackEntries = 4;
+    c.rt.l1PortsPerCycle = 2;
+    c.rt.queueLatency = 2;
+    c.rt.isect.boxTestLatency = 4;
+    c.rt.isect.triTestLatency = 1;
+    c.rt.repackEnabled = true;
+    c.rt.repacker = {16, 33, 32};
+    c.predictor.enabled = true;
+    c.predictor.goUpLevel = 3;
+    c.predictor.accessPorts = 1;
+    c.predictor.accessLatency = 1;
+    c.predictor.hash.function = HashFunction::TwoPoint;
+    c.predictor.hash.originBits = 6;
+    c.predictor.hash.directionBits = 5;
+    c.predictor.hash.lengthRatio = 0.129012f;
+    c.predictor.table.numEntries = 16;
+    c.predictor.table.ways = 4;
+    c.predictor.table.nodesPerEntry = 4;
+    c.predictor.table.nodeReplacement = NodeReplacement::LFU;
+    c.predictor.table.lruK = 3;
+    c.memory.l1.sizeBytes = 4096;
+    c.memory.l1.lineBytes = 32;
+    c.memory.l1.ways = 4;
+    c.memory.l1.hitLatency = 3;
+    c.memory.l2.sizeBytes = 1024 * 1024;
+    c.memory.l2.lineBytes = 32;
+    c.memory.l2.ways = 16;
+    c.memory.l2.hitLatency = 4;
+    c.memory.l1ToL2Latency = 40;
+    c.memory.l2ToDramLatency = 21;
+    c.memory.l2Enabled = false;
+    c.memory.dram.numBanks = 4;
+    return c;
+}
+
+TEST(ShardedEquiv, FuzzSeed5MidStepFillIdentical)
+{
+    // A 4 KiB L1 with no L2 behind it misses often, and two L1 ports
+    // queue a step's requests past its cycle, so a deferred fill of
+    // the stepping SM can fall due, and be applied, in the middle of a
+    // warp step. It turns a waiting ray's lower bound, which the step
+    // may already have read, into the exact ready cycle. A step that
+    // then scheduled its warp from the stale bound diverged from the
+    // sequential loop or parked the warp for good; ctest's TIMEOUT on
+    // this test turns such a hang into a failure. Whether a fill lands
+    // mid-step depends on how the workers interleave, so repeat.
+    const SimConfig config = fuzzSeed5Config();
+    const Workload &w = cache().get(SceneId::Sibenik);
+    // simfuzz's ray mix: AO plus closest-hit primary and GI rays.
+    RayGenConfig rg;
+    rg.width = 24;
+    rg.height = 24;
+    rg.samplesPerPixel = 1;
+    rg.viewportFraction = 0.4f;
+    std::vector<Ray> rays = generateAoRays(w.scene, w.bvh, rg).rays;
+    for (const Ray &r : generatePrimaryRays(w.scene, rg).rays)
+        rays.push_back(r);
+    for (const Ray &r : generateGiRays(w.scene, w.bvh, rg).rays)
+        rays.push_back(r);
+    auto run_at = [&](std::uint32_t threads) {
+        SimConfig c = config;
+        c.simThreads = threads;
+        return Simulation(c, w.bvh, w.scene.mesh.triangles())
+            .run(rays)
+            .toJson();
+    };
+    const std::string seq = run_at(1);
+    for (int rep = 0; rep < 8; ++rep)
+        for (std::uint32_t threads : {2u, 3u})
+            ASSERT_EQ(seq, run_at(threads))
+                << "simThreads=" << threads << ", repetition " << rep;
 }
 
 TEST(ShardedEquiv, RepeatedRunsOnOneSimulationStayIdentical)

@@ -31,17 +31,25 @@
  * failure came from the sharded mode) rebuilds the failing point
  * exactly.
  *
+ * A run that outlives a wall-clock deadline (kSeedDeadline, far above
+ * the fraction of a second a seed takes) fails its seed too: a hung
+ * simulation cannot be cancelled, so simfuzz prints the reproducer,
+ * writes --repro-out and exits 1 without waiting for it.
+ *
  * Usage:
  *   simfuzz [--seeds N] [--base-seed B] [--repro SEED]
  *           [--repro-out PATH] [--sharded]
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -292,8 +300,8 @@ using PointRunner = std::string (*)(const SimConfig &,
  * still fails, halving the chunk size until single rays were tried.
  */
 std::vector<Ray>
-shrinkRays(PointRunner run, const SimConfig &config,
-           const FuzzScene &fs, std::vector<Ray> rays)
+shrinkRays(const std::function<bool(const std::vector<Ray> &)> &fails,
+           std::vector<Ray> rays)
 {
     std::size_t chunk = rays.size() / 2;
     while (chunk >= 1) {
@@ -306,7 +314,7 @@ shrinkRays(PointRunner run, const SimConfig &config,
                              rays.begin() + start);
             candidate.insert(candidate.end(),
                              rays.begin() + start + chunk, rays.end());
-            if (!run(config, fs, candidate).empty()) {
+            if (fails(candidate)) {
                 rays = std::move(candidate);
                 reduced = true;
                 // Re-test the same start: the next chunk slid into it.
@@ -336,6 +344,47 @@ reproducerJson(std::uint64_t seed, const FuzzScene &fs,
     out += ",\"config\":" + configToJson(config);
     out += "}";
     return out;
+}
+
+/** Wall-clock limit for one run of a point. */
+constexpr std::chrono::seconds kSeedDeadline{60};
+
+/** Print @p repro for @p seed and write it to @p path if set. */
+void
+reportReproducer(std::uint64_t seed, const std::string &note,
+                 const std::string &repro, const char *path)
+{
+    std::printf("reproducer (rerun with --repro %llu%s):\n%s\n",
+                static_cast<unsigned long long>(seed), note.c_str(),
+                repro.c_str());
+    if (path) {
+        std::ofstream out(path);
+        out << repro << "\n";
+        std::printf("reproducer written to %s\n", path);
+    }
+}
+
+/**
+ * @p run on its own thread, for at most kSeedDeadline. A run still
+ * going then has hung and cannot be cancelled: report seed @p seed's
+ * failure and @p repro, write it to @p path if set, and end the process
+ * with exit code 1.
+ */
+std::string
+runBounded(PointRunner run, const SimConfig &config, const FuzzScene &fs,
+           const std::vector<Ray> &rays, std::uint64_t seed,
+           const std::string &repro, const char *path)
+{
+    auto result = std::async(std::launch::async, run, std::cref(config),
+                             std::cref(fs), std::cref(rays));
+    if (result.wait_for(kSeedDeadline) == std::future_status::ready)
+        return result.get();
+    std::printf("seed %llu: FAIL (no result after %lld s: hang)\n",
+                static_cast<unsigned long long>(seed),
+                static_cast<long long>(kSeedDeadline.count()));
+    reportReproducer(seed, "", repro, path);
+    std::fflush(stdout);
+    std::_Exit(1);
 }
 
 } // namespace
@@ -403,7 +452,11 @@ main(int argc, char **argv)
         SimConfig config = deriveConfig(rng, fs.bvh);
         std::vector<Ray> rays = deriveRays(rng, fs);
 
-        std::string error = run(config, fs, rays);
+        std::string error = runBounded(
+            run, config, fs, rays, seed,
+            reproducerJson(seed, fs, config, rays.size(), rays.size(),
+                           "no result before the deadline (hang)"),
+            repro_out);
         if (error.empty()) {
             std::printf("seed %llu: ok (%s, %zu rays)\n",
                         static_cast<unsigned long long>(seed),
@@ -416,18 +469,23 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(seed),
                     fs.scene.shortName.c_str(), rays.size(),
                     error.c_str());
-        std::vector<Ray> shrunk = shrinkRays(run, config, fs, rays);
-        std::string repro = reproducerJson(
-            seed, fs, config, rays.size(), shrunk.size(), error);
-        std::printf("reproducer (rerun with --repro %llu; shrunk to "
-                    "%zu rays):\n%s\n",
-                    static_cast<unsigned long long>(seed),
-                    shrunk.size(), repro.c_str());
-        if (repro_out) {
-            std::ofstream out(repro_out);
-            out << repro << "\n";
-            std::printf("reproducer written to %s\n", repro_out);
-        }
+        // A shrink candidate may hang where the whole set failed: then
+        // the unshrunk reproducer is the one to report.
+        const std::string unshrunk = reproducerJson(
+            seed, fs, config, rays.size(), rays.size(), error);
+        std::vector<Ray> shrunk = shrinkRays(
+            [&](const std::vector<Ray> &candidate) {
+                return !runBounded(run, config, fs, candidate, seed,
+                                   unshrunk, repro_out)
+                            .empty();
+            },
+            rays);
+        reportReproducer(seed,
+                         "; shrunk to " + std::to_string(shrunk.size()) +
+                             " rays",
+                         reproducerJson(seed, fs, config, rays.size(),
+                                        shrunk.size(), error),
+                         repro_out);
         // First failure is enough: later seeds would bury the
         // reproducer, and CI wants a fast, loud signal.
         break;
