@@ -121,11 +121,7 @@ class PredictorTable
     /** Invalidate all entries. */
     void reset();
 
-    /**
-     * @return Number of valid (trained) entries across all sets — the
-     * warm-state occupancy a service reports as predictor warmth at
-     * job admission.
-     */
+    /** @return Number of valid (trained) entries across all sets. */
     std::size_t validEntries() const;
 
     /** @return Total entry capacity (sets x ways). */

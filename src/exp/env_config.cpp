@@ -113,9 +113,6 @@ EnvConfig::fromEnvironment()
     env.profilePoint = static_cast<std::size_t>(
         parseEnvIndex("RTP_PROFILE_POINT", 0));
 
-    if (const char *p = std::getenv("RTP_METRICS"))
-        env.metricsPath = p;
-
     if (const char *p = std::getenv("RTP_JSON_DIR"))
         env.jsonDir = p;
 

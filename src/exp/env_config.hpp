@@ -2,9 +2,9 @@
  * @file
  * Unified RTP_* environment configuration.
  *
- * Every host-side execution knob the harness, tools, and the job
- * server honour is parsed here, strictly, in one place — previously the
- * parsing was scattered across exp/harness.cpp, exp/parallel.cpp,
+ * Every host-side execution knob the harness and tools honour is
+ * parsed here, strictly, in one place — previously the parsing was
+ * scattered across exp/harness.cpp, exp/parallel.cpp,
  * exp/workload.cpp, and the tools, each with its own (sometimes
  * lenient) rules. A malformed value throws std::invalid_argument with
  * the variable name and offending text, following the
@@ -27,7 +27,6 @@
  * | RTP_TELEMETRY_PERIOD | sampling period in simulated cycles      | 256                |
  * | RTP_PROFILE          | cycle-attribution profile JSON path      | (off)              |
  * | RTP_PROFILE_POINT    | sweep-point index to profile             | 0                  |
- * | RTP_METRICS          | Prometheus text exposition path          | (off)              |
  * | RTP_JSON_DIR         | directory for bench_*.json sinks         | working directory  |
  * | RTP_SCALE            | workload fidelity 1..16 (clamped high)   | 1                  |
  * | RTP_SELFBENCH_REPS   | selfbench repetitions per cell           | 3                  |
@@ -71,9 +70,6 @@ struct EnvConfig
     /** RTP_PROFILE / RTP_PROFILE_POINT (empty path = profiling off). */
     std::string profilePath;
     std::size_t profilePoint = 0;
-
-    /** RTP_METRICS (empty path = metrics exposition off). */
-    std::string metricsPath;
 
     /** RTP_JSON_DIR (empty = working directory). */
     std::string jsonDir;

@@ -16,7 +16,6 @@
 #include "exp/env_config.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/metrics.hpp"
 #include "util/profile.hpp"
 #include "util/schema.hpp"
 #include "util/telemetry.hpp"
@@ -90,20 +89,13 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
     static bool traceConsumed = false;
     static bool telemetryConsumed = false;
     static bool profileConsumed = false;
-    static bool metricsConsumed = false;
     bool want_trace = !env.tracePath.empty() && !traceConsumed &&
                       !points.empty();
     bool want_telemetry = !env.telemetryPath.empty() &&
                           !telemetryConsumed && !points.empty();
     bool want_profile = !env.profilePath.empty() && !profileConsumed &&
                         !points.empty();
-    // RTP_METRICS=<path>: Prometheus text exposition assembled after
-    // the sweep from the cycle profiler (attached implicitly even
-    // without RTP_PROFILE) and the observed point's stat groups.
-    bool want_metrics = !env.metricsPath.empty() && !metricsConsumed &&
-                        !points.empty();
-    if (!want_trace && !want_telemetry && !want_profile &&
-        !want_metrics)
+    if (!want_trace && !want_telemetry && !want_profile)
         return runSweep(points, run, label, nullptr,
                         budget.sweepThreads);
 
@@ -132,20 +124,16 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
     }
 
     // One profiler per process, riding on one sweep point
-    // (RTP_PROFILE_POINT, clamped). RTP_METRICS without RTP_PROFILE
-    // still attaches it: the attribution table is the heart of the
-    // exposition and costs nothing when unobserved elsewhere.
+    // (RTP_PROFILE_POINT, clamped).
     std::unique_ptr<CycleProfiler> profiler;
     std::size_t profile_idx = 0;
-    if (want_profile || want_metrics) {
-        profileConsumed = profileConsumed || want_profile;
-        metricsConsumed = metricsConsumed || want_metrics;
+    if (want_profile) {
+        profileConsumed = true;
         profile_idx = clampPointIndex(env.profilePoint, points.size());
         profiler = std::make_unique<CycleProfiler>();
         observed[profile_idx].config.profile = profiler.get();
     }
 
-    MetricsRegistry registry;
     std::vector<SimResult> results =
         runSweep(observed, run, label, nullptr, budget.sweepThreads);
 
@@ -208,31 +196,6 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
         else
             std::fprintf(stderr,
                          "[rtp-harness] cannot write profile %s\n",
-                         path.c_str());
-    }
-    if (want_metrics) {
-        populateFromProfile(registry, *profiler);
-        if (profile_idx < results.size()) {
-            populateFromStats(registry, results[profile_idx].stats);
-            populateFromStats(registry,
-                              results[profile_idx].memStats);
-        }
-        const std::string &path = env.metricsPath;
-        bool ok = ensureParentDir(path);
-        if (ok) {
-            std::ofstream os(path);
-            os << registry.renderProm();
-            ok = os.good();
-        }
-        if (ok)
-            std::fprintf(stderr,
-                         "[rtp-harness] wrote metrics %s "
-                         "(%zu families, point %zu)\n",
-                         path.c_str(), registry.families().size(),
-                         profile_idx);
-        else
-            std::fprintf(stderr,
-                         "[rtp-harness] cannot write metrics %s\n",
                          path.c_str());
     }
     return results;

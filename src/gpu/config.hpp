@@ -41,8 +41,7 @@ struct SimConfig
      * (cycle, sm) order (see docs/performance.md). kAutoSimThreads
      * (the default) sizes the worker count to the CPUs that are free
      * when the run starts; see eventLoopWorkers(). The bench harness
-     * and the job server fill an auto value from their thread budget
-     * (RTP_SIM_THREADS).
+     * fills an auto value from its thread budget (RTP_SIM_THREADS).
      */
     std::uint32_t simThreads = kAutoSimThreads;
 

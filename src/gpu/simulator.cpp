@@ -763,37 +763,6 @@ PredictorSet::resetTables()
         p->resetTable();
 }
 
-PredictorSet
-PredictorSet::clone() const
-{
-    PredictorSet out;
-    out.predictors_.reserve(predictors_.size());
-    for (const auto &p : predictors_)
-        out.predictors_.push_back(std::make_unique<RayPredictor>(*p));
-    return out;
-}
-
-void
-PredictorSet::reset()
-{
-    for (auto &p : predictors_) {
-        p->resetTable();
-        p->clearStats();
-    }
-}
-
-PredictorSetStats
-PredictorSet::snapshotStats() const
-{
-    PredictorSetStats s;
-    s.numSms = predictors_.size();
-    for (const auto &p : predictors_) {
-        s.validEntries += p->table().validEntries();
-        s.capacity += p->table().capacity();
-    }
-    return s;
-}
-
 std::vector<RayPredictor *>
 PredictorSet::pointers() const
 {

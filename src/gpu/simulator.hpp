@@ -77,27 +77,6 @@ struct SimResult
 };
 
 /**
- * Aggregate occupancy snapshot of a PredictorSet's trained tables —
- * the "predictor warmth" a job server reports at admission time.
- */
-struct PredictorSetStats
-{
-    std::size_t numSms = 0;       //!< predictors in the set
-    std::size_t validEntries = 0; //!< trained entries across all tables
-    std::size_t capacity = 0;     //!< total entry capacity
-
-    /** Fraction of table capacity holding trained state, in [0, 1]. */
-    double
-    warmth() const
-    {
-        return capacity == 0
-                   ? 0.0
-                   : static_cast<double>(validEntries) /
-                         static_cast<double>(capacity);
-    }
-};
-
-/**
  * Per-SM predictor state that outlives individual runs (the paper's
  * Section 8 cross-frame experiment). Bind the set to each frame's BVH
  * before handing it to a Simulation; trained tables survive rebinds
@@ -124,30 +103,6 @@ class PredictorSet
 
     /** Invalidate all trained tables (e.g., after a full rebuild). */
     void resetTables();
-
-    /**
-     * Deep-copy the set: every predictor's trained table, hasher, and
-     * timing state is duplicated; trace sinks and invariant checkers
-     * are NOT carried over (observers belong to one run). This is the
-     * lifecycle primitive a shared-state registry uses so two
-     * concurrent jobs never mutate the same tables.
-     */
-    PredictorSet clone() const;
-
-    /**
-     * Return the set to its just-bound cold state: trained tables
-     * invalidated and per-run statistics cleared. Unlike resetTables()
-     * this also drops the stat counters, so a recycled registry entry
-     * is indistinguishable from a fresh one.
-     */
-    void reset();
-
-    /**
-     * Aggregate table occupancy across all predictors — cheap enough
-     * to take at every job admission. An empty (unbound) set reports
-     * zero capacity and zero warmth.
-     */
-    PredictorSetStats snapshotStats() const;
 
     bool
     empty() const

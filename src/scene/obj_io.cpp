@@ -81,14 +81,18 @@ loadObj(const std::string &path, Mesh &mesh, std::string *error)
                                 tok);
                 // Relative indices count back from the last vertex.
                 // Both forms are range-checked before any arithmetic
-                // that could overflow; an index outside the list
-                // drops the corner.
+                // that could overflow. An index outside the list fails:
+                // dropping the corner would fan the rest of the polygon
+                // into the wrong triangle.
                 const auto count =
                     static_cast<std::int64_t>(vertices.size());
                 if (v < 0 && v >= -count)
                     idx.push_back(static_cast<std::size_t>(count + v));
                 else if (v >= 1 && v <= count)
                     idx.push_back(static_cast<std::size_t>(v - 1));
+                else
+                    return fail(path + ":" + std::to_string(line_no) +
+                                ": face index out of range: " + tok);
             }
             for (std::size_t k = 2; k < idx.size(); ++k) {
                 parsed.addTriangle(vertices[idx[0]],

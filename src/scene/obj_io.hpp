@@ -29,10 +29,10 @@ bool saveObj(const std::string &path, const Mesh &mesh);
  *
  * A vertex record that does not parse as three finite coordinates
  * fails the whole load: skipping it would renumber every later vertex
- * and silently connect faces to the wrong corners. Face indices outside
- * the vertex list are dropped (a face left with fewer than three
- * corners produces no triangle). A face index that is not an integer,
- * or does not fit in 64 bits, fails the load.
+ * and silently connect faces to the wrong corners. A face index that
+ * is not an integer, does not fit in 64 bits, or lies outside the
+ * vertices read so far (0 included) fails the load for the same
+ * reason. A face with fewer than three corners produces no triangle.
  *
  * @param mesh Out: triangles are appended, only on success.
  * @param error Out (optional): on failure, the reason, naming the line.

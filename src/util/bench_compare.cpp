@@ -69,20 +69,6 @@ compareNumber(const JsonValue &base, const JsonValue &cur,
         }
         return;
     }
-    if (isBenchLatencyKey(key)) {
-        if (opts.skipPerf)
-            return;
-        // Latency only gates in the slow (higher) direction.
-        if (c > b * (1.0 + opts.perfTol)) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "latency rose %.1f%% (tolerance %.1f%%)",
-                          relDelta(b, c) * 100.0,
-                          opts.perfTol * 100.0);
-            addViolation(out, path, "perf", b, c, buf);
-        }
-        return;
-    }
     if (std::fabs(c - b) >
         opts.relTol * std::max(std::fabs(b), 1.0)) {
         char buf[160];
@@ -193,15 +179,6 @@ bool
 isBenchPerfKey(const std::string &key)
 {
     return key == "rays_per_second";
-}
-
-bool
-isBenchLatencyKey(const std::string &key)
-{
-    static const char suffix[] = "_latency_seconds";
-    const std::size_t n = sizeof(suffix) - 1;
-    return key.size() > n &&
-           key.compare(key.size() - n, n, suffix) == 0;
 }
 
 std::vector<BenchViolation>

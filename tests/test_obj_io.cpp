@@ -4,12 +4,26 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "scene/obj_io.hpp"
 #include "scene/registry.hpp"
 
 namespace rtp {
 namespace {
+
+/**
+ * A path unique to the running test: ctest runs each test as its own
+ * process, in parallel, so tests sharing a helper must not share its
+ * file.
+ */
+std::string
+testPath(const std::string &stem)
+{
+    const char *test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    return "/tmp/" + stem + "_" + test + ".obj";
+}
 
 TEST(ObjIo, RoundTripPreservesGeometry)
 {
@@ -88,21 +102,6 @@ TEST(ObjIo, MissingFileFails)
     EXPECT_FALSE(loadObj("/tmp/nope_not_an_obj.obj", m));
 }
 
-TEST(ObjIo, OutOfRangeIndicesDropped)
-{
-    std::string path = "/tmp/rtp_test_oor.obj";
-    {
-        std::ofstream f(path);
-        f << "v 0 0 0\nv 1 0 0\nv 0 1 0\n";
-        f << "f 1 2 9\n"; // 9 does not exist -> face dropped
-        f << "f 1 2 3\n";
-    }
-    Mesh m;
-    ASSERT_TRUE(loadObj(path, m));
-    EXPECT_EQ(m.size(), 1u);
-    std::remove(path.c_str());
-}
-
 /**
  * Load a file whose second line is the vertex record @p bad. It must
  * fail with a reason naming line 2 and leave the mesh untouched: a
@@ -112,7 +111,7 @@ TEST(ObjIo, OutOfRangeIndicesDropped)
 void
 expectBadVertexFails(const std::string &bad)
 {
-    std::string path = "/tmp/rtp_test_bad_vertex.obj";
+    std::string path = testPath("rtp_test_bad_vertex");
     {
         std::ofstream f(path);
         f << "v 0 0 0\n" << bad << "\nv 1 0 0\nv 0 1 0\nf 1 2 3\n";
@@ -143,12 +142,13 @@ TEST(ObjIo, OverflowingVertexFails)
 
 /**
  * Load a file whose face line (line 4) is @p bad. It must fail with a
- * reason naming line 4 and leave the mesh untouched.
+ * reason naming line 4 (and containing @p reason, when given) and
+ * leave the mesh untouched.
  */
 void
-expectBadFaceFails(const std::string &bad)
+expectBadFaceFails(const std::string &bad, const std::string &reason = "")
 {
-    std::string path = "/tmp/rtp_test_bad_face.obj";
+    std::string path = testPath("rtp_test_bad_face");
     {
         std::ofstream f(path);
         f << "v 0 0 0\nv 1 0 0\nv 0 1 0\n" << bad << "\nf 1 2 3\n";
@@ -158,6 +158,7 @@ expectBadFaceFails(const std::string &bad)
     EXPECT_FALSE(loadObj(path, m, &why)) << bad;
     EXPECT_EQ(m.size(), 0u) << bad;
     EXPECT_NE(why.find(path + ":4:"), std::string::npos) << why;
+    EXPECT_NE(why.find(reason), std::string::npos) << why;
     std::remove(path.c_str());
 }
 
@@ -174,22 +175,24 @@ TEST(ObjIo, OverflowingFaceIndexFails)
     expectBadFaceFails("f 1 2 -99999999999999999999/1");
 }
 
-TEST(ObjIo, HugeIndicesWithinRangeOfInt64AreDropped)
+TEST(ObjIo, OutOfRangeFaceIndexFails)
 {
-    // Past int but inside int64: out of the vertex list, so the face
-    // is dropped as any out-of-range index is, never wrapped around.
-    std::string path = "/tmp/rtp_test_huge_index.obj";
-    {
-        std::ofstream f(path);
-        f << "v 0 0 0\nv 1 0 0\nv 0 1 0\n";
-        f << "f 1 2 4294967298\n";
-        f << "f 1 2 -9223372036854775808\n";
-        f << "f -3 -2 -1\n";
-    }
-    Mesh m;
-    ASSERT_TRUE(loadObj(path, m));
-    EXPECT_EQ(m.size(), 1u);
-    std::remove(path.c_str());
+    // Dropping the bad corner would load "f 1 9 2 3" as the triangle
+    // 1-2-3: the wrong geometry, without a word.
+    expectBadFaceFails("f 1 2 9", "face index out of range: 9");
+    expectBadFaceFails("f 1 9 2 3", "face index out of range: 9");
+    expectBadFaceFails("f 0 1 2", "face index out of range: 0");
+    expectBadFaceFails("f -4 -2 -1", "face index out of range: -4");
+}
+
+TEST(ObjIo, HugeIndicesWithinRangeOfInt64Fail)
+{
+    // Past int but inside int64: out of the vertex list, so the load
+    // fails as for any out-of-range index, never wrapping around.
+    expectBadFaceFails("f 1 2 4294967298",
+                       "face index out of range: 4294967298");
+    expectBadFaceFails("f 1 2 -9223372036854775808",
+                       "face index out of range: -9223372036854775808");
 }
 
 TEST(ObjIo, ProceduralSceneSurvivesRoundTrip)

@@ -22,7 +22,6 @@
 #include "exp/parallel.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
-#include "service/sim_service.hpp"
 #include "util/host.hpp"
 
 namespace rtp {
@@ -451,9 +450,9 @@ TEST(SimThreadsAuto, ExplicitValuesKeepTheirMeaning)
 
 TEST(SimThreadsAuto, OnlyAutoInheritsTheBudget)
 {
-    // The harness, bench_incoherent and the job server all fill a
-    // config through inheritSimThreads: an explicit 1 stays
-    // sequential under RTP_SIM_THREADS=4, auto takes the budget.
+    // The harness and bench_incoherent both fill a config through
+    // inheritSimThreads: an explicit 1 stays sequential under
+    // RTP_SIM_THREADS=4, auto takes the budget.
     SimConfig seq;
     seq.numSms = 8;
     seq.simThreads = 1;
@@ -488,29 +487,6 @@ TEST(SimThreadsAuto, PoolOfSeveralGetsOneSimThread)
     {
         SimThreadsEnv sim("0");
         EXPECT_THROW(simThreadsForPool(1), std::invalid_argument);
-    }
-}
-
-TEST(SimThreadsAuto, ServiceResolvesAgainstItsOwnPool)
-{
-    // SimService applies the same rule to its worker pool: 1 under
-    // several workers, auto under one, RTP_SIM_THREADS when set, and
-    // an explicit ServiceConfig::simThreads above all.
-    ServiceConfig sc;
-    {
-        SimThreadsEnv sim(nullptr);
-        sc.workers = 2;
-        EXPECT_EQ(SimService(sc).jobSimThreads(), 1u);
-        sc.workers = 1;
-        EXPECT_EQ(SimService(sc).jobSimThreads(),
-                  SimConfig::kAutoSimThreads);
-    }
-    {
-        SimThreadsEnv sim("3");
-        sc.workers = 1;
-        EXPECT_EQ(SimService(sc).jobSimThreads(), 3u);
-        sc.simThreads = 2;
-        EXPECT_EQ(SimService(sc).jobSimThreads(), 2u);
     }
 }
 

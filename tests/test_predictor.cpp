@@ -159,8 +159,8 @@ TEST(Predictor, StatsTrackActivity)
 
 TEST(Predictor, CopyIsDeep)
 {
-    // PredictorSet::clone copies trained predictors across jobs: the
-    // copy must own its table, not share the original's.
+    // A copied predictor must own its table, not share the
+    // original's.
     Fixture f;
     PredictorConfig cfg;
     RayPredictor p(cfg, f.bvh);

@@ -1,16 +1,14 @@
 /**
  * @file
  * Summarise a cycle-attribution profile emitted by the simulator's
- * CycleProfiler (RTP_PROFILE=out.json, see docs/observability.md), or
- * lint a Prometheus exposition written by RTP_METRICS.
+ * CycleProfiler (RTP_PROFILE=out.json, see docs/observability.md).
  *
  * Usage:
  *   cycles_report <profile.json>
- *   cycles_report --lint <metrics.prom>
  *
- * Profile mode validates the file (well-formed JSON, schema version,
- * required members), re-checks the conservation law offline — every
- * SM's categories must sum to the elapsed cycle count — and prints:
+ * It validates the file (well-formed JSON, schema version, required
+ * members), re-checks the conservation law offline — every SM's
+ * categories must sum to the elapsed cycle count — and prints:
  *   - a per-SM breakdown table, categories as columns, sorted by the
  *     global cost of each category;
  *   - the aggregate attribution ranked by share of total cycles;
@@ -18,12 +16,9 @@
  *     spent looking up and verifying predictions against the cycles
  *     the predictor removed from box/tri work, plus cache behaviour.
  *
- * Lint mode runs promLint (util/metrics.hpp) over the exposition text
- * and prints one line per violation.
- *
  * Exits 0 on success, 1 on malformed input or I/O failure, 2 on usage
- * errors, 3 when the conservation law fails or the lint found
- * violations. CI uses the exit code to smoke-test profiled runs.
+ * errors, 3 when the conservation law fails. CI uses the exit code
+ * to smoke-test profiled runs.
  */
 
 #include <algorithm>
@@ -35,7 +30,6 @@
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/metrics.hpp"
 #include "util/schema.hpp"
 
 namespace {
@@ -68,25 +62,6 @@ pctOf(std::uint64_t part, std::uint64_t whole)
     return whole ? 100.0 * static_cast<double>(part) /
                        static_cast<double>(whole)
                  : 0.0;
-}
-
-int
-runLint(const char *path)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        std::fprintf(stderr, "cycles_report: cannot read %s\n", path);
-        return 1;
-    }
-    std::vector<std::string> problems = rtp::promLint(text);
-    if (problems.empty()) {
-        std::printf("%s: exposition clean\n", path);
-        return 0;
-    }
-    for (const std::string &p : problems)
-        std::printf("%s: %s\n", path, p.c_str());
-    std::printf("%zu violation(s)\n", problems.size());
-    return 3;
 }
 
 int
@@ -293,12 +268,8 @@ runReport(const char *path)
 int
 main(int argc, char **argv)
 {
-    if (argc == 3 && std::string(argv[1]) == "--lint")
-        return runLint(argv[2]);
     if (argc != 2 || argv[1][0] == '-') {
-        std::fprintf(stderr,
-                     "usage: cycles_report <profile.json>\n"
-                     "       cycles_report --lint <metrics.prom>\n");
+        std::fprintf(stderr, "usage: cycles_report <profile.json>\n");
         return 2;
     }
     return runReport(argv[1]);
