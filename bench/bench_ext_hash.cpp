@@ -86,9 +86,9 @@ main()
                  ++s)
                 tri_to_slot[w.bvh.primIndices()[s]] = s;
             std::vector<std::uint32_t> goup(w.ao.rays.size(), ~0u);
+            BvhTraversal trav(w.bvh, w.scene.mesh.triangles());
             for (std::size_t i = 0; i < w.ao.rays.size(); ++i) {
-                HitRecord rec = traverseAnyHit(
-                    w.bvh, w.scene.mesh.triangles(), w.ao.rays[i]);
+                HitRecord rec = trav.anyHit(w.ao.rays[i]);
                 if (rec.hit) {
                     goup[i] = w.bvh.ancestorOf(
                         w.bvh.leafOfPrimSlot(tri_to_slot[rec.prim]),

@@ -38,6 +38,7 @@ analyticalRaysPerSecond(const Workload &w, const std::vector<Ray> &rays)
     // (requests from the 32 threads coalesce), so the functional proxy
     // counts UNIQUE nodes per 32-ray packet plus per-thread triangle
     // tests. Packets are sampled for speed.
+    BvhTraversal trav(w.bvh, w.scene.mesh.triangles());
     std::uint64_t unique_nodes = 0, tri_tests = 0;
     std::uint64_t chain_acc = 0;
     std::size_t count = 0, packets = 0;
@@ -48,11 +49,9 @@ analyticalRaysPerSecond(const Workload &w, const std::vector<Ray> &rays)
             TraversalStats one;
             one.recordTrace = true;
             if (rays[i].kind == RayKind::Occlusion)
-                traverseAnyHit(w.bvh, w.scene.mesh.triangles(),
-                               rays[i], &one);
+                trav.anyHit(rays[i], &one);
             else
-                traverseClosestHit(w.bvh, w.scene.mesh.triangles(),
-                                   rays[i], &one);
+                trav.closestHit(rays[i], &one);
             for (std::uint32_t node : one.nodeTrace)
                 packet_nodes.insert(node);
             tri_tests += one.triTests;

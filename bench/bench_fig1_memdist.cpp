@@ -36,13 +36,13 @@ main()
         workloads,
         [](const Workload *wp) {
             const Workload &w = *wp;
+            BvhTraversal trav(w.bvh, w.scene.mesh.triangles());
             std::unordered_set<std::uint32_t> seen_nodes, seen_leaves;
             Counts c;
             for (const Ray &ray : w.ao.rays) {
                 TraversalStats ts;
                 ts.recordTrace = true;
-                traverseAnyHit(w.bvh, w.scene.mesh.triangles(), ray,
-                               &ts);
+                trav.anyHit(ray, &ts);
                 for (std::uint32_t node : ts.nodeTrace) {
                     if (w.bvh.node(node).isLeaf()) {
                         if (seen_leaves.insert(node).second)

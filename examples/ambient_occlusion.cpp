@@ -53,6 +53,7 @@ main(int argc, char **argv)
     Scene scene = makeScene(id, 0.15f);
     Bvh bvh = BvhBuilder().build(scene.mesh.triangles());
     const auto &tris = scene.mesh.triangles();
+    BvhTraversal trav(bvh, tris);
     std::printf("Rendering AO for %s (%zu triangles)\n",
                 scene.name.c_str(), scene.mesh.size());
 
@@ -67,7 +68,7 @@ main(int argc, char **argv)
             float sx = (x + 0.5f) / width;
             float sy = (y + 0.5f) / height;
             Ray primary = scene.camera.generateRay(sx, sy, 1.0f);
-            HitRecord rec = traverseClosestHit(bvh, tris, primary);
+            HitRecord rec = trav.closestHit(primary);
             if (!rec.hit) {
                 image[y * width + x] = 230; // sky / background
                 continue;
@@ -86,7 +87,7 @@ main(int argc, char **argv)
                 ao.tMax = diag * rng.nextRange(0.25f, 0.40f);
                 ao.kind = RayKind::Occlusion;
                 all_ao_rays.push_back(ao);
-                if (traverseAnyHit(bvh, tris, ao).hit)
+                if (trav.anyHit(ao).hit)
                     occluded++;
             }
             float visibility =

@@ -47,6 +47,7 @@ main(int argc, char **argv)
     Scene scene = makeScene(id, 0.12f);
     Bvh bvh = BvhBuilder().build(scene.mesh.triangles());
     const auto &tris = scene.mesh.triangles();
+    BvhTraversal trav(bvh, tris);
     std::printf("Path tracing %s (%zu triangles), 3 bounces\n",
                 scene.name.c_str(), scene.mesh.size());
 
@@ -65,7 +66,7 @@ main(int argc, char **argv)
                     (y + rng.nextFloat()) / height, 1.0f);
                 float throughput = 1.0f;
                 for (int b = 0; b <= bounces; ++b) {
-                    HitRecord rec = traverseClosestHit(bvh, tris, ray);
+                    HitRecord rec = trav.closestHit(ray);
                     if (!rec.hit) {
                         radiance += throughput; // hit the "sky"
                         break;

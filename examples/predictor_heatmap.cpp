@@ -51,6 +51,7 @@ main(int argc, char **argv)
     Scene scene = makeScene(id, 0.12f);
     Bvh bvh = BvhBuilder().build(scene.mesh.triangles());
     const auto &tris = scene.mesh.triangles();
+    BvhTraversal trav(bvh, tris);
     std::printf("Predictor heatmap for %s (%zu triangles)\n",
                 scene.name.c_str(), scene.mesh.size());
 
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         for (int x = 0; x < width; ++x) {
             Ray primary = scene.camera.generateRay(
                 (x + 0.5f) / width, (y + 0.5f) / height, 1.0f);
-            HitRecord rec = traverseClosestHit(bvh, tris, primary);
+            HitRecord rec = trav.closestHit(primary);
             if (!rec.hit)
                 continue;
             Vec3 p = primary.at(rec.t);

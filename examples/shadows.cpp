@@ -49,6 +49,7 @@ main(int argc, char **argv)
     Scene scene = makeScene(id, 0.12f);
     Bvh bvh = BvhBuilder().build(scene.mesh.triangles());
     const auto &tris = scene.mesh.triangles();
+    BvhTraversal trav(bvh, tris);
     std::printf("Shadow pass for %s (%zu triangles)\n",
                 scene.name.c_str(), scene.mesh.size());
 
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         for (int x = 0; x < width; ++x) {
             Ray primary = scene.camera.generateRay(
                 (x + 0.5f) / width, (y + 0.5f) / height, 1.0f);
-            HitRecord rec = traverseClosestHit(bvh, tris, primary);
+            HitRecord rec = trav.closestHit(primary);
             if (!rec.hit) {
                 image.setPixel(x, y, 0.9f);
                 continue;
@@ -88,7 +89,7 @@ main(int argc, char **argv)
             shadow.tMax = dist * 0.999f;
             shadow.kind = RayKind::Occlusion;
             shadow_rays.push_back(shadow);
-            bool occluded = traverseAnyHit(bvh, tris, shadow).hit;
+            bool occluded = trav.anyHit(shadow).hit;
 
             float shade = 0.15f + (occluded ? 0.1f : 0.75f * lambert);
             image.setPixel(x, y, shade);

@@ -172,6 +172,12 @@ buildRecursive(BuildContext &ctx, std::uint32_t first, std::uint32_t count,
     return node_idx;
 }
 
+bool
+isFinite(const Vec3 &v)
+{
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
 void
 requireCost(float cost, const char *field)
 {
@@ -205,8 +211,15 @@ BvhBuilder::build(const std::vector<Triangle> &triangles) const
 
     std::vector<PrimInfo> prims(triangles.size());
     for (std::size_t i = 0; i < triangles.size(); ++i) {
-        prims[i].bounds = triangles[i].bounds();
-        prims[i].centroid = triangles[i].centroid();
+        const Triangle &t = triangles[i];
+        // Checked per vertex: the NaN-dropping min/max behind bounds()
+        // would hide a NaN coordinate from the box.
+        if (!isFinite(t.v0) || !isFinite(t.v1) || !isFinite(t.v2))
+            throw std::invalid_argument(
+                "BvhBuilder: triangle " + std::to_string(i) +
+                " has a NaN or infinite vertex");
+        prims[i].bounds = t.bounds();
+        prims[i].centroid = t.centroid();
     }
 
     Bvh bvh;

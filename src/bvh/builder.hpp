@@ -39,6 +39,8 @@ class BvhBuilder
     /**
      * Build a BVH.
      * @param triangles Scene triangle soup (must be non-empty).
+     * @throws std::invalid_argument if @p triangles is empty or a
+     *         vertex is NaN or infinite (naming the triangle index).
      */
     Bvh build(const std::vector<Triangle> &triangles) const;
 

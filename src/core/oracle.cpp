@@ -18,11 +18,11 @@ struct PendingUpdate
 
 /** Count the accesses of a verification traversal from one node. */
 std::uint64_t
-verificationCost(const Bvh &bvh, const std::vector<Triangle> &triangles,
-                 const Ray &ray, std::uint32_t node, bool &found_hit)
+verificationCost(BvhTraversal &trav, const Ray &ray, std::uint32_t node,
+                 bool &found_hit)
 {
     TraversalStats ts;
-    HitRecord rec = traverseAnyHit(bvh, triangles, ray, &ts, node);
+    HitRecord rec = trav.anyHit(ray, &ts, node);
     found_hit = rec.hit;
     return ts.nodesFetched + ts.leavesFetched; // fetch count incl. leaves
 }
@@ -49,6 +49,7 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
     LimitResult result;
     RayHasher hasher(config.predictor.hash, bvh.sceneBounds());
     PredictorTable table(config.predictor.table, hasher.hashBits());
+    BvhTraversal trav(bvh, triangles);
 
     const bool unbounded = mode == OracleMode::OracleTraining ||
                            mode == OracleMode::OracleUpdates;
@@ -86,7 +87,7 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
 
         // Ground truth for this ray.
         TraversalStats base_ts;
-        HitRecord base = traverseAnyHit(bvh, triangles, ray, &base_ts);
+        HitRecord base = trav.anyHit(ray, &base_ts);
         std::uint64_t base_cost =
             base_ts.nodesFetched + base_ts.leavesFetched;
         result.baselineAccesses += base_cost;
@@ -147,8 +148,7 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
             result.predicted++;
             for (std::uint32_t node : prediction) {
                 bool found;
-                cost += verificationCost(bvh, triangles, ray, node,
-                                         found);
+                cost += verificationCost(trav, ray, node, found);
                 if (found) {
                     verified = true;
                     break;
@@ -163,7 +163,7 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
             result.verified++;
         result.predictorAccesses += cost;
 
-        // Train on hit (delayed by the in-flight window). traverseAnyHit
+        // Train on hit (delayed by the in-flight window). anyHit
         // reports the triangle id; map it back to its primIndices slot
         // to find the containing leaf (map built once per BVH).
         if (base.hit) {

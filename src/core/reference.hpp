@@ -10,7 +10,10 @@
  * bookkeeping — used as the oracle the validation layer cross-checks the
  * RT unit against (SimConfig::check, docs/validation.md). Three
  * independent traversal implementations agreeing per ray is the
- * strongest cheap evidence that none of them is wrong.
+ * strongest cheap evidence that none of them is wrong. That is why this
+ * walk is not folded into BvhTraversal: the checker (RTP_CHECK) and the
+ * benchmark's BvhTraversal-vs-oracle mismatch count would then compare
+ * one walk with itself.
  *
  * Guarantees cross-checks may rely on (geometry/intersect.cpp rejects
  * t >= ray.tMax strictly, so pruned subtrees can never contain a closer

@@ -261,8 +261,14 @@ JsonResultSink::~JsonResultSink()
 void
 JsonResultSink::add(const std::string &label, const SimResult &result)
 {
-    entries_.push_back("\"" + jsonEscape(label) +
-                       "\":" + result.toJson());
+    // Appended rather than concatenated: GCC 12 misreads the inlined
+    // `"literal" + std::string&&` copy as overlapping (-Wrestrict).
+    const std::string key = jsonEscape(label);
+    const std::string json = result.toJson();
+    std::string entry;
+    entry.reserve(key.size() + json.size() + 3);
+    entry.append("\"").append(key).append("\":").append(json);
+    entries_.push_back(std::move(entry));
 }
 
 bool

@@ -4,11 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "bvh/builder.hpp"
+#include "fnv1a.hpp"
 #include "scene/registry.hpp"
 #include "util/rng.hpp"
 
@@ -45,24 +45,6 @@ coincidentCentroidSoup()
     }
     return tris;
 }
-
-/** Incremental 64-bit FNV-1a over raw bytes. */
-struct Fnv1a
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    template <typename T>
-    void
-    add(const T &v)
-    {
-        unsigned char bytes[sizeof(T)];
-        std::memcpy(bytes, &v, sizeof(T));
-        for (unsigned char b : bytes) {
-            h ^= b;
-            h *= 0x100000001b3ULL;
-        }
-    }
-};
 
 /**
  * Digest of everything the simulator reads from a BVH: every node
@@ -325,6 +307,30 @@ TEST(BvhBuild, RejectsInvalidConfig)
         cfg = {};
         cfg.intersectCost = c;
         expect_rejected(cfg, "intersectCost");
+    }
+}
+
+/** A NaN or infinite vertex is rejected up front, naming the triangle. */
+TEST(BvhBuild, RejectsNonFiniteVertex)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (float bad : {nan, inf, -inf}) {
+        for (int vertex = 0; vertex < 3; ++vertex) {
+            auto tris = randomTriangles(50, 5);
+            Triangle &t = tris[17];
+            (vertex == 0 ? t.v0 : vertex == 1 ? t.v1 : t.v2).y = bad;
+            try {
+                Bvh bvh = BvhBuilder().build(tris);
+                ADD_FAILURE() << bad << " in vertex " << vertex
+                              << ": accepted, " << bvh.nodeCount()
+                              << " nodes";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("triangle 17 "),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-/** @file Reference traversal tests (Algorithm 1) against brute force. */
+/** @file BvhTraversal tests (Algorithm 1): brute force and golden digests. */
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "bvh/builder.hpp"
 #include "bvh/traversal.hpp"
 #include "exp/workload.hpp"
+#include "fnv1a.hpp"
 #include "scene/registry.hpp"
 #include "util/rng.hpp"
 
@@ -66,31 +67,17 @@ bits(float f)
     return b;
 }
 
-/** Exact comparison of two hit records, including t/u/v bit patterns. */
-void
-expectBitIdentical(const HitRecord &a, const HitRecord &b,
-                   const char *what, std::size_t i)
-{
-    ASSERT_EQ(a.hit, b.hit) << what << " ray " << i;
-    if (!a.hit)
-        return;
-    EXPECT_EQ(a.prim, b.prim) << what << " ray " << i;
-    EXPECT_EQ(bits(a.t), bits(b.t)) << what << " ray " << i;
-    EXPECT_EQ(bits(a.u), bits(b.u)) << what << " ray " << i;
-    EXPECT_EQ(bits(a.v), bits(b.v)) << what << " ray " << i;
-}
-
 TEST(Traversal, AnyHitMatchesBruteForceProperty)
 {
     auto tris = randomTriangles(600, 100);
     Bvh bvh = BvhBuilder().build(tris);
+    BvhTraversal trav(bvh, tris);
     Rng rng(101);
     int hits = 0;
     for (int i = 0; i < 500; ++i) {
         Ray ray = randomRay(rng, rng.nextRange(1.0f, 40.0f));
         bool ref = bruteForceAnyHit(tris, ray);
-        HitRecord rec = traverseAnyHit(bvh, tris, ray);
-        EXPECT_EQ(ref, rec.hit) << "ray " << i;
+        EXPECT_EQ(ref, trav.anyHit(ray).hit) << "ray " << i;
         if (ref)
             hits++;
     }
@@ -102,12 +89,13 @@ TEST(Traversal, ClosestHitMatchesBruteForceProperty)
 {
     auto tris = randomTriangles(400, 102);
     Bvh bvh = BvhBuilder().build(tris);
+    BvhTraversal trav(bvh, tris);
     Rng rng(103);
     for (int i = 0; i < 400; ++i) {
         Ray ray = randomRay(rng, 1e30f);
         ray.kind = RayKind::Primary;
         HitRecord ref = bruteForceClosestHit(tris, ray);
-        HitRecord rec = traverseClosestHit(bvh, tris, ray);
+        HitRecord rec = trav.closestHit(ray);
         ASSERT_EQ(ref.hit, rec.hit) << "ray " << i;
         if (ref.hit) {
             EXPECT_NEAR(ref.t, rec.t, 1e-3f);
@@ -120,10 +108,11 @@ TEST(Traversal, AnyHitRecordsValidPrim)
 {
     auto tris = randomTriangles(200, 104);
     Bvh bvh = BvhBuilder().build(tris);
+    BvhTraversal trav(bvh, tris);
     Rng rng(105);
     for (int i = 0; i < 300; ++i) {
         Ray ray = randomRay(rng, 30.0f);
-        HitRecord rec = traverseAnyHit(bvh, tris, ray);
+        HitRecord rec = trav.anyHit(ray);
         if (rec.hit) {
             ASSERT_LT(rec.prim, tris.size());
             HitRecord direct;
@@ -141,11 +130,14 @@ TEST(Traversal, StatsCountFetches)
     TraversalStats ts;
     ts.recordTrace = true;
     Ray ray = randomRay(rng, 50.0f);
-    traverseAnyHit(bvh, tris, ray, &ts);
-    EXPECT_EQ(ts.nodesFetched, ts.interiorFetched + ts.leavesFetched);
+    BvhTraversal(bvh, tris).anyHit(ray, &ts);
     EXPECT_EQ(ts.nodeTrace.size(), ts.nodesFetched);
-    for (std::uint32_t n : ts.nodeTrace)
-        EXPECT_LT(n, bvh.nodeCount());
+    std::uint64_t leaves = 0;
+    for (std::uint32_t n : ts.nodeTrace) {
+        ASSERT_LT(n, bvh.nodeCount());
+        leaves += bvh.node(n).isLeaf();
+    }
+    EXPECT_EQ(leaves, ts.leavesFetched);
 }
 
 TEST(Traversal, StartNodeRestrictsSearch)
@@ -164,8 +156,9 @@ TEST(Traversal, StartNodeRestrictsSearch)
     ray.dir = {0, 0, 1};
     ray.tMax = 100.0f;
     TraversalStats full_ts, sub_ts;
-    traverseAnyHit(bvh, tris, ray, &full_ts);
-    traverseAnyHit(bvh, tris, ray, &sub_ts, sub);
+    BvhTraversal trav(bvh, tris);
+    trav.anyHit(ray, &full_ts);
+    trav.anyHit(ray, &sub_ts, sub);
     // The restricted traversal visits no more nodes than the subtree
     // holds and never more than the full traversal's node pool.
     EXPECT_LE(sub_ts.nodesFetched,
@@ -176,13 +169,14 @@ TEST(Traversal, SubtreeHitImpliesFullHit)
 {
     auto tris = randomTriangles(400, 109);
     Bvh bvh = BvhBuilder().build(tris);
+    BvhTraversal trav(bvh, tris);
     Rng rng(110);
     for (int i = 0; i < 200; ++i) {
         Ray ray = randomRay(rng, 40.0f);
         std::uint32_t node = rng.nextBounded(bvh.nodeCount());
-        HitRecord sub = traverseAnyHit(bvh, tris, ray, nullptr, node);
+        HitRecord sub = trav.anyHit(ray, nullptr, node);
         if (sub.hit) {
-            EXPECT_TRUE(traverseAnyHit(bvh, tris, ray).hit)
+            EXPECT_TRUE(trav.anyHit(ray).hit)
                 << "subtree hit must imply scene hit";
         }
     }
@@ -192,11 +186,12 @@ TEST(Traversal, CollectHitLeavesConsistent)
 {
     auto tris = randomTriangles(300, 111);
     Bvh bvh = BvhBuilder().build(tris);
+    BvhTraversal trav(bvh, tris);
     Rng rng(112);
     for (int i = 0; i < 200; ++i) {
         Ray ray = randomRay(rng, 40.0f);
         auto leaves = collectHitLeaves(bvh, tris, ray);
-        bool any = traverseAnyHit(bvh, tris, ray).hit;
+        bool any = trav.anyHit(ray).hit;
         EXPECT_EQ(any, !leaves.empty());
         for (std::uint32_t leaf : leaves) {
             EXPECT_TRUE(bvh.node(leaf).isLeaf());
@@ -220,6 +215,7 @@ TEST(Traversal, SceneWorkloadMatchesBruteForceSampled)
     Scene s = makeScene(SceneId::FireplaceRoom, 0.04f);
     Bvh bvh = BvhBuilder().build(s.mesh.triangles());
     ASSERT_EQ(bvh.validate(s.mesh.size()), "");
+    BvhTraversal trav(bvh, s.mesh.triangles());
     Rng rng(113);
     Aabb b = bvh.sceneBounds();
     for (int i = 0; i < 60; ++i) {
@@ -233,47 +229,66 @@ TEST(Traversal, SceneWorkloadMatchesBruteForceSampled)
                             Vec3(1e-4f));
         ray.tMax = b.diagonal() * 0.3f;
         EXPECT_EQ(bruteForceAnyHit(s.mesh.triangles(), ray),
-                  traverseAnyHit(bvh, s.mesh.triangles(), ray).hit);
+                  trav.anyHit(ray).hit);
     }
 }
 
-TEST(Traversal, ContextBitIdenticalToFreeFunctionsOnEveryScene)
+/** Hash one traversal's hit record, counters and node trace into f. */
+void
+addTraversal(Fnv1a &f, const HitRecord &rec, const TraversalStats &ts)
 {
-    // BvhTraversal (raygen's reusable context) must reproduce the
-    // free-function reference bit for bit: hit, t, u, v, and prim.
-    for (SceneId id : allSceneIds()) {
-        const Workload &w = sceneCache().get(id);
-        const auto &tris = w.scene.mesh.triangles();
-        BvhTraversal ctx(w.bvh, tris);
-        for (std::size_t i = 0; i < w.ao.rays.size(); ++i) {
-            const Ray &ray = w.ao.rays[i];
-            expectBitIdentical(traverseClosestHit(w.bvh, tris, ray),
-                               ctx.closestHit(ray),
-                               w.scene.shortName.c_str(), i);
-            expectBitIdentical(traverseAnyHit(w.bvh, tris, ray),
-                               ctx.anyHit(ray),
-                               w.scene.shortName.c_str(), i);
+    f.add(rec.hit);
+    f.add(bits(rec.t));
+    f.add(bits(rec.u));
+    f.add(bits(rec.v));
+    f.add(rec.prim);
+    f.add(ts.nodesFetched);
+    f.add(ts.leavesFetched);
+    f.add(ts.boxTests);
+    f.add(ts.triTests);
+    for (std::uint32_t n : ts.nodeTrace)
+        f.add(n);
+}
+
+/**
+ * Golden digests of BvhTraversal over every scene's AO rays: closest-hit
+ * and any-hit, from the root and from the root's left child. Each ray
+ * hashes its hit record bits, fetch and test counters and node trace,
+ * so any change to the walk's order, pruning or counting fails here.
+ * The digests were recorded with the separate any-hit and closest-hit
+ * loops, before they became one walk.
+ */
+TEST(Traversal, GoldenDigestsEveryScene)
+{
+    const std::uint64_t golden[] = {
+        0x1ac25552882927f4ULL, // SB
+        0xf899c5cee2809eddULL, // SP
+        0x1a709729255167f9ULL, // LE
+        0x45196032f2072916ULL, // LR
+        0x0c3f75d25a919240ULL, // FR
+        0xc237bcab04fd385aULL, // BI
+        0x3c9599c0dcaf392aULL, // CK
+    };
+    const auto &ids = allSceneIds();
+    ASSERT_EQ(ids.size(), std::size(golden));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const Workload &w = sceneCache().get(ids[i]);
+        const std::uint32_t interior =
+            static_cast<std::uint32_t>(w.bvh.node(kBvhRoot).left);
+        ASSERT_FALSE(w.bvh.node(interior).isLeaf()) << w.scene.shortName;
+        BvhTraversal trav(w.bvh, w.scene.mesh.triangles());
+        Fnv1a f;
+        for (const Ray &ray : w.ao.rays) {
+            for (std::uint32_t start : {kBvhRoot, interior}) {
+                TraversalStats closest, any;
+                closest.recordTrace = any.recordTrace = true;
+                addTraversal(f, trav.closestHit(ray, &closest, start),
+                             closest);
+                addTraversal(f, trav.anyHit(ray, &any, start), any);
+            }
         }
-    }
-}
-
-TEST(Traversal, ContextBatchMatchesPerRayCalls)
-{
-    const Workload &w = sceneCache().get(SceneId::Sibenik);
-    BvhTraversal ctx(w.bvh, w.scene.mesh.triangles());
-
-    std::vector<HitRecord> batch;
-    ctx.closestHitBatch(w.ao.rays, batch);
-    ASSERT_EQ(batch.size(), w.ao.rays.size());
-    std::vector<std::uint8_t> any;
-    ctx.anyHitBatch(w.ao.rays, any);
-    ASSERT_EQ(any.size(), w.ao.rays.size());
-
-    for (std::size_t i = 0; i < w.ao.rays.size(); ++i) {
-        expectBitIdentical(ctx.closestHit(w.ao.rays[i]), batch[i],
-                           "batch", i);
-        EXPECT_EQ(ctx.anyHit(w.ao.rays[i]).hit, any[i] != 0)
-            << "ray " << i;
+        EXPECT_EQ(f.h, golden[i])
+            << w.scene.shortName << " 0x" << std::hex << f.h;
     }
 }
 

@@ -94,22 +94,19 @@ TEST(InvariantChecker, DetailIsLazilyBuilt)
 
 TEST(ReferenceOracle, MatchesIterativeTraversals)
 {
+    BvhTraversal trav(rig().bvh, rig().scene.mesh.triangles());
     for (const Ray &ray : rig().ao.rays) {
         HitRecord ref = referenceTrace(rig().bvh,
                                        rig().scene.mesh.triangles(),
                                        ray);
-        HitRecord it = traverseAnyHit(rig().bvh,
-                                      rig().scene.mesh.triangles(),
-                                      ray);
+        HitRecord it = trav.anyHit(ray);
         ASSERT_EQ(ref.hit, it.hit);
     }
     for (const Ray &ray : rig().gi.rays) {
         HitRecord ref = referenceTrace(rig().bvh,
                                        rig().scene.mesh.triangles(),
                                        ray);
-        HitRecord it = traverseClosestHit(rig().bvh,
-                                          rig().scene.mesh.triangles(),
-                                          ray);
+        HitRecord it = trav.closestHit(ray);
         ASSERT_EQ(ref.hit, it.hit);
         if (ref.hit) {
             ASSERT_EQ(ref.t, it.t); // bitwise-equal by construction

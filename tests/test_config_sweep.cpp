@@ -37,9 +37,9 @@ struct SweepFixture
         rg.viewportFraction = 40.0f / 1024.0f;
         ao = generateAoRays(scene, bvh, rg);
         refHits.reserve(ao.rays.size());
+        BvhTraversal trav(bvh, scene.mesh.triangles());
         for (const Ray &r : ao.rays)
-            refHits.push_back(
-                traverseAnyHit(bvh, scene.mesh.triangles(), r).hit);
+            refHits.push_back(trav.anyHit(r).hit);
     }
 };
 
@@ -95,9 +95,13 @@ INSTANTIATE_TEST_SUITE_P(
                       TableParam{1024, 4, 1}, TableParam{1024, 4, 4},
                       TableParam{2048, 8, 2}, TableParam{128, 128, 1}),
     [](const auto &info) {
-        return "e" + std::to_string(std::get<0>(info.param)) + "w" +
-               std::to_string(std::get<1>(info.param)) + "n" +
-               std::to_string(std::get<2>(info.param));
+        std::string name = "e";
+        name.append(std::to_string(std::get<0>(info.param)))
+            .append("w")
+            .append(std::to_string(std::get<1>(info.param)))
+            .append("n")
+            .append(std::to_string(std::get<2>(info.param)));
+        return name;
     });
 
 // ---- hash sweep ------------------------------------------------------
@@ -154,9 +158,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ModeParam{5, true, 0}, ModeParam{3, false, 0},
                       ModeParam{3, true, 4}, ModeParam{8, true, 2}),
     [](const auto &info) {
-        return "g" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "r1" : "r0") + "x" +
-               std::to_string(std::get<2>(info.param));
+        std::string name = "g";
+        name.append(std::to_string(std::get<0>(info.param)))
+            .append(std::get<1>(info.param) ? "r1" : "r0")
+            .append("x")
+            .append(std::to_string(std::get<2>(info.param)));
+        return name;
     });
 
 // ---- memory configuration sweep ---------------------------------------

@@ -77,11 +77,9 @@ TEST(FrameSimulator, DynamicFramesStayCorrect)
                                   rig.scene.mesh.triangles(),
                                   ao.rays);
         // Spot-check correctness against the reference traversal.
+        BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
         for (std::size_t i = 0; i < ao.rays.size(); i += 23) {
-            bool ref = traverseAnyHit(rig.bvh,
-                                      rig.scene.mesh.triangles(),
-                                      ao.rays[i])
-                           .hit;
+            bool ref = trav.anyHit(ao.rays[i]).hit;
             ASSERT_EQ(ref, r.rayResults[i].hit)
                 << "frame " << frame << " ray " << i;
         }

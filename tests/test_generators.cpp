@@ -16,6 +16,7 @@ double
 floorCoverage(const Mesh &mesh)
 {
     Bvh bvh = BvhBuilder().build(mesh.triangles());
+    BvhTraversal trav(bvh, mesh.triangles());
     Aabb b = bvh.sceneBounds();
     int hits = 0, total = 0;
     for (int i = 1; i < 12; ++i) {
@@ -27,7 +28,7 @@ floorCoverage(const Mesh &mesh)
             r.dir = {0, -1, 0};
             r.tMax = b.extent().y * 2.0f;
             total++;
-            if (traverseAnyHit(bvh, mesh.triangles(), r).hit)
+            if (trav.anyHit(r).hit)
                 hits++;
         }
     }
@@ -95,13 +96,14 @@ TEST(Generators, PrimaryRaysHitEveryScene)
     for (SceneId id : allSceneIds()) {
         Scene s = makeScene(id, 0.05f);
         Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+        BvhTraversal trav(bvh, s.mesh.triangles());
         int hits = 0, total = 0;
         for (int i = 0; i < 10; ++i) {
             for (int j = 0; j < 10; ++j) {
                 Ray r = s.camera.generateRay((i + 0.5f) / 10,
                                              (j + 0.5f) / 10, 1.0f);
                 total++;
-                if (traverseClosestHit(bvh, s.mesh.triangles(), r).hit)
+                if (trav.closestHit(r).hit)
                     hits++;
             }
         }
@@ -123,9 +125,10 @@ TEST(Generators, AoHitRatesInPlausibleBand)
         rg.height = 24;
         rg.samplesPerPixel = 2;
         RayBatch ao = generateAoRays(s, bvh, rg);
+        BvhTraversal trav(bvh, s.mesh.triangles());
         int hits = 0;
         for (const Ray &r : ao.rays) {
-            if (traverseAnyHit(bvh, s.mesh.triangles(), r).hit)
+            if (trav.anyHit(r).hit)
                 hits++;
         }
         double rate = static_cast<double>(hits) / ao.rays.size();

@@ -38,6 +38,7 @@ TEST(Refit, MovedGeometryStaysValidAndCorrect)
     EXPECT_EQ(bvh.validate(s.mesh.size()), "");
 
     // Traversal on the refit tree must agree with brute force.
+    BvhTraversal trav(bvh, tris);
     Rng rng(5);
     Aabb b = bvh.sceneBounds();
     for (int i = 0; i < 60; ++i) {
@@ -51,7 +52,7 @@ TEST(Refit, MovedGeometryStaysValidAndCorrect)
                             Vec3(1e-3f));
         ray.tMax = b.diagonal() * 0.3f;
         EXPECT_EQ(bruteForceAnyHit(tris, ray),
-                  traverseAnyHit(bvh, tris, ray).hit)
+                  trav.anyHit(ray).hit)
             << "ray " << i;
     }
 }

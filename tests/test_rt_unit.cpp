@@ -109,12 +109,10 @@ TEST(RtUnit, BaselineMatchesReferenceHits)
               nullptr);
     rt.submit(rays, iota(rays.size()));
     runToCompletion(rt);
-    for (std::size_t i = 0; i < rays.size(); ++i) {
-        bool ref =
-            traverseAnyHit(rig.bvh, rig.scene.mesh.triangles(), rays[i])
-                .hit;
-        EXPECT_EQ(ref, rt.results()[i].hit) << "ray " << i;
-    }
+    BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
+    for (std::size_t i = 0; i < rays.size(); ++i)
+        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
+            << "ray " << i;
     EXPECT_EQ(rt.stats().get("rays_completed"), rays.size());
     EXPECT_GT(rt.completionCycle(), 0u);
 }
@@ -135,12 +133,10 @@ TEST(RtUnit, ResultsSizedBySubmissionNotGlobalIds)
     rt.submit(rays, ids);
     runToCompletion(rt);
     ASSERT_EQ(rt.results().size(), rays.size());
-    for (std::size_t i = 0; i < rays.size(); ++i) {
-        bool ref =
-            traverseAnyHit(rig.bvh, rig.scene.mesh.triangles(), rays[i])
-                .hit;
-        EXPECT_EQ(ref, rt.results()[i].hit) << "ray " << i;
-    }
+    BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
+    for (std::size_t i = 0; i < rays.size(); ++i)
+        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
+            << "ray " << i;
 }
 
 TEST(RtUnit, PredictorPreservesCorrectness)
@@ -154,12 +150,10 @@ TEST(RtUnit, PredictorPreservesCorrectness)
               &pred);
     rt.submit(rays, iota(rays.size()));
     runToCompletion(rt);
-    for (std::size_t i = 0; i < rays.size(); ++i) {
-        bool ref =
-            traverseAnyHit(rig.bvh, rig.scene.mesh.triangles(), rays[i])
-                .hit;
-        EXPECT_EQ(ref, rt.results()[i].hit) << "ray " << i;
-    }
+    BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
+    for (std::size_t i = 0; i < rays.size(); ++i)
+        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
+            << "ray " << i;
 }
 
 TEST(RtUnit, PredictionFlagsConsistent)
@@ -220,9 +214,9 @@ TEST(RtUnit, ClosestHitRaysMatchReference)
               &pred);
     rt.submit(rays, iota(rays.size()));
     runToCompletion(rt);
+    BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
     for (std::size_t i = 0; i < rays.size(); ++i) {
-        HitRecord ref = traverseClosestHit(
-            rig.bvh, rig.scene.mesh.triangles(), rays[i]);
+        HitRecord ref = trav.closestHit(rays[i]);
         EXPECT_EQ(ref.hit, rt.results()[i].hit) << "ray " << i;
         if (ref.hit) {
             EXPECT_NEAR(ref.t, rt.results()[i].t, 1e-3f) << "ray " << i;

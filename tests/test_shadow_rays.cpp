@@ -106,11 +106,9 @@ TEST(ShadowRays, PredictorWorksOnShadowWorkload)
     SimResult pred =
         Simulation(SimConfig::proposed(), fx().bvh, tris).run(batch.rays);
     // Correctness.
+    BvhTraversal trav(fx().bvh, tris);
     for (std::size_t i = 0; i < batch.rays.size(); ++i) {
-        bool ref = traverseAnyHit(fx().bvh,
-                                  fx().scene.mesh.triangles(),
-                                  batch.rays[i])
-                       .hit;
+        bool ref = trav.anyHit(batch.rays[i]).hit;
         ASSERT_EQ(ref, pred.rayResults[i].hit);
     }
     // Shadow rays are occlusion rays: with real occlusion present the

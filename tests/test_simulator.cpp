@@ -62,11 +62,9 @@ TEST(Simulator, ResultsMatchReferenceBothConfigs)
     for (const SimConfig &cfg :
          {SimConfig::baseline(), SimConfig::proposed()}) {
         SimResult r = runRig(cfg);
+        BvhTraversal trav(rig().bvh, rig().scene.mesh.triangles());
         for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
-            bool ref = traverseAnyHit(rig().bvh,
-                                      rig().scene.mesh.triangles(),
-                                      rig().ao.rays[i])
-                           .hit;
+            bool ref = trav.anyHit(rig().ao.rays[i]).hit;
             ASSERT_EQ(ref, r.rayResults[i].hit) << "ray " << i;
         }
     }

@@ -179,7 +179,9 @@ TEST(Json, ParsesScalarsArraysObjects)
     // lossless round trip through the parser.
     const std::string raw = "q\"b\\s\nn\tt\rr\x01";
     EXPECT_EQ(jsonEscape(raw), "q\\\"b\\\\s\\nn\\tt\\rr\\u0001");
-    auto round = parseJson("\"" + jsonEscape(raw) + "\"", &error);
+    std::string quoted = "\"";
+    quoted.append(jsonEscape(raw)).append("\"");
+    auto round = parseJson(quoted, &error);
     ASSERT_TRUE(round.has_value()) << error;
     EXPECT_EQ(round->str, raw);
 }
