@@ -5,7 +5,6 @@
 
 #include "util/check.hpp"
 #include "util/observer.hpp"
-#include "util/telemetry.hpp"
 
 namespace rtp {
 
@@ -30,14 +29,6 @@ RayPredictor::checkFinalState(InvariantChecker &check) const
                              " != table hits " +
                              std::to_string(table_hits);
                   });
-}
-
-void
-RayPredictor::snapshotInto(TelemetrySmSample &out) const
-{
-    out.pred_lookups = stats_.get(StatId::Lookups);
-    out.pred_hits = stats_.get(StatId::Predicted);
-    out.pred_trains = stats_.get(StatId::Trained);
 }
 
 RayPredictor::RayPredictor(const PredictorConfig &config, const Bvh &bvh)

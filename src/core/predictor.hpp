@@ -23,7 +23,6 @@
 
 namespace rtp {
 
-struct TelemetrySmSample;
 class InvariantChecker;
 class ObserverPort;
 
@@ -91,13 +90,6 @@ class RayPredictor
     {
         obs_ = obs;
     }
-
-    /**
-     * Telemetry probe: copy the cumulative lookup/hit/train counters
-     * into the owning SM's sample row (see util/telemetry.hpp). Pure
-     * observer.
-     */
-    void snapshotInto(TelemetrySmSample &out) const;
 
     /**
      * Rebind to a new frame's BVH while keeping the trained table

@@ -4,7 +4,6 @@
 
 #include "util/check.hpp"
 #include "util/observer.hpp"
-#include "util/telemetry.hpp"
 
 namespace rtp {
 
@@ -39,12 +38,6 @@ PartialWarpCollector::checkFinalState(InvariantChecker &check) const
                              ", warp size " +
                              std::to_string(config_.warpSize) + ")";
                   });
-}
-
-void
-PartialWarpCollector::snapshotInto(TelemetrySmSample &out) const
-{
-    out.repack_queue_depth = size_;
 }
 
 void

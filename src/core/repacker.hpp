@@ -23,7 +23,6 @@
 
 namespace rtp {
 
-struct TelemetrySmSample;
 class InvariantChecker;
 class ObserverPort;
 
@@ -109,12 +108,6 @@ class PartialWarpCollector
      * simulation when capacity is tight).
      */
     void checkFinalState(InvariantChecker &check) const;
-
-    /**
-     * Telemetry probe: record the instantaneous collector queue depth
-     * into the owning SM's sample row. Pure observer.
-     */
-    void snapshotInto(TelemetrySmSample &out) const;
 
     const StatGroup &
     stats() const

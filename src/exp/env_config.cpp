@@ -102,12 +102,6 @@ EnvConfig::fromEnvironment()
     env.tracePoint = static_cast<std::size_t>(
         parseEnvIndex("RTP_TRACE_POINT", 0));
 
-    if (const char *p = std::getenv("RTP_TELEMETRY"))
-        env.telemetryPath = p;
-    env.telemetryPoint = static_cast<std::size_t>(
-        parseEnvIndex("RTP_TELEMETRY_POINT", 0));
-    env.telemetryPeriod = parseEnvPositive("RTP_TELEMETRY_PERIOD", 256);
-
     if (const char *p = std::getenv("RTP_PROFILE"))
         env.profilePath = p;
     env.profilePoint = static_cast<std::size_t>(

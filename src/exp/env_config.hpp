@@ -22,9 +22,6 @@
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
  * | RTP_TRACE            | Chrome-trace output path                 | (off)              |
  * | RTP_TRACE_POINT      | sweep-point index to trace               | 0                  |
- * | RTP_TELEMETRY        | telemetry timeline path (.csv = CSV)     | (off)              |
- * | RTP_TELEMETRY_POINT  | sweep-point index to sample              | 0                  |
- * | RTP_TELEMETRY_PERIOD | sampling period in simulated cycles      | 256                |
  * | RTP_PROFILE          | cycle-attribution profile JSON path      | (off)              |
  * | RTP_PROFILE_POINT    | sweep-point index to profile             | 0                  |
  * | RTP_JSON_DIR         | directory for bench_*.json sinks         | working directory  |
@@ -61,11 +58,6 @@ struct EnvConfig
     /** RTP_TRACE / RTP_TRACE_POINT (empty path = tracing off). */
     std::string tracePath;
     std::size_t tracePoint = 0;
-
-    /** RTP_TELEMETRY / RTP_TELEMETRY_POINT / RTP_TELEMETRY_PERIOD. */
-    std::string telemetryPath;
-    std::size_t telemetryPoint = 0;
-    std::uint64_t telemetryPeriod = 256;
 
     /** RTP_PROFILE / RTP_PROFILE_POINT (empty path = profiling off). */
     std::string profilePath;

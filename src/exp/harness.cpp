@@ -18,7 +18,6 @@
 #include "util/json.hpp"
 #include "util/profile.hpp"
 #include "util/schema.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
 namespace rtp {
@@ -76,26 +75,23 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
         return Simulation(config, *p.bvh, *p.triangles).run(*p.rays);
     };
 
-    // RTP_TRACE=<path> / RTP_TELEMETRY=<path>: attach a cycle-level
-    // trace sink and/or an interval telemetry sampler to one sweep
-    // point each (indices RTP_TRACE_POINT / RTP_TELEMETRY_POINT,
-    // default 0, clamped) and write the observer output after the
-    // sweep. Only the first non-empty sweep of the process is
-    // observed, so multi-sweep benches produce one file per observer.
+    // RTP_TRACE=<path> / RTP_PROFILE=<path>: attach a cycle-level
+    // trace sink and/or the cycle profiler to one sweep point each
+    // (indices RTP_TRACE_POINT / RTP_PROFILE_POINT, default 0,
+    // clamped) and write the observer output after the sweep. Only
+    // the first non-empty sweep of the process is observed, so
+    // multi-sweep benches produce one file per observer.
     // Each observer rides on exactly one point, which executes on
     // exactly one worker thread, so no locking is needed. Observers
     // write nothing to stdout and never change simulated cycles, so
     // bench output is byte-identical with or without them.
     static bool traceConsumed = false;
-    static bool telemetryConsumed = false;
     static bool profileConsumed = false;
     bool want_trace = !env.tracePath.empty() && !traceConsumed &&
                       !points.empty();
-    bool want_telemetry = !env.telemetryPath.empty() &&
-                          !telemetryConsumed && !points.empty();
     bool want_profile = !env.profilePath.empty() && !profileConsumed &&
                         !points.empty();
-    if (!want_trace && !want_telemetry && !want_profile)
+    if (!want_trace && !want_profile)
         return runSweep(points, run, label, nullptr,
                         budget.sweepThreads);
 
@@ -106,21 +102,6 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
         traceConsumed = true;
         trace_idx = clampPointIndex(env.tracePoint, points.size());
         observed[trace_idx].config.trace = &sink;
-    }
-
-    std::unique_ptr<TelemetrySampler> sampler;
-    std::size_t telemetry_idx = 0;
-    if (want_telemetry) {
-        telemetryConsumed = true;
-        telemetry_idx =
-            clampPointIndex(env.telemetryPoint, points.size());
-        // RTP_TELEMETRY_PERIOD (strict, >= 1): sampling period in
-        // simulated cycles. 256 resolves predictor warm-up on the
-        // bundled workloads while keeping timelines to a few thousand
-        // records.
-        sampler = std::make_unique<TelemetrySampler>(
-            env.telemetryPeriod);
-        observed[telemetry_idx].config.telemetry = sampler.get();
     }
 
     // One profiler per process, riding on one sweep point
@@ -151,30 +132,6 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
             std::fprintf(stderr,
                          "[rtp-harness] cannot write trace %s\n",
                          env.tracePath.c_str());
-    }
-    if (want_telemetry) {
-        // Extension picks the format: .csv = long-format CSV,
-        // everything else = the JSON timeline object.
-        const std::string &path = env.telemetryPath;
-        bool csv = path.size() >= 4 &&
-                   path.compare(path.size() - 4, 4, ".csv") == 0;
-        bool ok = ensureParentDir(path) &&
-                  (csv ? sampler->writeCsv(path)
-                       : sampler->writeJson(path));
-        if (ok)
-            std::fprintf(
-                stderr,
-                "[rtp-harness] wrote telemetry %s "
-                "(%zu samples, %llu dropped, period %llu, point %zu)\n",
-                path.c_str(), sampler->records().size(),
-                static_cast<unsigned long long>(
-                    sampler->droppedRecords()),
-                static_cast<unsigned long long>(sampler->period()),
-                telemetry_idx);
-        else
-            std::fprintf(stderr,
-                         "[rtp-harness] cannot write telemetry %s\n",
-                         path.c_str());
     }
     if (want_profile) {
         const std::string &path = env.profilePath;

@@ -16,7 +16,6 @@
 namespace rtp {
 
 class TraceSink;
-class TelemetrySampler;
 class InvariantChecker;
 class CycleProfiler;
 class Bvh;
@@ -55,25 +54,14 @@ struct SimConfig
     TraceSink *trace = nullptr;
 
     /**
-     * Optional interval-sampling telemetry sampler (not owned; nullptr
-     * = telemetry off). The driver pulls samples from the RT units and
-     * memory system at event-boundary granularity; see
-     * util/telemetry.hpp. Like tracing, sampling is a pure
-     * observer: simulated cycles and statistics are byte-identical with
-     * and without a sampler. Single-threaded — at most one
-     * Simulation::run() per sampler at a time.
-     */
-    TelemetrySampler *telemetry = nullptr;
-
-    /**
      * Optional invariant checker (not owned; nullptr = checking off).
      * Reaches the components through the run's observer seam, attached
      * for the run only; probes then enforce conservation laws at event boundaries, the driver
      * runs an end-of-run accounting sweep, and every completed ray is
      * cross-checked against the recursive reference-traversal oracle
      * (core/reference.hpp). Violations throw InvariantViolation with a
-     * full context dump. Same pure-observer contract as trace and
-     * telemetry: simulated cycles, statistics, and per-ray results are
+     * full context dump. Same pure-observer contract as the trace
+     * sink: simulated cycles, statistics, and per-ray results are
      * byte-identical with and without a checker. Single-threaded — at
      * most one Simulation::run() per checker at a time.
      */
@@ -85,7 +73,7 @@ struct SimConfig
      * observer seam, attached for the run only; every SM cycle is classified into exactly one exclusive category (see
      * util/profile.hpp) and the driver asserts the conservation law
      * through SimConfig::check when both are attached. Same
-     * pure-observer contract as trace/telemetry/check: simulated
+     * pure-observer contract as trace and check: simulated
      * cycles, statistics, and per-ray results are byte-identical with
      * and without a profiler, at any simThreads.
      * Single-threaded driver contract — at most one Simulation::run()

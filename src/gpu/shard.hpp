@@ -43,8 +43,8 @@ namespace rtp {
 /**
  * Thrown inside waitTurn when another worker requested an abort (it
  * hit an error and can no longer advance its SMs past the waiter's
- * cycle). Internal to the sharded loop: workers catch it, park, and
- * the driver rethrows the original error.
+ * cycle). Internal to the sharded loop: workers catch it and return,
+ * and the driver rethrows the original error.
  */
 struct ShardAbort
 {

@@ -5,14 +5,12 @@
 #include "util/check.hpp"
 #include "util/observer.hpp"
 #include "util/schema.hpp"
-#include "util/telemetry.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -171,8 +169,7 @@ throwStuckUnit(std::uint32_t sm, Cycle now, std::uint64_t outstanding)
  * baseline.
  */
 void
-runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-                  TelemetrySampler *telemetry)
+runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units)
 {
     // A unit only ever pushes events into its OWN queue, so once the
     // leader is chosen it can be stepped repeatedly — without
@@ -234,13 +231,6 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         }
 
         do {
-            // The leader's next event is the globally earliest, so
-            // every event before a period boundary has been processed
-            // by the time the boundary is crossed here: each sample
-            // observes a deterministic start-of-cycle state regardless
-            // of batching.
-            if (telemetry)
-                telemetry->sampleUpTo(next->nextEventCycle());
             next->step();
         } while (!next->finished() && next->hasEvents() &&
                  (next->nextEventCycle() < others ||
@@ -424,7 +414,7 @@ class ShardWorkers final : public FillSettler
  * local earliest-(cycle, sm) rule the sequential loop uses globally.
  * Shared L2/DRAM accesses synchronise through the ShardGate (see
  * gpu/shard.hpp), so the shared levels observe the exact sequential
- * order and every output — stats, trace, telemetry, checker — is
+ * order and every output — stats, trace, profile, checker — is
  * byte-identical to simThreads = 1. The trace and profiler need nothing
  * from this loop: each SM reports through its own observer port, which
  * keys its events by the step that emitted them (util/observer.hpp).
@@ -435,17 +425,15 @@ class ShardWorkers final : public FillSettler
  * the step closes, and every observer's events stay keyed by the step
  * that caused them.
  *
- * Telemetry turns the sampling period into a cycle horizon: workers
- * process every event strictly below the next sample boundary, park at
- * a barrier, the driver samples (observing exactly the all-events-
- * below-the-boundary state the sequential loop samples), advances the
- * horizon, and releases the workers. Without telemetry there is a
- * single infinite horizon and workers run to completion barrier-free.
+ * Workers run to completion, the driver joins them. A worker that
+ * fails requests an abort, so every other worker bails out of its wait
+ * instead of waiting on the failed worker's SMs, and the driver
+ * rethrows the first error.
  */
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-               MemorySystem &mem, TelemetrySampler *telemetry,
-               std::uint32_t num_workers, bool observed)
+               MemorySystem &mem, std::uint32_t num_workers,
+               bool observed)
 {
     const std::uint32_t num_sms =
         static_cast<std::uint32_t>(units.size());
@@ -471,20 +459,11 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     ShardWorkers team(units, mem, gate, num_workers);
     mem.setShardGate(&gate, observed ? nullptr : &team);
 
-    // Horizon barrier: hand-rolled so the main thread can run the
-    // sampler between epochs while every worker is parked.
-    std::mutex m;
-    std::condition_variable cv_worker, cv_main;
-    std::size_t parked = 0;
-    std::uint64_t epoch = 0;
-    bool done = false;
-    Cycle horizon =
-        telemetry ? telemetry->nextSampleCycle() : ShardGate::kDone;
     std::vector<std::exception_ptr> errors(num_workers);
 
-    // One epoch of local leader-stepping: run every owned event with
-    // cycle < the epoch's horizon, then apply every owned fill.
-    auto run_epoch = [&](std::uint32_t w, Cycle h) {
+    // Local leader-stepping: run every owned event, applying owned
+    // fills as they fall due, until every owned SM has finished.
+    auto run_worker = [&](std::uint32_t w) {
         const std::vector<std::uint32_t> &mine = team.mine(w);
         Cycle last_stepped = 0;
         while (true) {
@@ -513,9 +492,9 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                     next_sm = s;
                 }
             }
-            if (!next || best >= h) {
-                // Nothing left below the horizon: apply the remaining
-                // fills, which may queue more events.
+            if (!next) {
+                // No event left: apply the remaining fills, which may
+                // queue more events.
                 if (team.drainOne(w))
                     continue;
                 return;
@@ -538,100 +517,36 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     };
 
     auto worker_fn = [&](std::uint32_t w) {
-        bool erred = false;
-        Cycle h;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            h = horizon;
+        try {
+            run_worker(w);
+            return;
+        } catch (const ShardAbort &) {
+        } catch (...) {
+            errors[w] = std::current_exception();
+            gate.requestAbort();
         }
-        while (true) {
-            if (!erred) {
-                try {
-                    run_epoch(w, h);
-                } catch (const ShardAbort &) {
-                    erred = true;
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                    gate.requestAbort();
-                    erred = true;
-                }
-                if (erred)
-                    // Nobody may wait on a dead worker's SMs: publish
-                    // "done" so other workers drain instead of hanging,
-                    // then keep participating in barriers so the park
-                    // accounting stays balanced until the driver stops.
-                    for (std::uint32_t s : team.mine(w))
-                        gate.setProgress(s, ShardGate::kDone);
-            }
-            std::unique_lock<std::mutex> lk(m);
-            parked++;
-            if (parked == num_workers)
-                cv_main.notify_one();
-            std::uint64_t e = epoch;
-            cv_worker.wait(lk,
-                           [&] { return done || epoch != e; });
-            if (done)
-                return;
-            h = horizon;
-        }
+        // Nobody may wait on a dead worker's SMs: publish "done" so the
+        // other workers drain instead of hanging.
+        for (std::uint32_t s : team.mine(w))
+            gate.setProgress(s, ShardGate::kDone);
     };
-
-    // Abort the protocol and release every parked worker for good.
-    auto stop_workers = [&] {
-        gate.requestAbort();
-        {
-            std::lock_guard<std::mutex> lk(m);
-            done = true;
-            epoch++;
-        }
-        cv_worker.notify_all();
-    };
-    std::vector<std::thread> workers =
-        startWorkers(num_workers, worker_fn, stop_workers);
-
-    {
-        std::unique_lock<std::mutex> lk(m);
-        while (true) {
-            cv_main.wait(lk, [&] { return parked == num_workers; });
-            if (gate.aborted())
-                break;
-            Cycle earliest = ShardGate::kDone;
-            for (std::uint32_t s = 0; s < num_sms; ++s)
-                earliest = std::min(earliest, gate.progress(s));
-            if (earliest == ShardGate::kDone)
-                break; // every SM finished
-            if (!telemetry) {
-                // Without a horizon, workers only park when all their
-                // SMs are finished or on abort; pending events here
-                // mean the protocol broke.
-                lk.unlock();
-                stop_workers();
-                for (std::thread &t : workers)
-                    t.join();
-                throw std::logic_error(
-                    "runShardedLoop: barrier reached with pending "
-                    "events but no sampling horizon");
-            }
-            // All events < horizon are processed and the earliest
-            // pending event is `earliest`, so the observable state is
-            // exactly what the sequential loop exposes to
-            // sampleUpTo(earliest) before stepping that event.
-            telemetry->sampleUpTo(earliest);
-            horizon = telemetry->nextSampleCycle();
-            parked = 0;
-            epoch++;
-            cv_worker.notify_all();
-        }
-        done = true;
-        epoch++;
-        cv_worker.notify_all();
-    }
+    std::vector<std::thread> workers = startWorkers(
+        num_workers, worker_fn, [&] { gate.requestAbort(); });
     for (std::thread &t : workers)
         t.join();
 
     for (std::uint32_t w = 0; w < num_workers; ++w)
         if (errors[w])
             std::rethrow_exception(errors[w]);
+    // A worker returns only once its SMs have finished, so an
+    // unfinished SM here means the protocol broke.
+    for (std::uint32_t s = 0; s < num_sms; ++s)
+        if (!units[s]->finished())
+            throw std::logic_error(
+                "runShardedLoop: workers returned with SM " +
+                std::to_string(s) + " unfinished (" +
+                std::to_string(units[s]->outstandingRays()) +
+                " outstanding rays)");
 }
 
 /**
@@ -679,25 +594,16 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     } detach{attach};
     attach(observers.ports());
 
-    TelemetrySampler *telemetry = config.telemetry;
-    if (telemetry) {
-        std::vector<const RtUnit *> probes;
-        probes.reserve(num_sms);
-        for (std::uint32_t s = 0; s < num_sms; ++s)
-            probes.push_back(units[s].get());
-        telemetry->attach(std::move(probes), &mem);
-    }
-
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         if (!per_sm_rays[s].empty())
             units[s]->submit(std::move(per_sm_rays[s]), per_sm_ids[s]);
     }
 
     if (shard_workers >= 2)
-        runShardedLoop(units, mem, telemetry, shard_workers,
+        runShardedLoop(units, mem, shard_workers,
                        observers.ports() != nullptr);
     else
-        runSequentialLoop(units, telemetry);
+        runSequentialLoop(units);
 
     double simt_acc = 0.0;
     for (std::uint32_t s = 0; s < num_sms; ++s) {
@@ -717,8 +623,6 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         units.empty() ? 1.0 : simt_acc / units.size();
     result.memStats = mem.aggregateStats();
     result.avgBusyBanks = mem.dram().avgBusyBanks();
-    if (telemetry)
-        telemetry->finish(result.cycles);
     observers.finish(result.cycles);
     if (check) {
         // End-of-run accounting sweep, then the per-ray oracle: every

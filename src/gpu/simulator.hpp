@@ -14,7 +14,7 @@
  * several worker threads (the default for 2 or more SMs when the host
  * has CPUs free), synchronising at the shared L2/DRAM seam through the
  * ShardGate protocol (gpu/shard.hpp). The two are byte-identical in
- * every output — SimResult JSON, trace, telemetry, and checker
+ * every output — SimResult JSON, trace, profile, and checker
  * behaviour — at any thread count; tests/test_sharded_equiv and the CI
  * determinism steps lock this in. Every SM owns a distinct predictor,
  * which is the per-SM-private state the shard protocol rests on.

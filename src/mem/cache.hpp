@@ -169,20 +169,6 @@ class CacheModel
         stats_.clear();
     }
 
-    /**
-     * Telemetry probe: copy the cumulative hit/miss/MSHR-merge counters
-     * (three enum-indexed array reads — cheap enough for interval
-     * sampling, see util/telemetry.hpp). Pure observer.
-     */
-    void
-    snapshotInto(std::uint64_t &hits, std::uint64_t &misses,
-                 std::uint64_t &mshr_merges) const
-    {
-        hits = stats_.get(StatId::Hits);
-        misses = stats_.get(StatId::Misses);
-        mshr_merges = stats_.get(StatId::MshrMerges);
-    }
-
     const CacheConfig &
     config() const
     {

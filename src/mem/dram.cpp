@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/observer.hpp"
-#include "util/telemetry.hpp"
 
 namespace rtp {
 
@@ -53,23 +52,6 @@ DramModel::access(std::uint64_t addr, Cycle cycle, ObserverPort *obs)
                           static_cast<std::uint16_t>(row_hit ? 1 : 0),
                           addr, busy});
     return done;
-}
-
-void
-DramModel::snapshotInto(TelemetryGlobalSample &out, Cycle at) const
-{
-    out.dram_accesses = stats_.get(StatId::Accesses);
-    out.dram_row_hits = stats_.get(StatId::RowHits);
-    out.dram_row_misses = stats_.get(StatId::RowMisses);
-    out.dram_busy_accum = busyAccum_;
-    out.dram_busy_samples = busySamples_;
-    std::uint32_t busy = 0;
-    for (const Bank &b : banks_) {
-        if (b.busyUntil > at)
-            busy++;
-    }
-    out.dram_banks_busy_now = busy;
-    out.dram_num_banks = banks_.size();
 }
 
 double

@@ -17,7 +17,6 @@
 
 namespace rtp {
 
-struct TelemetryGlobalSample;
 class ObserverPort;
 
 /** DRAM timing configuration (cycles in the memory clock domain are
@@ -62,14 +61,6 @@ class DramModel
     {
         return stats_;
     }
-
-    /**
-     * Telemetry probe: fill the DRAM portion of @p out — cumulative
-     * access/row-hit counters, the busy-bank accumulator pair (so
-     * consumers can difference per-interval bank parallelism), and the
-     * instantaneous number of banks busy at @p at. Pure observer.
-     */
-    void snapshotInto(TelemetryGlobalSample &out, Cycle at) const;
 
     void
     clearStats()

@@ -2,7 +2,6 @@
 
 #include "gpu/shard.hpp"
 #include "util/observer.hpp"
-#include "util/telemetry.hpp"
 
 #include <stdexcept>
 #include <string>
@@ -171,13 +170,6 @@ MemorySystem::checkFinalState(InvariantChecker &check) const
         l1->checkFinalState(check);
     if (config_.l2Enabled)
         l2_->checkFinalState(check);
-}
-
-void
-MemorySystem::snapshotInto(TelemetryGlobalSample &out, Cycle at) const
-{
-    l2_->snapshotInto(out.l2_hits, out.l2_misses, out.l2_mshr_merges);
-    dram_.snapshotInto(out, at);
 }
 
 StatGroup

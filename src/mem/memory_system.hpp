@@ -28,7 +28,6 @@
 
 namespace rtp {
 
-struct TelemetryGlobalSample;
 class ShardGate;
 class ObserverPort;
 
@@ -232,21 +231,6 @@ class MemorySystem
 
     /** End-of-run sweep over every L1 and the L2 (when enabled). */
     void checkFinalState(InvariantChecker &check) const;
-
-    /**
-     * Telemetry probe: fill the shared-memory portion of @p out (the
-     * L2's cumulative counters plus the DRAM probe at cycle @p at).
-     * Per-SM L1s are sampled through RtUnit::snapshotInto. Pure
-     * observer.
-     */
-    void snapshotInto(TelemetryGlobalSample &out, Cycle at) const;
-
-    /** Per-SM L1 probe access for the RT unit's telemetry snapshot. */
-    const CacheModel &
-    l1(std::uint32_t sm) const
-    {
-        return *l1s_[sm];
-    }
 
     /** Aggregate counters and histograms across all levels into one
      *  group under "l1." / "l2." / "dram." prefixes. */

@@ -9,7 +9,6 @@
 #include "geometry/intersect.hpp"
 #include "util/check.hpp"
 #include "util/observer.hpp"
-#include "util/telemetry.hpp"
 
 namespace rtp {
 
@@ -308,15 +307,6 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
     NextEvent next;
     bool did_work = lookup ? doLookups(warp, now)
                            : doTraversal(warp_idx, now, next);
-    if (did_work) {
-        if (now != lastBusyCycle_) {
-            lastBusyCycle_ = now;
-            busyCycles_++;
-        }
-    } else if (now != lastStallCycle_) {
-        lastStallCycle_ = now;
-        stallCycles_++;
-    }
     if (obs_)
         obs_->closeStep(now, did_work, collector_.pendingCount() > 0);
 
@@ -884,29 +874,6 @@ RtUnit::simtEfficiency() const
     return issueSlots_ == 0
                ? 1.0
                : static_cast<double>(issueActiveThreads_) / issueSlots_;
-}
-
-void
-RtUnit::snapshotInto(TelemetrySmSample &out) const
-{
-    out.busy_cycles = busyCycles_;
-    out.stall_cycles = stallCycles_;
-    out.active_warps = activeWarps_;
-    out.resident_rays = buffer_.capacity() - buffer_.freeSlots();
-    out.ray_buffer_capacity = buffer_.capacity();
-    out.event_queue_depth = events_.size();
-    out.warps_dispatched = stats_.get(StatId::WarpsDispatched);
-    out.repacked_warps = stats_.get(StatId::RepackedWarps);
-    out.warps_retired = stats_.get(StatId::WarpsRetired);
-    out.rays_completed = stats_.get(StatId::RaysCompleted);
-    out.rays_predicted = stats_.get(StatId::RaysPredicted);
-    out.rays_verified = stats_.get(StatId::RaysVerified);
-    out.rays_mispredicted = stats_.get(StatId::RaysMispredicted);
-    collector_.snapshotInto(out);
-    if (predictor_)
-        predictor_->snapshotInto(out);
-    mem_.l1(smId_).snapshotInto(out.l1_hits, out.l1_misses,
-                                out.l1_mshr_merges);
 }
 
 } // namespace rtp

@@ -59,7 +59,6 @@
 
 namespace rtp {
 
-struct TelemetrySmSample;
 class ObserverPort;
 
 /** RT unit configuration (Section 5.1 / Table 2 defaults). */
@@ -184,16 +183,6 @@ class RtUnit
 
     /** Average fraction of active threads per warp issue (SIMT eff.). */
     double simtEfficiency() const;
-
-    /**
-     * Telemetry probe: fill this SM's sample row — busy/stall cycle
-     * counts, instantaneous warp/ray-buffer/event-queue/collector
-     * occupancy, cumulative warp and predictor-outcome counters, and
-     * this SM's L1 counters (see util/telemetry.hpp). Pure observer:
-     * only reads state, so interval sampling cannot perturb the
-     * simulation.
-     */
-    void snapshotInto(TelemetrySmSample &out) const;
 
     /**
      * Attach this SM's observer port (nullptr detaches), shared with
@@ -422,17 +411,6 @@ class RtUnit
     ObserverPort *obs_ = nullptr;
     std::uint64_t issueActiveThreads_ = 0;
     std::uint64_t issueSlots_ = 0;
-
-    // Telemetry accounting (distinct-cycle busy/stall counts). Plain
-    // members, not StatGroup entries, so end-of-run stat output is
-    // unchanged whether or not a sampler reads them. A cycle counts as
-    // busy when >= 1 warp step issued work in it and as stalled when
-    // >= 1 warp step found no ready ray; one cycle can be both (two
-    // warps), and idle time is derived offline as elapsed - busy.
-    std::uint64_t busyCycles_ = 0;
-    std::uint64_t stallCycles_ = 0;
-    Cycle lastBusyCycle_ = ~0ull;
-    Cycle lastStallCycle_ = ~0ull;
 };
 
 } // namespace rtp

@@ -32,10 +32,52 @@ class TraversalStack
     {}
 
     /** Push a node index; may spill to local memory. */
-    void push(std::uint32_t node);
+    void
+    push(std::uint32_t node)
+    {
+        entries_.push_back(node);
+        std::uint32_t hw_count =
+            static_cast<std::uint32_t>(entries_.size()) - spilledDepth_;
+        if (hw_count > hwEntries_) {
+            // Spill the oldest window entries to thread-local memory. A
+            // window smaller than the chunk holds fewer spillable
+            // entries than a full transfer; cap the chunk so the
+            // just-pushed top stays resident and spilledDepth_ cannot
+            // overrun the stack (uncapped, hwResident() underflows for
+            // stackEntries < spillChunk_ and the spill statistics go
+            // wild).
+            std::uint32_t chunk =
+                hw_count - 1 < spillChunk_ ? hw_count - 1 : spillChunk_;
+            spilledDepth_ += chunk;
+            pendingSpills_++;
+            totalSpills_++;
+        }
+    }
 
     /** Pop the top node; may refill from local memory. */
-    std::optional<std::uint32_t> pop();
+    std::optional<std::uint32_t>
+    pop()
+    {
+        if (entries_.empty())
+            return std::nullopt;
+        std::uint32_t hw_count =
+            static_cast<std::uint32_t>(entries_.size()) - spilledDepth_;
+        if (hw_count == 0) {
+            // Refill a chunk from thread-local memory. Like push's
+            // spill, the transfer is capped by the window size: a full
+            // chunk would leave more entries resident than the hardware
+            // holds when spillChunk_ > hwEntries_.
+            std::uint32_t chunk =
+                spilledDepth_ < spillChunk_ ? spilledDepth_ : spillChunk_;
+            if (chunk > hwEntries_)
+                chunk = hwEntries_;
+            spilledDepth_ -= chunk;
+            pendingRefills_++;
+        }
+        std::uint32_t top = entries_.back();
+        entries_.pop_back();
+        return top;
+    }
 
     bool
     empty() const

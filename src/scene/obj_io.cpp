@@ -94,6 +94,10 @@ loadObj(const std::string &path, Mesh &mesh, std::string *error)
                     return fail(path + ":" + std::to_string(line_no) +
                                 ": face index out of range: " + tok);
             }
+            if (idx.size() < 3)
+                return fail(path + ":" + std::to_string(line_no) +
+                            ": face needs at least three corners: " +
+                            line);
             for (std::size_t k = 2; k < idx.size(); ++k) {
                 parsed.addTriangle(vertices[idx[0]],
                                    vertices[idx[k - 1]],

@@ -2,8 +2,8 @@
  * @file
  * The invariant checker: the simulator's runtime validation layer.
  *
- * Trace (util/trace.hpp) records what happened; telemetry
- * (util/telemetry.hpp) records rates over time; this layer asserts that
+ * Trace (util/trace.hpp) records what happened; the profiler
+ * (util/profile.hpp) attributes every cycle; this layer asserts that
  * what happened was *legal*. Components reach the checker through the
  * observer seam (util/observer.hpp, ObserverPort::check(); nullptr =
  * checking off, one branch per probe, the same pure-observer contract
@@ -77,7 +77,7 @@ class InvariantViolation : public std::logic_error
 
 /**
  * The checker object components probe. One checker observes one
- * simulation run (like TraceSink / TelemetrySampler); checksRun()
+ * simulation run (like TraceSink / CycleProfiler); checksRun()
  * counts executed probes so tests can assert coverage. Probes
  * themselves are stateless apart from that counter, which is atomic
  * (relaxed) so the sharded event loop's workers may probe concurrently;

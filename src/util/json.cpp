@@ -108,8 +108,19 @@ class Parser
         }
         char c = text_[pos_];
         switch (c) {
-        case '{': return parseObject(out);
-        case '[': return parseArray(out);
+        case '{':
+        case '[': {
+            // Each level recurses once: cap it so hostile input fails
+            // here instead of overflowing the stack.
+            if (depth_ == kMaxDepth) {
+                fail("nesting too deep");
+                return false;
+            }
+            depth_++;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            depth_--;
+            return ok;
+        }
         case '"':
             out.type = JsonValue::Type::String;
             return parseString(out.str);
@@ -305,9 +316,12 @@ class Parser
         return true;
     }
 
+    static constexpr unsigned kMaxDepth = 512; //!< array/object levels
+
     const std::string &text_;
     std::string *error_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace

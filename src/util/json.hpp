@@ -78,7 +78,7 @@ struct JsonValue
 
 /**
  * Parse a complete JSON document (trailing whitespace allowed, trailing
- * garbage rejected).
+ * garbage rejected, arrays and objects nested at most 512 deep).
  * @param text The document.
  * @param error When non-null, receives a byte-offset-tagged message on
  *        failure.

@@ -26,9 +26,6 @@
  *   sink: the sequential loop's emission order. Per-SM profiler slices are only touched
  *   through their own port, and shared-level events only fire inside
  *   the ShardGate's serialised section.
- *
- * TelemetrySampler is not behind the seam: it is a driver-side pull
- * sampler that no component points to (see util/telemetry.hpp).
  */
 
 #pragma once

@@ -1,11 +1,10 @@
 /**
  * @file
- * Per-cycle attribution profiler: the third observability layer.
+ * Per-cycle attribution profiler: the second observability layer.
  *
- * The trace layer (util/trace.hpp) answers "what happened when"; the
- * telemetry layer (util/telemetry.hpp) answers "how did the counters
- * evolve"; this layer answers the top-down question the reordering
- * work needs: *which category of work was each SM cycle spent on*.
+ * The trace layer (util/trace.hpp) answers "what happened when"; this
+ * layer answers the top-down question the reordering work needs:
+ * *which category of work was each SM cycle spent on*.
  *
  * Every simulated cycle of every SM is classified into exactly one of
  * a fixed set of exclusive categories (CycleCat), further split by the

@@ -3,10 +3,10 @@
  * Result-schema versioning.
  *
  * Every machine-readable JSON document the simulator emits (SimResult,
- * StatGroup, bench sinks, telemetry timelines, trace metadata, cycle
- * profiles) carries a top-level "schema_version" so downstream
- * consumers — bench_diff, trace_report, timeline_report,
- * cycles_report — can evolve independently of the producer. Consumers accept
+ * StatGroup, bench sinks, trace metadata, cycle profiles) carries a
+ * top-level "schema_version" so downstream consumers — bench_diff,
+ * trace_report, cycles_report — can evolve independently of the
+ * producer. Consumers accept
  * documents without the key (pre-versioning output), accept the current
  * version silently, and warn (but proceed) on unknown versions.
  *

@@ -132,7 +132,7 @@ TEST(CheckedSimulation, ProbesExecuteAcrossComponents)
 
 TEST(CheckedSimulation, CheckerDoesNotPerturbSimulation)
 {
-    // Same acceptance contract as trace and telemetry: an attached
+    // Same acceptance contract as the trace sink: an attached
     // checker must not change simulated cycles, statistics, or per-ray
     // results. Byte-compare the result JSON so even counter bookkeeping
     // perturbation is caught.

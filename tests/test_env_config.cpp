@@ -111,16 +111,16 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
     ScopedEnv c("RTP_CHECK", nullptr), t("RTP_TRACE", nullptr),
-        tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
-        tep("RTP_TELEMETRY_POINT", nullptr),
-        per("RTP_TELEMETRY_PERIOD", nullptr),
-        j("RTP_JSON_DIR", nullptr), sc("RTP_SCALE", nullptr),
-        r("RTP_SELFBENCH_REPS", nullptr);
+        tp("RTP_TRACE_POINT", nullptr), pr("RTP_PROFILE", nullptr),
+        pp("RTP_PROFILE_POINT", nullptr), j("RTP_JSON_DIR", nullptr),
+        sc("RTP_SCALE", nullptr), r("RTP_SELFBENCH_REPS", nullptr);
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_FALSE(env.check);
     EXPECT_TRUE(env.tracePath.empty());
     EXPECT_EQ(env.tracePoint, 0u);
-    EXPECT_EQ(env.telemetryPeriod, 256u);
+    EXPECT_TRUE(env.profilePath.empty());
+    EXPECT_EQ(env.profilePoint, 0u);
+    EXPECT_TRUE(env.jsonDir.empty());
     EXPECT_EQ(env.scale, 1);
     EXPECT_EQ(env.selfbenchReps, 3);
 }
@@ -128,17 +128,15 @@ TEST(EnvConfig, FromEnvironmentDefaults)
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 {
     ScopedEnv c("RTP_CHECK", "1"), t("RTP_TRACE", "/tmp/t.json"),
-        tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
-        tep("RTP_TELEMETRY_POINT", "1"),
-        per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
+        tp("RTP_TRACE_POINT", "2"), pr("RTP_PROFILE", "/tmp/p.json"),
+        pp("RTP_PROFILE_POINT", "1"), j("RTP_JSON_DIR", "/tmp"),
         sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_TRUE(env.check);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
     EXPECT_EQ(env.tracePoint, 2u);
-    EXPECT_EQ(env.telemetryPath, "/tmp/m.json");
-    EXPECT_EQ(env.telemetryPoint, 1u);
-    EXPECT_EQ(env.telemetryPeriod, 512u);
+    EXPECT_EQ(env.profilePath, "/tmp/p.json");
+    EXPECT_EQ(env.profilePoint, 1u);
     EXPECT_EQ(env.jsonDir, "/tmp");
     EXPECT_EQ(env.scale, 2);
     EXPECT_EQ(env.selfbenchReps, 5);

@@ -185,6 +185,12 @@ TEST(ObjIo, OutOfRangeFaceIndexFails)
     expectBadFaceFails("f -4 -2 -1", "face index out of range: -4");
 }
 
+TEST(ObjIo, FaceWithFewerThanThreeCornersFails)
+{
+    expectBadFaceFails("f 1 2", "face needs at least three corners: f 1 2");
+    expectBadFaceFails("f", "face needs at least three corners: f");
+}
+
 TEST(ObjIo, HugeIndicesWithinRangeOfInt64Fail)
 {
     // Past int but inside int64: out of the vertex list, so the load

@@ -19,7 +19,6 @@
 #include "scene/registry.hpp"
 #include "util/check.hpp"
 #include "util/profile.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
 namespace rtp {
@@ -168,23 +167,20 @@ TEST(Profile, ShardedProfileByteIdenticalAcrossWorkerCounts)
 TEST(Profile, ZeroPerturbationByteCompare)
 {
     // Attaching the profiler must not move a single simulated byte:
-    // SimResult JSON, trace bytes, and telemetry timelines all match a
-    // profiler-free run, sequential and sharded.
+    // SimResult JSON and trace bytes both match a profiler-free run,
+    // sequential and sharded.
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
     const Workload &w = cache().get(SceneId::Sibenik);
     for (std::uint32_t threads : {1u, 4u}) {
         std::string result[2];
         std::string trace[2];
-        std::string telemetry[2];
         for (int with_profiler = 0; with_profiler < 2; ++with_profiler) {
             SimConfig observed = config;
             observed.simThreads = threads;
             TraceSink sink(1u << 16);
-            TelemetrySampler sampler(128);
             CycleProfiler profile;
             observed.trace = &sink;
-            observed.telemetry = &sampler;
             observed.profile = with_profiler ? &profile : nullptr;
             result[with_profiler] =
                 Simulation(observed, w.bvh, w.scene.mesh.triangles())
@@ -193,13 +189,9 @@ TEST(Profile, ZeroPerturbationByteCompare)
             std::ostringstream trace_os;
             sink.writeChromeTrace(trace_os);
             trace[with_profiler] = trace_os.str();
-            std::ostringstream telemetry_os;
-            sampler.writeJson(telemetry_os);
-            telemetry[with_profiler] = telemetry_os.str();
         }
         EXPECT_EQ(result[0], result[1]) << "simThreads=" << threads;
         EXPECT_EQ(trace[0], trace[1]) << "simThreads=" << threads;
-        EXPECT_EQ(telemetry[0], telemetry[1]) << "simThreads=" << threads;
     }
 }
 

@@ -4,15 +4,16 @@
  * docs/performance.md): the sharded loop must be byte-identical to the
  * sequential reference loop in every observable output — SimResult
  * JSON, Chrome-trace bytes (including ring-wrap drop accounting),
- * telemetry timelines, cycle-attribution profiles, and invariant-checker
- * behaviour — at any worker count, on every bundled scene, and across
- * the warm PredictorSet of multi-wave and multi-frame drivers.
+ * cycle-attribution profiles, and invariant-checker behaviour — at any
+ * worker count, on every bundled scene, and across the warm
+ * PredictorSet of multi-wave and multi-frame drivers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,6 @@
 #include "scene/registry.hpp"
 #include "util/check.hpp"
 #include "util/profile.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
 namespace rtp {
@@ -52,29 +52,24 @@ struct RunOutputs
     std::string resultJson;
     std::string traceJson;
     std::uint64_t traceDropped = 0;
-    std::string telemetryJson;
     std::string profileJson;
     std::uint64_t checksRun = 0;
 };
 
 /**
  * Run @p w under @p config at @p sim_threads with every observer
- * attached: a trace sink of @p trace_capacity events, a telemetry
- * sampler at @p telemetry_period, the cycle profiler, and the invariant
- * checker.
+ * attached: a trace sink of @p trace_capacity events, the cycle
+ * profiler, and the invariant checker.
  */
 RunOutputs
 runObserved(const Workload &w, SimConfig config,
-            std::uint32_t sim_threads, std::size_t trace_capacity,
-            Cycle telemetry_period)
+            std::uint32_t sim_threads, std::size_t trace_capacity)
 {
     config.simThreads = sim_threads;
     TraceSink sink(trace_capacity);
-    TelemetrySampler sampler(telemetry_period);
     CycleProfiler profile;
     InvariantChecker check;
     config.trace = &sink;
-    config.telemetry = &sampler;
     config.profile = &profile;
     config.check = &check;
 
@@ -87,9 +82,6 @@ runObserved(const Workload &w, SimConfig config,
     sink.writeChromeTrace(trace_os);
     out.traceJson = trace_os.str();
     out.traceDropped = sink.dropped();
-    std::ostringstream telemetry_os;
-    sampler.writeJson(telemetry_os);
-    out.telemetryJson = telemetry_os.str();
     out.profileJson = profile.toJson();
     out.checksRun = check.checksRun();
     return out;
@@ -134,25 +126,23 @@ TEST(ShardedEquiv, BaselineConfigIdenticalAcrossWorkerCounts)
 
 TEST(ShardedEquiv, ObserversByteIdenticalAcrossWorkerCounts)
 {
-    // Every observer attached at once: trace, telemetry, and profile
+    // Every observer attached at once: trace and profile
     // must match the sequential bytes exactly, the checker must run the
     // same number of probes, and the result must match an unobserved
     // run at every worker count.
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
     const Workload &w = cache().get(SceneId::Sibenik);
-    const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
+    const RunOutputs seq = runObserved(w, config, 1, 1u << 16);
     for (std::uint32_t threads : {1u, 2u, 4u})
         EXPECT_EQ(runPlain(w, config, threads), seq.resultJson)
             << "simThreads=" << threads;
     for (std::uint32_t threads : {2u, 4u}) {
         const RunOutputs sharded =
-            runObserved(w, config, threads, 1u << 16, 128);
+            runObserved(w, config, threads, 1u << 16);
         EXPECT_EQ(seq.resultJson, sharded.resultJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.traceJson, sharded.traceJson)
-            << "simThreads=" << threads;
-        EXPECT_EQ(seq.telemetryJson, sharded.telemetryJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.profileJson, sharded.profileJson)
             << "simThreads=" << threads;
@@ -169,12 +159,12 @@ TEST(ShardedEquiv, TraceRingWrapAndDropsIdentical)
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
     const Workload &w = cache().get(SceneId::CrytekSponza);
-    const RunOutputs seq = runObserved(w, config, 1, 64, 256);
+    const RunOutputs seq = runObserved(w, config, 1, 64);
     ASSERT_GT(seq.traceDropped, 0u)
         << "capacity 64 was expected to overflow; grow the workload";
     for (std::uint32_t threads : {2u, 4u}) {
         const RunOutputs sharded =
-            runObserved(w, config, threads, 64, 256);
+            runObserved(w, config, threads, 64);
         EXPECT_EQ(seq.traceJson, sharded.traceJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.traceDropped, sharded.traceDropped)
@@ -217,11 +207,10 @@ TEST(ShardedEquiv, OversubscribedRunMatchesSequential)
     SimConfig config = SimConfig::proposed();
     config.numSms = 8;
     const Workload &w = cache().get(SceneId::Sibenik);
-    const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
-    const RunOutputs over = runObserved(w, config, 8, 1u << 16, 128);
+    const RunOutputs seq = runObserved(w, config, 1, 1u << 16);
+    const RunOutputs over = runObserved(w, config, 8, 1u << 16);
     EXPECT_EQ(seq.resultJson, over.resultJson);
     EXPECT_EQ(seq.traceJson, over.traceJson);
-    EXPECT_EQ(seq.telemetryJson, over.telemetryJson);
     EXPECT_EQ(seq.profileJson, over.profileJson);
     EXPECT_EQ(seq.checksRun, over.checksRun);
     EXPECT_EQ(seq.resultJson, runPlain(w, config, 8));
@@ -303,37 +292,6 @@ TEST(ShardedEquiv, NarrowLookaheadWindowIdentical)
     }
 }
 
-TEST(ShardedEquiv, TelemetryOnlyRunDrainsFillsAtEveryHorizon)
-{
-    // Telemetry is not an observer port, so this sharded run defers
-    // fills; each sample horizon must first apply every fill issued
-    // below it, or the L2/DRAM counters and the event-queue depths
-    // sampled there would differ from the sequential loop's.
-    SimConfig config = SimConfig::proposed();
-    config.numSms = 4;
-    const Workload &w = cache().get(SceneId::CrytekSponza);
-    auto run_at = [&](std::uint32_t threads, std::string &timeline) {
-        TelemetrySampler sampler(64);
-        SimConfig c = config;
-        c.telemetry = &sampler;
-        c.simThreads = threads;
-        std::string json = Simulation(c, w.bvh, w.scene.mesh.triangles())
-                               .run(w.ao.rays)
-                               .toJson();
-        std::ostringstream os;
-        sampler.writeJson(os);
-        timeline = os.str();
-        return json;
-    };
-    std::string seq_timeline;
-    const std::string seq = run_at(1, seq_timeline);
-    for (std::uint32_t threads : {2u, 4u}) {
-        std::string timeline;
-        EXPECT_EQ(seq, run_at(threads, timeline)) << threads;
-        EXPECT_EQ(seq_timeline, timeline) << threads;
-    }
-}
-
 TEST(ShardedEquiv, SmWithEveryWarpParkedOnFillsIsNotStuck)
 {
     // One resident warp per SM and no repacking: after each miss the
@@ -351,6 +309,36 @@ TEST(ShardedEquiv, SmWithEveryWarpParkedOnFillsIsNotStuck)
         EXPECT_NO_THROW(sharded = runPlain(w, config, threads))
             << threads;
         EXPECT_EQ(seq, sharded) << threads;
+    }
+}
+
+TEST(ShardedEquiv, WorkerErrorIsRethrownWithoutHanging)
+{
+    // With warm tables most rays are predicted and leave for the
+    // collector, and a one-entry collector drops all but one of them.
+    // Their SM then runs out of events with rays outstanding and the
+    // worker that owns it throws the stuck-unit error. The other
+    // workers must bail out instead of waiting on that SM, and run()
+    // must rethrow the error, at any worker count.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 4;
+    const Workload &w = cache().get(SceneId::Sibenik);
+    const auto &tris = w.scene.mesh.triangles();
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+        SimConfig c = config;
+        c.simThreads = threads;
+        PredictorSet set;
+        set.bind(c.predictor, c.numSms, w.bvh, true);
+        Simulation(c, w.bvh, tris, set).run(w.ao.rays);
+        c.rt.repacker.capacity = 1;
+        try {
+            Simulation(c, w.bvh, tris, set).run(w.ao.rays);
+            ADD_FAILURE() << "no error at simThreads=" << threads;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("is stuck"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

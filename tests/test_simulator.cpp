@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "bvh/builder.hpp"
 #include "bvh/traversal.hpp"
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
 namespace rtp {
@@ -102,60 +99,6 @@ TEST(Simulator, TracingDoesNotPerturbSimulation)
     }
 }
 
-TEST(Simulator, TelemetryDoesNotPerturbSimulation)
-{
-    // Same contract as tracing: an attached TelemetrySampler must not
-    // change cycles, statistics, or per-ray results. Byte-compare the
-    // stats JSON so even counter bookkeeping perturbation is caught.
-    for (const SimConfig &base :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain = runRig(base);
-        SimConfig sampled_cfg = base;
-        TelemetrySampler sampler(64);
-        sampled_cfg.telemetry = &sampler;
-        SimResult sampled = runRig(sampled_cfg);
-        EXPECT_GT(sampler.records().size(), 2u);
-        EXPECT_EQ(plain.cycles, sampled.cycles);
-        EXPECT_EQ(plain.toJson(), sampled.toJson());
-        for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
-            ASSERT_EQ(plain.rayResults[i].hit,
-                      sampled.rayResults[i].hit)
-                << "ray " << i;
-        }
-    }
-}
-
-TEST(Simulator, TelemetryTimelineIsMonotoneAndPopulated)
-{
-    // Samples are taken every `period` cycles in order, cumulative
-    // counters never decrease, and the final finish() record lands at
-    // the end-of-run cycle.
-    SimConfig cfg = SimConfig::proposed();
-    TelemetrySampler sampler(128);
-    cfg.telemetry = &sampler;
-    SimResult r = runRig(cfg);
-    const auto &recs = sampler.records();
-    ASSERT_GT(recs.size(), 2u);
-    EXPECT_EQ(sampler.droppedRecords(), 0u);
-    EXPECT_EQ(recs.back().cycle, r.cycles);
-    std::uint64_t prev_cycle = 0;
-    std::uint64_t prev_completed = 0;
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        if (i > 0) {
-            EXPECT_GT(recs[i].cycle, prev_cycle) << "record " << i;
-        }
-        prev_cycle = recs[i].cycle;
-        ASSERT_EQ(recs[i].sms.size(), cfg.numSms);
-        std::uint64_t completed = 0;
-        for (const TelemetrySmSample &sm : recs[i].sms)
-            completed += sm.rays_completed;
-        EXPECT_GE(completed, prev_completed) << "record " << i;
-        prev_completed = completed;
-    }
-    // By the final record every ray has been counted as completed.
-    EXPECT_EQ(prev_completed, rig().ao.rays.size());
-}
-
 TEST(Simulator, TraceCoversComponentTaxonomy)
 {
     SimConfig cfg = SimConfig::proposed();
@@ -241,25 +184,6 @@ TEST(Simulator, DistinctPredictorStatsStillSum)
     EXPECT_EQ(r.stats.get("lookups"),
               preds[0]->stats().get("lookups") +
                   preds[1]->stats().get("lookups"));
-}
-
-TEST(Simulator, TelemetryHeaderReportsSmCountWithoutRecords)
-{
-    // Regression: the JSON header used to derive num_sms from the
-    // captured records (falling back to the probe list, which finish()
-    // clears), so a run too short to record any sample — or one whose
-    // record store was full — reported "num_sms":0.
-    TelemetrySampler sampler(64, /*max_records=*/0);
-    SimConfig cfg = SimConfig::proposed();
-    cfg.telemetry = &sampler;
-    runRig(cfg);
-    EXPECT_TRUE(sampler.records().empty());
-    EXPECT_GT(sampler.droppedRecords(), 0u);
-    std::ostringstream os;
-    sampler.writeJson(os);
-    EXPECT_NE(os.str().find("\"num_sms\":" +
-                            std::to_string(cfg.numSms)),
-              std::string::npos);
 }
 
 TEST(Simulator, EmptyWorkload)

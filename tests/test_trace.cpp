@@ -196,6 +196,11 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("{} trailing", &error).has_value());
     EXPECT_FALSE(parseJson("\"unterminated", &error).has_value());
     EXPECT_FALSE(parseJson("", &error).has_value());
+    // Deep nesting fails cleanly instead of overflowing the stack.
+    std::string deep_error;
+    EXPECT_FALSE(
+        parseJson(std::string(100000, '['), &deep_error).has_value());
+    EXPECT_EQ(deep_error, "nesting too deep at byte 512");
 }
 
 TEST(Json, FindAndFallbacks)
