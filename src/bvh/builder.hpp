@@ -2,10 +2,23 @@
  * @file
  * Binned surface-area-heuristic BVH builder.
  *
- * Produces the Aila–Laine-style tree (Section 2.4) the RT unit traverses.
- * A post-pass fills parent links, node depths, and Euler-tour intervals so
- * the predictor's Go Up Level and the limit-study oracles need no extra
- * simulated memory accesses.
+ * Produces the Aila–Laine-style tree (Section 2.4) the RT unit traverses,
+ * with the parent links, node depths, and Euler-tour intervals that let
+ * the predictor's Go Up Level and the limit-study oracles work without
+ * extra simulated memory accesses.
+ *
+ * The build runs on the free CPUs (freeCpuWorkers, util/host.hpp). The
+ * caller splits the top levels until there are about four subtrees per
+ * worker. Workers split the subtrees, each over its own primIndices
+ * range, and record one entry per node in preorder (the split slot, or
+ * a leaf mark). The node array is then sized once, and each subtree's
+ * log is replayed into its own index range. The tree is the same bit
+ * for bit at any worker count.
+ *
+ * Zero-area triangles (coincident or collinear corners) are kept like
+ * any other: each takes a primitive slot and a leaf, so primIndices
+ * stays a permutation of the triangle ids, and its point or segment
+ * box is valid. intersectRayTriangle never reports a hit on one.
  */
 
 #pragma once

@@ -2,13 +2,15 @@
 
 namespace rtp {
 
-std::vector<std::uint32_t>
+const std::vector<std::uint32_t> &
 collectHitLeaves(const Bvh &bvh, const std::vector<Triangle> &triangles,
-                 const Ray &ray)
+                 const Ray &ray, HitLeafScratch &scratch)
 {
-    std::vector<std::uint32_t> leaves;
+    std::vector<std::uint32_t> &leaves = scratch.leaves;
+    std::vector<std::uint32_t> &stack = scratch.stack;
+    leaves.clear();
+    stack.clear();
     RayBoxPrecomp pre(ray);
-    std::vector<std::uint32_t> stack;
     float t_entry;
     if (!intersectRayAabb(ray, pre, bvh.node(kBvhRoot).box, t_entry))
         return leaves;

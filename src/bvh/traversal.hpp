@@ -34,17 +34,27 @@ struct TraversalStats
     std::vector<std::uint32_t> nodeTrace; //!< fetched node indices in order
 };
 
+/** Caller-owned buffers of collectHitLeaves, reused across rays. */
+struct HitLeafScratch
+{
+    std::vector<std::uint32_t> leaves; //!< the result of the last call
+    std::vector<std::uint32_t> stack;
+};
+
 /**
- * Collect every leaf node containing at least one primitive the ray
- * intersects (no early-out). Used by the limit-study oracles: a predicted
- * node verifies iff its subtree contains one of these leaves. Children
- * are pushed left then right, unsorted; fig2's OT/OU oracle modes take
- * the first listed leaf with a trained ancestor, so this order is part
- * of their output and the list does not come from BvhTraversal.
+ * Collect into @p scratch.leaves every leaf node containing at least
+ * one primitive the ray intersects (no early-out). Used by the
+ * limit-study oracles: a predicted node verifies iff its subtree
+ * contains one of these leaves. Children are pushed left then right,
+ * unsorted; fig2's OT/OU oracle modes take the first listed leaf with a
+ * trained ancestor, so this order is part of their output and the list
+ * does not come from BvhTraversal. Once @p scratch has grown to a
+ * scene's largest answer, a call allocates nothing.
+ * @return scratch.leaves.
  */
-std::vector<std::uint32_t> collectHitLeaves(
+const std::vector<std::uint32_t> &collectHitLeaves(
     const Bvh &bvh, const std::vector<Triangle> &triangles,
-    const Ray &ray);
+    const Ray &ray, HitLeafScratch &scratch);
 
 /** Brute-force any-hit over all triangles (test oracle). */
 bool bruteForceAnyHit(const std::vector<Triangle> &triangles,

@@ -66,6 +66,10 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
 
     std::deque<PendingUpdate> pending;
     std::vector<std::uint32_t> tri_to_slot;
+    // Per-ray buffers, reused across rays.
+    HitLeafScratch leaf_scratch;
+    const std::vector<std::uint32_t> &hit_leaves = leaf_scratch.leaves;
+    std::vector<std::uint32_t> prediction;
 
     auto apply_update = [&](const PendingUpdate &u) {
         if (unbounded) {
@@ -95,10 +99,9 @@ runLimitStudy(const Bvh &bvh, const std::vector<Triangle> &triangles,
             result.hits++;
 
         // Candidate predicted nodes.
-        std::vector<std::uint32_t> prediction;
-        std::vector<std::uint32_t> hit_leaves;
+        prediction.clear();
         if (oracle_select)
-            hit_leaves = collectHitLeaves(bvh, triangles, ray);
+            collectHitLeaves(bvh, triangles, ray, leaf_scratch);
 
         switch (mode) {
           case OracleMode::Realistic: {

@@ -81,6 +81,15 @@ intersectRayTriangle(const Ray &ray, const Triangle &tri, HitRecord &rec)
     if (t <= ray.tMin || t >= ray.tMax)
         return false;
 
+    // A zero-area triangle (parallel edges: coincident or collinear
+    // corners) is never hit. Its det is rounding noise, which a ray
+    // nearly parallel to the edges can lift past the cull above, and
+    // u, v and t divided by it are noise too. Checked last, so only
+    // candidate hits pay for it.
+    const Vec3 n = cross(e1, e2);
+    if (n.x == 0.0f && n.y == 0.0f && n.z == 0.0f)
+        return false;
+
     rec.hit = true;
     rec.t = t;
     rec.u = u;

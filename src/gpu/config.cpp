@@ -38,26 +38,10 @@ SimConfig::baseline()
 }
 
 std::uint32_t
-autoEventLoopWorkers(std::uint32_t num_sms, std::uint32_t usable_cpus,
-                     std::uint32_t runnable_others)
-{
-    // The workers advance in lock-step, so one of them sharing a CPU
-    // with a busy thread stalls them all (docs/performance.md). Use
-    // only CPUs nobody else is running on, and leave one of those to
-    // the rest of the host.
-    if (usable_cpus <= runnable_others + 1)
-        return 1;
-    const std::uint32_t workers =
-        std::min(num_sms, usable_cpus - runnable_others - 1);
-    return workers >= 2 ? workers : 1;
-}
-
-std::uint32_t
 SimConfig::eventLoopWorkers() const
 {
     if (simThreads == kAutoSimThreads)
-        return autoEventLoopWorkers(numSms, usableCpuCount(),
-                                    runnableOtherThreads());
+        return std::min(freeCpuWorkers(numSms), numSms);
     return std::max(1u, std::min(simThreads, numSms));
 }
 

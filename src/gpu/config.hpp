@@ -85,9 +85,8 @@ struct SimConfig
     /**
      * Event-loop worker threads a run of this config uses: 1 means
      * the sequential loop. An explicit simThreads gives
-     * min(simThreads, numSms); auto probes the host (usableCpuCount,
-     * runnableOtherThreads in util/host.hpp) and applies
-     * autoEventLoopWorkers.
+     * min(simThreads, numSms); auto applies the free-CPU rule to
+     * numSms SMs (freeCpuWorkers, util/host.hpp).
      */
     std::uint32_t eventLoopWorkers() const;
 
@@ -125,17 +124,6 @@ struct SimConfig
      */
     void validate(const Bvh &bvh) const;
 };
-
-/**
- * The auto event-loop worker count for a run of @p num_sms SMs on a
- * host where @p usable_cpus CPUs are usable and @p runnable_others
- * other threads are runnable: min(num_sms, usable_cpus −
- * runnable_others − 1), or 1 (the sequential loop) when that is below
- * 2. One free CPU is left to the rest of the host.
- */
-std::uint32_t autoEventLoopWorkers(std::uint32_t num_sms,
-                                   std::uint32_t usable_cpus,
-                                   std::uint32_t runnable_others);
 
 /** One-line summary of a configuration (for bench/table headers). */
 std::string describe(const SimConfig &config);

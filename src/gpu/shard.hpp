@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
@@ -138,30 +137,5 @@ class ShardGate
     std::vector<Slot> slots_;
     std::atomic<bool> abort_{false};
 };
-
-/**
- * Start @p count threads running fn(w) for w = 0 .. count-1. When a
- * start throws (std::system_error once the host is out of threads),
- * the threads already running are still joinable, and destroying them
- * would call std::terminate: so @p stop() is called to make them
- * return, they are joined, and the exception is rethrown.
- */
-template <class Fn, class Stop>
-std::vector<std::thread>
-startWorkers(std::uint32_t count, const Fn &fn, Stop &&stop)
-{
-    std::vector<std::thread> threads;
-    threads.reserve(count);
-    try {
-        for (std::uint32_t w = 0; w < count; ++w)
-            threads.emplace_back(fn, w);
-    } catch (...) {
-        stop();
-        for (std::thread &t : threads)
-            t.join();
-        throw;
-    }
-    return threads;
-}
 
 } // namespace rtp

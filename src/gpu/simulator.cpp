@@ -3,17 +3,16 @@
 #include "gpu/differential.hpp"
 #include "gpu/shard.hpp"
 #include "util/check.hpp"
+#include "util/host.hpp"
 #include "util/observer.hpp"
 #include "util/schema.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 namespace rtp {
 
@@ -459,8 +458,6 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     ShardWorkers team(units, mem, gate, num_workers);
     mem.setShardGate(&gate, observed ? nullptr : &team);
 
-    std::vector<std::exception_ptr> errors(num_workers);
-
     // Local leader-stepping: run every owned event, applying owned
     // fills as they fall due, until every owned SM has finished.
     auto run_worker = [&](std::uint32_t w) {
@@ -516,28 +513,24 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         }
     };
 
-    auto worker_fn = [&](std::uint32_t w) {
-        try {
-            run_worker(w);
-            return;
-        } catch (const ShardAbort &) {
-        } catch (...) {
-            errors[w] = std::current_exception();
-            gate.requestAbort();
-        }
-        // Nobody may wait on a dead worker's SMs: publish "done" so the
-        // other workers drain instead of hanging.
+    // Nobody may wait on a dead worker's SMs: publish "done" so the
+    // other workers drain instead of hanging.
+    auto publish_done = [&](std::uint32_t w) {
         for (std::uint32_t s : team.mine(w))
             gate.setProgress(s, ShardGate::kDone);
     };
-    std::vector<std::thread> workers = startWorkers(
-        num_workers, worker_fn, [&] { gate.requestAbort(); });
-    for (std::thread &t : workers)
-        t.join();
-
-    for (std::uint32_t w = 0; w < num_workers; ++w)
-        if (errors[w])
-            std::rethrow_exception(errors[w]);
+    auto worker_fn = [&](std::uint32_t w) {
+        try {
+            run_worker(w);
+        } catch (const ShardAbort &) {
+            publish_done(w);
+        } catch (...) {
+            gate.requestAbort();
+            publish_done(w);
+            throw; // runWorkers rethrows the first error after the join
+        }
+    };
+    runWorkers(num_workers, worker_fn, [&] { gate.requestAbort(); });
     // A worker returns only once its SMs have finished, so an
     // unfinished SM here means the protocol broke.
     for (std::uint32_t s = 0; s < num_sms; ++s)

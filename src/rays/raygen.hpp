@@ -7,6 +7,11 @@
  * hemisphere around the surface normal. Ray lengths are 25–40 % of the
  * scene bounding-box diagonal. Global-illumination rays (Section 6.4):
  * closest-hit bounce chains of configurable depth.
+ *
+ * The AO, GI, shadow and reflection generators trace their primary
+ * rays on the free CPUs (freeCpuWorkers, util/host.hpp), then draw
+ * their samples serially in pixel order, so a batch is the same at any
+ * worker count.
  */
 
 #pragma once

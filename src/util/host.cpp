@@ -1,6 +1,7 @@
 #include "util/host.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <thread>
 
@@ -26,6 +27,9 @@ usableCpuCount()
 }
 
 namespace {
+
+/** The count a live ForcedWorkerCount sets; 0 when none is alive. */
+std::atomic<std::uint32_t> g_forcedWorkers{0};
 
 /** procs_running from one read of /proc/stat, or 0 if unreadable. */
 unsigned
@@ -59,6 +63,43 @@ runnableOtherThreads()
         fewest = std::min(fewest, running);
     }
     return fewest - 1; // the caller itself is running
+}
+
+std::uint32_t
+freeCpuWorkers(std::uint32_t wanted, std::uint32_t usable_cpus,
+               std::uint32_t runnable_others)
+{
+    // A kernel waits for its slowest worker, and the event loop's
+    // lock-stepped workers all stall when one of them shares a CPU
+    // with a busy thread (docs/performance.md). Use only CPUs nobody
+    // else is running on, and leave one of those to the rest of the
+    // host.
+    if (usable_cpus <= runnable_others + 1)
+        return 1;
+    const std::uint32_t workers =
+        std::min(wanted, usable_cpus - runnable_others - 1);
+    return workers >= 2 ? workers : 1;
+}
+
+std::uint32_t
+freeCpuWorkers(std::uint32_t wanted)
+{
+    if (const std::uint32_t forced =
+            g_forcedWorkers.load(std::memory_order_relaxed))
+        return forced;
+    if (wanted <= 1)
+        return 1; // no probe: nothing to share out
+    return freeCpuWorkers(wanted, usableCpuCount(), runnableOtherThreads());
+}
+
+ForcedWorkerCount::ForcedWorkerCount(std::uint32_t count)
+    : saved_(g_forcedWorkers.exchange(std::max(1u, count)))
+{
+}
+
+ForcedWorkerCount::~ForcedWorkerCount()
+{
+    g_forcedWorkers.store(saved_);
 }
 
 } // namespace rtp

@@ -3,10 +3,20 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_workerHeapCalls{0};
+const std::thread::id g_testThread = std::this_thread::get_id();
+
+void
+countWorkerCall()
+{
+    if (std::this_thread::get_id() != g_testThread)
+        g_workerHeapCalls.fetch_add(1, std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -14,9 +24,20 @@ void *
 operator new(std::size_t bytes)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    countWorkerCall();
     if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
         return p;
     throw std::bad_alloc();
+}
+
+// Replaced too, so that a nothrow allocation is counted and freed by
+// the operator delete below, which pairs it with malloc.
+void *
+operator new(std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    countWorkerCall();
+    return std::malloc(bytes == 0 ? 1 : bytes);
 }
 
 // The replacement operator new above allocates with malloc, which GCC's
@@ -27,12 +48,21 @@ operator new(std::size_t bytes)
 void
 operator delete(void *p) noexcept
 {
+    countWorkerCall();
     std::free(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
+    countWorkerCall();
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    countWorkerCall();
     std::free(p);
 }
 
@@ -44,6 +74,12 @@ std::uint64_t
 allocationCount()
 {
     return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+workerHeapCalls()
+{
+    return g_workerHeapCalls.load(std::memory_order_relaxed);
 }
 
 } // namespace rtp

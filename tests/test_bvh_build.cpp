@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "bvh/builder.hpp"
+#include "bvh/traversal.hpp"
 #include "fnv1a.hpp"
 #include "scene/registry.hpp"
+#include "util/host.hpp"
 #include "util/rng.hpp"
 
 namespace rtp {
@@ -220,43 +223,51 @@ TEST(BvhBuild, SceneBvhDepthInPaperBallpark)
  * with libm fminf/fmaxf bounds, before the inline selects replaced
  * them.
  */
-TEST(BvhBuild, GoldenDigestsBundledScenes)
+const std::uint64_t kGoldenBundled[] = {
+    0x50805e9f74dc4cabULL, // SB
+    0x32a13457be5887d6ULL, // SP
+    0xa0b6ecd80ed08dcdULL, // LE
+    0xd2a58d11267d08d5ULL, // LR
+    0xb0c01b4d8be812a8ULL, // FR
+    0x5f82f7f9d341fbb8ULL, // BI
+    0xeb3998a08e2f2a86ULL, // CK
+};
+constexpr std::uint64_t kGoldenSibenikFull = 0x5e78cf1abd25b146ULL;
+constexpr std::uint64_t kGoldenCoincident = 0x51d89cd2b9572897ULL;
+constexpr std::uint64_t kGoldenRefit = 0x859ef79a150965eULL;
+
+void
+expectGoldenBundledScenes()
 {
-    const std::uint64_t golden[] = {
-        0x50805e9f74dc4cabULL, // SB
-        0x32a13457be5887d6ULL, // SP
-        0xa0b6ecd80ed08dcdULL, // LE
-        0xd2a58d11267d08d5ULL, // LR
-        0xb0c01b4d8be812a8ULL, // FR
-        0x5f82f7f9d341fbb8ULL, // BI
-        0xeb3998a08e2f2a86ULL, // CK
-    };
     const auto &ids = allSceneIds();
-    ASSERT_EQ(ids.size(), std::size(golden));
+    ASSERT_EQ(ids.size(), std::size(kGoldenBundled));
     for (std::size_t i = 0; i < ids.size(); ++i) {
         Scene s = makeScene(ids[i], 0.12f);
         Bvh bvh = BvhBuilder().build(s.mesh.triangles());
-        EXPECT_EQ(bvhDigest(bvh), golden[i])
+        EXPECT_EQ(bvhDigest(bvh), kGoldenBundled[i])
             << s.shortName << " 0x" << std::hex << bvhDigest(bvh);
     }
 }
 
-TEST(BvhBuild, GoldenDigestSibenikFullDetail)
+void
+expectGoldenSibenikFullDetail()
 {
     Scene s = makeScene(SceneId::Sibenik, 1.0f);
     Bvh bvh = BvhBuilder().build(s.mesh.triangles());
-    EXPECT_EQ(bvhDigest(bvh), 0x5e78cf1abd25b146ULL)
+    EXPECT_EQ(bvhDigest(bvh), kGoldenSibenikFull)
         << "0x" << std::hex << bvhDigest(bvh);
 }
 
-TEST(BvhBuild, GoldenDigestCoincidentCentroids)
+void
+expectGoldenCoincidentCentroids()
 {
     Bvh bvh = BvhBuilder().build(coincidentCentroidSoup());
-    EXPECT_EQ(bvhDigest(bvh), 0x51d89cd2b9572897ULL)
+    EXPECT_EQ(bvhDigest(bvh), kGoldenCoincident)
         << "0x" << std::hex << bvhDigest(bvh);
 }
 
-TEST(BvhBuild, GoldenDigestAfterRefit)
+void
+expectGoldenAfterRefit()
 {
     auto tris = randomTriangles(2000, 21);
     Bvh bvh = BvhBuilder().build(tris);
@@ -270,8 +281,215 @@ TEST(BvhBuild, GoldenDigestAfterRefit)
     }
     bvh.refit(tris);
     EXPECT_EQ(bvh.validate(tris.size()), "");
-    EXPECT_EQ(bvhDigest(bvh), 0x859ef79a150965eULL)
+    EXPECT_EQ(bvhDigest(bvh), kGoldenRefit)
         << "0x" << std::hex << bvhDigest(bvh);
+}
+
+TEST(BvhBuild, GoldenDigestsBundledScenes)
+{
+    expectGoldenBundledScenes();
+}
+
+TEST(BvhBuild, GoldenDigestSibenikFullDetail)
+{
+    expectGoldenSibenikFullDetail();
+}
+
+TEST(BvhBuild, GoldenDigestCoincidentCentroids)
+{
+    expectGoldenCoincidentCentroids();
+}
+
+TEST(BvhBuild, GoldenDigestAfterRefit)
+{
+    expectGoldenAfterRefit();
+}
+
+/**
+ * The same digests at forced worker counts: the parallel build splits
+ * the top levels, builds the subtrees on workers and replays them into
+ * one node array, and must produce the serial tree at any count.
+ */
+class BvhBuildWorkers : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    ForcedWorkerCount forced_{GetParam()};
+};
+
+TEST_P(BvhBuildWorkers, GoldenDigestsBundledScenes)
+{
+    expectGoldenBundledScenes();
+}
+
+TEST_P(BvhBuildWorkers, GoldenDigestSibenikFullDetail)
+{
+    expectGoldenSibenikFullDetail();
+}
+
+TEST_P(BvhBuildWorkers, GoldenDigestCoincidentCentroids)
+{
+    expectGoldenCoincidentCentroids();
+}
+
+TEST_P(BvhBuildWorkers, GoldenDigestAfterRefit)
+{
+    expectGoldenAfterRefit();
+}
+
+/**
+ * Every node's box is, bit for bit, the union of its children's boxes
+ * or, at a leaf, of its primitives' boxes in slot order: the replay
+ * computes boxes that way, and the serial recursion it replaced
+ * computed the box of all the node's primitives.
+ */
+void
+expectExactBoxes(const Bvh &bvh, const std::vector<Triangle> &tris)
+{
+    auto same = [](const Aabb &a, const Aabb &b) {
+        return std::memcmp(&a, &b, sizeof(Aabb)) == 0;
+    };
+    for (std::uint32_t i = 0; i < bvh.nodeCount(); ++i) {
+        const BvhNode &n = bvh.node(i);
+        Aabb expect;
+        if (n.isLeaf()) {
+            for (std::uint32_t k = 0; k < n.primCount; ++k)
+                expect.extend(
+                    tris[bvh.primIndices()[n.firstPrim + k]].bounds());
+        } else {
+            expect.extend(bvh.node(n.left).box);
+            expect.extend(bvh.node(n.right).box);
+        }
+        ASSERT_TRUE(same(n.box, expect)) << "node " << i;
+        // ... and the box of every primitive below it, in slot order.
+        Aabb all;
+        for (std::uint32_t e = n.eulerIn; e < n.eulerOut; ++e) {
+            const BvhNode &d = bvh.node(e);
+            if (d.isLeaf())
+                for (std::uint32_t k = 0; k < d.primCount; ++k)
+                    all.extend(
+                        tris[bvh.primIndices()[d.firstPrim + k]].bounds());
+        }
+        ASSERT_TRUE(same(n.box, all)) << "node " << i;
+    }
+}
+
+TEST_P(BvhBuildWorkers, NodeBoxesAreExactUnions)
+{
+    for (SceneId id : allSceneIds()) {
+        Scene s = makeScene(id, 0.12f);
+        Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+        SCOPED_TRACE(s.shortName);
+        expectExactBoxes(bvh, s.mesh.triangles());
+    }
+    auto tris = randomTriangles(5000, 31);
+    expectExactBoxes(BvhBuilder().build(tris), tris);
+}
+
+INSTANTIATE_TEST_SUITE_P(Forced, BvhBuildWorkers,
+                         ::testing::Values(1u, 2u, 3u, 8u),
+                         ::testing::PrintToStringParamName());
+
+/**
+ * randomTriangles with every third triangle replaced by a zero-area
+ * one on integer coordinates, so its edges are exactly parallel: a
+ * point, a segment with two coincident corners, or three collinear
+ * corners.
+ */
+std::vector<Triangle>
+zeroAreaSoup()
+{
+    std::vector<Triangle> tris = randomTriangles(3000, 51);
+    Rng rng(52);
+    auto coord = [&](float lo, float hi) {
+        return std::floor(rng.nextRange(lo, hi));
+    };
+    for (std::size_t i = 0; i < tris.size(); i += 3) {
+        Vec3 a{coord(-10, 10), coord(-10, 10), coord(-10, 10)};
+        Vec3 e{coord(1, 3), coord(-3, 3), coord(-3, 3)};
+        if (i / 3 % 3 == 0)
+            tris[i] = {a, a, a};
+        else if (i / 3 % 3 == 1)
+            tris[i] = {a, a + e, a + e};
+        else
+            tris[i] = {a, a + e, a - e};
+    }
+    return tris;
+}
+
+/**
+ * The builder's zero-area policy: such a triangle is kept like any
+ * other (a slot, a leaf, a point or segment box), so primIndices stays
+ * a permutation of the triangle ids; the ray-triangle test never
+ * reports a hit on it.
+ */
+TEST(BvhBuild, ZeroAreaTrianglesAreKeptAndNeverHit)
+{
+    const std::vector<Triangle> tris = zeroAreaSoup();
+    std::vector<bool> zero(tris.size());
+    std::size_t zeros = 0;
+    for (std::size_t i = 0; i < tris.size(); ++i)
+        zeros += zero[i] = tris[i].area() == 0.0f;
+    ASSERT_EQ(zeros, 1000u);
+
+    Bvh bvh = [&] {
+        ForcedWorkerCount serial(1);
+        return BvhBuilder().build(tris);
+    }();
+    EXPECT_EQ(bvh.validate(tris.size()), "");
+    for (std::uint32_t workers : {2u, 3u, 8u}) {
+        ForcedWorkerCount forced(workers);
+        EXPECT_EQ(bvhDigest(BvhBuilder().build(tris)), bvhDigest(bvh))
+            << workers << " workers";
+    }
+
+    // Rays from random points through each zero-area triangle's first
+    // corner, and rays nearly along its edge.
+    BvhTraversal trav(bvh, tris);
+    Rng rng(53);
+    int hits = 0;
+    auto expect_no_zero_hit = [&](const Ray &ray) {
+        HitRecord closest = trav.closestHit(ray);
+        HitRecord any = trav.anyHit(ray);
+        EXPECT_FALSE(closest.hit && zero[closest.prim]) << closest.prim;
+        EXPECT_FALSE(any.hit && zero[any.prim]) << any.prim;
+        hits += closest.hit;
+    };
+    for (std::size_t i = 0; i < tris.size(); ++i) {
+        if (!zero[i])
+            continue;
+        const Triangle &t = tris[i];
+        Vec3 from{rng.nextRange(-12, 12), rng.nextRange(-12, 12),
+                  rng.nextRange(-12, 12)};
+        Ray ray;
+        ray.origin = from;
+        ray.dir = normalize(t.v0 - from);
+        expect_no_zero_hit(ray);
+        if (t.v1 == t.v0)
+            continue;
+        Vec3 jitter{rng.nextRange(-1e-3f, 1e-3f),
+                    rng.nextRange(-1e-3f, 1e-3f),
+                    rng.nextRange(-1e-3f, 1e-3f)};
+        ray.dir = normalize(t.v1 - t.v0 + jitter);
+        ray.origin = t.v0 - ray.dir * 2.0f;
+        expect_no_zero_hit(ray);
+    }
+    EXPECT_GT(hits, 100); // the rays do reach ordinary triangles
+}
+
+TEST(BvhBuild, AllZeroAreaSoupBuilds)
+{
+    std::vector<Triangle> points(100, Triangle{{1, 2, 3}, {1, 2, 3},
+                                               {1, 2, 3}});
+    for (std::uint32_t workers : {1u, 3u}) {
+        ForcedWorkerCount forced(workers);
+        Bvh bvh = BvhBuilder().build(points);
+        EXPECT_EQ(bvh.validate(points.size()), "");
+        BvhTraversal trav(bvh, points);
+        Ray ray;
+        ray.origin = {1, 2, 0};
+        ray.dir = {0, 0, 1};
+        EXPECT_FALSE(trav.closestHit(ray).hit);
+    }
 }
 
 /** Bad configurations are rejected up front, naming the field. */

@@ -188,9 +188,10 @@ TEST(Traversal, CollectHitLeavesConsistent)
     Bvh bvh = BvhBuilder().build(tris);
     BvhTraversal trav(bvh, tris);
     Rng rng(112);
+    HitLeafScratch scratch;
     for (int i = 0; i < 200; ++i) {
         Ray ray = randomRay(rng, 40.0f);
-        auto leaves = collectHitLeaves(bvh, tris, ray);
+        const auto &leaves = collectHitLeaves(bvh, tris, ray, scratch);
         bool any = trav.anyHit(ray).hit;
         EXPECT_EQ(any, !leaves.empty());
         for (std::uint32_t leaf : leaves) {

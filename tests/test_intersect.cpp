@@ -109,6 +109,49 @@ TEST(RayTriangle, ParallelRayMisses)
         makeRay({0.5f, 0.5f, 0}, {1, 0, 0}), tri, rec));
 }
 
+TEST(RayTriangle, ZeroAreaTriangleIsNeverHit)
+{
+    // Collinear corners on integer coordinates, so the edges are
+    // exactly parallel, and rays nearly parallel to them passing close
+    // by: their det is rounding noise that can clear the relative cull
+    // (about 1 ray in 700 did before the zero-area check).
+    Rng rng(61);
+    int tested = 0;
+    for (int i = 0; i < 40000; ++i) {
+        auto coord = [&](float lo, float hi) {
+            return std::floor(rng.nextRange(lo, hi));
+        };
+        Vec3 v0{coord(-10, 10), coord(-10, 10), coord(-10, 10)};
+        Vec3 e{coord(-4, 4), coord(-4, 4), coord(-4, 4)};
+        if (e.x == 0 && e.y == 0 && e.z == 0)
+            continue;
+        const float k = i % 2 ? -1.0f : -0.5f; // v0 between the ends
+        Triangle tri{v0, v0 + e, v0 + e * k};
+        ASSERT_EQ(tri.area(), 0.0f);
+        Vec3 jitter{rng.nextRange(-1e-3f, 1e-3f),
+                    rng.nextRange(-1e-3f, 1e-3f),
+                    rng.nextRange(-1e-3f, 1e-3f)};
+        Vec3 dir = normalize(e + jitter * length(e));
+        Vec3 nudge{rng.nextRange(-1e-4f, 1e-4f),
+                   rng.nextRange(-1e-4f, 1e-4f),
+                   rng.nextRange(-1e-4f, 1e-4f)};
+        HitRecord rec;
+        EXPECT_FALSE(intersectRayTriangle(
+            makeRay(v0 - dir * 3.0f + nudge, dir), tri, rec))
+            << "triangle " << i;
+        // Coincident corners, hit square on.
+        Triangle point{v0, v0, v0};
+        Triangle seg{v0, v0 + e, v0 + e};
+        Vec3 at = v0 + Vec3{0, 0, -1};
+        EXPECT_FALSE(
+            intersectRayTriangle(makeRay(at, {0, 0, 1}), point, rec));
+        EXPECT_FALSE(intersectRayTriangle(
+            makeRay(v0 + e * 0.5f - dir, dir), seg, rec));
+        tested++;
+    }
+    EXPECT_GT(tested, 30000);
+}
+
 TEST(RayTriangle, BehindOriginMisses)
 {
     Triangle tri{{0, 0, -5}, {2, 0, -5}, {0, 2, -5}};

@@ -373,18 +373,18 @@ TEST(SimThreadsAuto, RuleUsesOnlyFreeCpus)
 {
     // Fixed inputs, so the cases do not depend on the host's load.
     // Idle host with 4 usable CPUs: one is left spare.
-    EXPECT_EQ(autoEventLoopWorkers(2, 4, 0), 2u);
-    EXPECT_EQ(autoEventLoopWorkers(8, 4, 0), 3u);
+    EXPECT_EQ(freeCpuWorkers(2, 4, 0), 2u);
+    EXPECT_EQ(freeCpuWorkers(8, 4, 0), 3u);
     // Three other runnable threads leave no CPU to shard across.
-    EXPECT_EQ(autoEventLoopWorkers(2, 4, 3), 1u);
-    EXPECT_EQ(autoEventLoopWorkers(8, 4, 3), 1u);
+    EXPECT_EQ(freeCpuWorkers(2, 4, 3), 1u);
+    EXPECT_EQ(freeCpuWorkers(8, 4, 3), 1u);
     // One free CPU besides the spare is not enough for two workers.
-    EXPECT_EQ(autoEventLoopWorkers(8, 4, 2), 1u);
+    EXPECT_EQ(freeCpuWorkers(8, 4, 2), 1u);
     // One usable CPU, or one SM: the sequential loop.
-    EXPECT_EQ(autoEventLoopWorkers(8, 1, 0), 1u);
-    EXPECT_EQ(autoEventLoopWorkers(1, 4, 0), 1u);
+    EXPECT_EQ(freeCpuWorkers(8, 1, 0), 1u);
+    EXPECT_EQ(freeCpuWorkers(1, 4, 0), 1u);
     // More runnable threads than CPUs must not wrap around.
-    EXPECT_EQ(autoEventLoopWorkers(8, 4, 9), 1u);
+    EXPECT_EQ(freeCpuWorkers(8, 4, 9), 1u);
 
     SimConfig config;
     EXPECT_EQ(config.simThreads, SimConfig::kAutoSimThreads);

@@ -4,7 +4,10 @@
 
 #include "bvh/builder.hpp"
 #include "bvh/traversal.hpp"
+#include "fnv1a.hpp"
 #include "rays/raygen.hpp"
+#include "scene/registry.hpp"
+#include "util/host.hpp"
 
 namespace rtp {
 namespace {
@@ -293,6 +296,60 @@ TEST(RayGen, ViewportCropNarrowsSpread)
     };
     EXPECT_LT(spread(b), spread(a) * 0.5f);
 }
+
+/** Every field of every ray, then the batch's counters. */
+std::uint64_t
+batchDigest(const RayBatch &batch)
+{
+    Fnv1a f;
+    for (const Ray &r : batch.rays) {
+        for (float c : {r.origin.x, r.origin.y, r.origin.z, r.dir.x,
+                        r.dir.y, r.dir.z, r.tMin, r.tMax})
+            f.add(c);
+        f.add(static_cast<int>(r.kind));
+    }
+    f.add(batch.primaryRays);
+    f.add(batch.primaryHits);
+    return f.h;
+}
+
+/**
+ * Golden digests of the pixel workloads, recorded when ray generation
+ * traced its primary rays serially, at forced worker counts. The
+ * primary hits are traced in parallel and the samples drawn serially
+ * in pixel order, so every count must give the serial batches. The
+ * 136x136 viewport spans two passes over the primary-hit buffer.
+ */
+class RayGenWorkers : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(RayGenWorkers, GoldenDigests)
+{
+    static const Scene scene = makeScene(SceneId::CrytekSponza, 0.12f);
+    static const Bvh bvh = BvhBuilder().build(scene.mesh.triangles());
+    RayGenConfig config;
+    config.width = 136;
+    config.height = 136;
+    config.samplesPerPixel = 2;
+    config.giBounces = 2;
+    config.viewportFraction = 136.0f / 1024.0f;
+    config.seed = 7;
+
+    ForcedWorkerCount forced(GetParam());
+    EXPECT_EQ(batchDigest(generateAoRays(scene, bvh, config)),
+              0xb3aaa0b7e4c5ac41ULL);
+    EXPECT_EQ(batchDigest(generateGiRays(scene, bvh, config)),
+              0xc5b3a7d1eb3944a5ULL);
+    EXPECT_EQ(batchDigest(generateShadowRays(scene, bvh, config)),
+              0x4f484b72ef32c54eULL);
+    EXPECT_EQ(batchDigest(generateReflectionRays(scene, bvh, config)),
+              0xfda9c04740a41527ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Forced, RayGenWorkers,
+                         ::testing::Values(1u, 2u, 3u, 8u),
+                         ::testing::PrintToStringParamName());
 
 } // namespace
 } // namespace rtp

@@ -2,10 +2,10 @@
  * @file
  * ShardGate protocol tests (gpu/shard.hpp): which (cycle, sm) keys
  * pass waitTurn at once, which wait for whom, how an abort releases a
- * waiter, and how startWorkers unwinds a failed thread start. The
- * FillDeferral tests cover the other half of the protocol: L1-miss
- * fills deferred within the lookahead (mem/memory_system.hpp) and
- * applied in gate order by concurrent owners.
+ * waiter, and how runWorkers (util/host.hpp) unwinds a failed thread
+ * start. The FillDeferral tests cover the other half of the protocol:
+ * L1-miss fills deferred within the lookahead (mem/memory_system.hpp)
+ * and applied in gate order by concurrent owners.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 
 #include "gpu/shard.hpp"
 #include "mem/memory_system.hpp"
+#include "util/host.hpp"
 #include "util/rng.hpp"
 
 namespace rtp {
@@ -192,8 +193,8 @@ TEST(ShardGate, MayEnterAnswersWithoutWaiting)
 }
 
 /**
- * A worker body whose third copy throws: std::thread copies its
- * callable before starting, so the third start fails the way it does
+ * A worker body whose third copy throws: runWorkers copies its
+ * callable before each start, so the third start fails the way it does
  * when the host has no thread left. Started workers run until stop().
  */
 struct FlakyWorker
@@ -232,11 +233,11 @@ TEST(StartWorkers, FailedStartStopsAndJoinsTheStartedWorkers)
     auto shared = std::make_shared<FlakyWorker::Shared>();
     FlakyWorker fn(shared);
     int stops = 0;
-    EXPECT_THROW(startWorkers(4, fn,
-                              [&] {
-                                  stops++;
-                                  shared->released = true;
-                              }),
+    EXPECT_THROW(runWorkers(4, fn,
+                            [&] {
+                                stops++;
+                                shared->released = true;
+                            }),
                  std::system_error);
     EXPECT_EQ(stops, 1);
     // Two workers started; both were joined before the rethrow.
@@ -247,11 +248,7 @@ TEST(StartWorkers, StartsEveryWorkerWithItsIndex)
 {
     std::atomic<unsigned> mask{0};
     auto fn = [&](std::uint32_t w) { mask |= 1u << w; };
-    std::vector<std::thread> threads =
-        startWorkers(4, fn, [] { FAIL() << "no start failed"; });
-    ASSERT_EQ(threads.size(), 4u);
-    for (std::thread &t : threads)
-        t.join();
+    runWorkers(4, fn, [] { FAIL() << "no start failed"; });
     EXPECT_EQ(mask.load(), 0xFu);
 }
 
