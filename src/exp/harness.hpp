@@ -64,10 +64,10 @@ SimPoint makePoint(const Workload &w, const SimConfig &config,
                    bool sorted = false);
 
 /**
- * Execute every sweep point through the thread pool and return results
- * in submission order — output built from them is byte-identical to a
- * serial run at any thread count. The pool size and each simulation's
- * sharded-loop worker count come from the RTP_THREADS /
+ * Execute every sweep point through runSweep and return results in
+ * submission order — output built from them is byte-identical to a
+ * serial run at any thread count. The sweep's worker count and each
+ * simulation's sharded-loop worker count come from the RTP_THREADS /
  * RTP_SIM_THREADS thread budget (threadBudgetFromEnv, exp/parallel.hpp;
  * malformed values throw std::invalid_argument before any run starts).
  * @p label is used for the stderr timing summary.

@@ -69,71 +69,9 @@ threadBudgetFromEnv(unsigned hw)
 }
 
 unsigned
-ThreadPool::defaultThreadCount()
+defaultThreadCount()
 {
     return parseThreadCountEnv("RTP_THREADS", usableCpuCount());
-}
-
-ThreadPool::ThreadPool(unsigned threads)
-{
-    if (threads == 0)
-        threads = defaultThreadCount();
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    jobReady_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        jobs_.push(std::move(job));
-        inFlight_++;
-    }
-    jobReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            jobReady_.wait(
-                lock, [this] { return stop_ || !jobs_.empty(); });
-            if (jobs_.empty())
-                return; // stop_ set and queue drained
-            job = std::move(jobs_.front());
-            jobs_.pop();
-        }
-        job();
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            inFlight_--;
-            if (inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
 }
 
 void

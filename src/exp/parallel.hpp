@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel experiment harness: a thread pool plus an ordered parallel
- * map (runSweep) for independent simulation runs.
+ * Parallel experiment harness: an ordered parallel map (runSweep) for
+ * independent simulation runs, on the worker seam of util/host.hpp.
  *
  * Every figure/table reproduction in bench/ evaluates a scene x config
  * x sweep-point matrix whose points are independent `Simulation::run()`
@@ -15,7 +15,7 @@
  * Thread count: RTP_THREADS environment variable, defaulting to the
  * CPUs this process may run on (usableCpuCount, util/host.hpp, which
  * honours taskset and cpusets). RTP_THREADS=1 recovers fully
- * serial execution (still through the pool, same ordering).
+ * serial execution on the calling thread, in item order.
  *
  * A second knob, RTP_SIM_THREADS, controls *intra*-simulation
  * parallelism (the sharded per-SM event loop, gpu/simulator.hpp). The
@@ -29,63 +29,18 @@
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/host.hpp"
+
 namespace rtp {
-
-/** A fixed-size worker pool executing submitted jobs FIFO. */
-class ThreadPool
-{
-  public:
-    /**
-     * @param threads Worker count; 0 means defaultThreadCount().
-     */
-    explicit ThreadPool(unsigned threads = 0);
-
-    /** Joins all workers after draining outstanding jobs. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a job; runs on some worker as soon as one is free. */
-    void submit(std::function<void()> job);
-
-    /** Block until every submitted job has finished. */
-    void wait();
-
-    unsigned
-    threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /**
-     * @return RTP_THREADS if set (clamped to >= 1), otherwise
-     *         usableCpuCount() (>= 1).
-     */
-    static unsigned defaultThreadCount();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::queue<std::function<void()>> jobs_;
-    std::mutex mutex_;
-    std::condition_variable jobReady_;
-    std::condition_variable allDone_;
-    std::size_t inFlight_ = 0; //!< queued + currently running jobs
-    bool stop_ = false;
-};
 
 /**
  * Parse a thread-count environment variable strictly.
@@ -102,13 +57,20 @@ class ThreadPool
 unsigned parseThreadCountEnv(const char *name, unsigned fallback);
 
 /**
+ * The sweep's worker count: RTP_THREADS if set, otherwise
+ * usableCpuCount() (>= 1).
+ * @throws std::invalid_argument on a malformed RTP_THREADS.
+ */
+unsigned defaultThreadCount();
+
+/**
  * The composed thread budget for a harness run: how many sweep points
- * run concurrently (ThreadPool size) and how many worker threads each
+ * run concurrently (runSweep workers) and how many worker threads each
  * simulation's sharded event loop may use (SimConfig::simThreads).
  */
 struct ThreadBudget
 {
-    unsigned sweepThreads = 1; //!< runSweep pool size
+    unsigned sweepThreads = 1; //!< runSweep workers
     unsigned simThreads = 0;   //!< per-simulation workers; 0 = auto
 };
 
@@ -162,10 +124,11 @@ struct SweepTiming
 void reportSweepTiming(const char *label, const SweepTiming &timing);
 
 /**
- * Ordered parallel map: apply @p fn to every element of @p items on the
- * pool and return the results in submission order. The first exception
- * thrown by any job (in item order) is rethrown after the sweep
- * completes.
+ * Ordered parallel map: apply @p fn to every element of @p items and
+ * return the results in submission order. min(threads, items) workers
+ * (runWorkers, util/host.hpp) claim item indices from a shared cursor.
+ * The first exception thrown by any item (in item order) is rethrown
+ * after the sweep completes.
  *
  * @param items Sweep points; fn must be safe to run concurrently on
  *        distinct items (see Simulation's thread-safety contract).
@@ -173,9 +136,9 @@ void reportSweepTiming(const char *label, const SweepTiming &timing);
  * @param label When non-null, a timing summary is printed to stderr
  *        and per-run wall times are accumulated.
  * @param timing_out Optional out-param receiving the timing summary.
- * @param threads Pool size; 0 = ThreadPool::defaultThreadCount(). The
- *        harness passes a ThreadBudget's sweepThreads here so sweep-
- *        and simulation-level parallelism compose.
+ * @param threads Worker limit; 0 = defaultThreadCount(). The harness
+ *        passes a ThreadBudget's sweepThreads here so sweep- and
+ *        simulation-level parallelism compose.
  */
 template <typename Item, typename Fn>
 auto
@@ -192,9 +155,13 @@ runSweep(const std::vector<Item> &items, Fn fn,
     std::vector<double> run_seconds(items.size(), 0.0);
 
     auto sweep_start = Clock::now();
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        pool.submit([&, i]() {
+    if (threads == 0)
+        threads = defaultThreadCount();
+    const auto workers = static_cast<std::uint32_t>(
+        std::min<std::size_t>(threads, items.size()));
+    std::atomic<std::size_t> cursor{0};
+    runWorkers(workers, [&](std::uint32_t) {
+        for (std::size_t i; (i = cursor.fetch_add(1)) < items.size();) {
             auto run_start = Clock::now();
             try {
                 results[i] = fn(items[i]);
@@ -204,9 +171,8 @@ runSweep(const std::vector<Item> &items, Fn fn,
             run_seconds[i] =
                 std::chrono::duration<double>(Clock::now() - run_start)
                     .count();
-        });
-    }
-    pool.wait();
+        }
+    });
 
     for (const std::exception_ptr &e : errors)
         if (e)
@@ -214,7 +180,7 @@ runSweep(const std::vector<Item> &items, Fn fn,
 
     SweepTiming timing;
     timing.runs = items.size();
-    timing.threads = pool.threadCount();
+    timing.threads = workers;
     timing.wallSeconds =
         std::chrono::duration<double>(Clock::now() - sweep_start)
             .count();

@@ -60,7 +60,7 @@ class WorkloadCache
     /** Build (or fetch) the workload for @p id. */
     const Workload &get(SceneId id);
 
-    /** Build every missing workload in @p ids through the thread pool. */
+    /** Build every missing workload in @p ids through runSweep. */
     void prebuild(const std::vector<SceneId> &ids);
 
     /** prebuild() + collect pointers, preserving @p ids order. */

@@ -40,6 +40,8 @@ SimConfig::baseline()
 std::uint32_t
 SimConfig::eventLoopWorkers() const
 {
+    if (trace || profile || check)
+        return 1;
     if (simThreads == kAutoSimThreads)
         return std::min(freeCpuWorkers(numSms), numSms);
     return std::max(1u, std::min(simThreads, numSms));

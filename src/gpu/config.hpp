@@ -41,52 +41,56 @@ struct SimConfig
      * (the default) sizes the worker count to the CPUs that are free
      * when the run starts; see eventLoopWorkers(). The bench harness
      * fills an auto value from its thread budget (RTP_SIM_THREADS).
+     * A run with an observer (trace, check or profile) ignores it and
+     * takes the sequential loop.
      */
     std::uint32_t simThreads = kAutoSimThreads;
 
     /**
      * Optional cycle-level trace sink (not owned; nullptr = tracing
      * off). Reaches the components through the run's observer seam
-     * (util/observer.hpp), attached for the run only. Tracing is a pure observer: simulated cycles and statistics are
-     * identical with and without a sink. The sink is single-threaded —
-     * at most one Simulation::run() per sink at a time.
+     * (util/observer.hpp), attached for the run only. Tracing is a
+     * pure observer: simulated cycles and statistics are identical
+     * with and without a sink. Like every observer it makes the run
+     * sequential (eventLoopWorkers). At most one Simulation::run() per
+     * sink at a time.
      */
     TraceSink *trace = nullptr;
 
     /**
      * Optional invariant checker (not owned; nullptr = checking off).
      * Reaches the components through the run's observer seam, attached
-     * for the run only; probes then enforce conservation laws at event boundaries, the driver
-     * runs an end-of-run accounting sweep, and every completed ray is
-     * cross-checked against the recursive reference-traversal oracle
-     * (core/reference.hpp). Violations throw InvariantViolation with a
-     * full context dump. Same pure-observer contract as the trace
-     * sink: simulated cycles, statistics, and per-ray results are
-     * byte-identical with and without a checker. Single-threaded — at
-     * most one Simulation::run() per checker at a time.
+     * for the run only; probes then enforce conservation laws at event
+     * boundaries, the driver runs an end-of-run accounting sweep, and
+     * every completed ray is cross-checked against the recursive
+     * reference-traversal oracle (core/reference.hpp). Violations throw
+     * InvariantViolation with a full context dump. Same pure-observer
+     * contract as the trace sink: simulated cycles, statistics, and
+     * per-ray results are byte-identical with and without a checker.
+     * At most one Simulation::run() per checker at a time.
      */
     InvariantChecker *check = nullptr;
 
     /**
      * Optional per-cycle attribution profiler (not owned; nullptr =
      * profiling off). Reaches the components through the run's
-     * observer seam, attached for the run only; every SM cycle is classified into exactly one exclusive category (see
+     * observer seam, attached for the run only; every SM cycle is
+     * classified into exactly one exclusive category (see
      * util/profile.hpp) and the driver asserts the conservation law
      * through SimConfig::check when both are attached. Same
-     * pure-observer contract as trace and check: simulated
-     * cycles, statistics, and per-ray results are byte-identical with
-     * and without a profiler, at any simThreads.
-     * Single-threaded driver contract — at most one Simulation::run()
-     * per profiler at a time (per-SM slices are only touched by the
-     * worker that owns the SM).
+     * pure-observer contract as trace and check: simulated cycles,
+     * statistics, and per-ray results are byte-identical with and
+     * without a profiler. At most one Simulation::run() per profiler
+     * at a time.
      */
     CycleProfiler *profile = nullptr;
 
     /**
      * Event-loop worker threads a run of this config uses: 1 means
-     * the sequential loop. An explicit simThreads gives
-     * min(simThreads, numSms); auto applies the free-CPU rule to
-     * numSms SMs (freeCpuWorkers, util/host.hpp).
+     * the sequential loop. A run with an observer attached gets 1, so
+     * every observer sees the reference loop. Otherwise an explicit
+     * simThreads gives min(simThreads, numSms), and auto applies the
+     * free-CPU rule to numSms SMs (freeCpuWorkers, util/host.hpp).
      */
     std::uint32_t eventLoopWorkers() const;
 

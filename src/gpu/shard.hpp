@@ -92,13 +92,6 @@ class ShardGate
      */
     void waitTurn(std::uint32_t sm, Cycle cycle) const;
 
-    /** waitTurn keyed on SM @p sm's own published progress. */
-    void
-    waitTurn(std::uint32_t sm) const
-    {
-        waitTurn(sm, slots_[sm].progress.load(std::memory_order_relaxed));
-    }
-
     /**
      * Non-blocking waitTurn: @return true if the key (@p cycle, @p sm)
      * is the globally smallest now. A true answer stays true (progress

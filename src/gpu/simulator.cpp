@@ -165,7 +165,7 @@ throwStuckUnit(std::uint32_t sm, Cycle now, std::uint64_t outstanding)
  * earliest pending event, ties to the lowest SM index. The sharded
  * loop reproduces exactly this order at the shared-memory seam, so
  * this loop stays selectable (simThreads = 1) as the equivalence
- * baseline.
+ * baseline. Every observed run takes it.
  */
 void
 runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units)
@@ -411,18 +411,11 @@ class ShardWorkers final : public FillSettler
 /**
  * The sharded event loop: each worker advances its SMs with the same
  * local earliest-(cycle, sm) rule the sequential loop uses globally.
- * Shared L2/DRAM accesses synchronise through the ShardGate (see
- * gpu/shard.hpp), so the shared levels observe the exact sequential
- * order and every output — stats, trace, profile, checker — is
- * byte-identical to simThreads = 1. The trace and profiler need nothing
- * from this loop: each SM reports through its own observer port, which
- * keys its events by the step that emitted them (util/observer.hpp).
- *
- * Without an observer, L1-miss fills are deferred within the lookahead
- * (ShardWorkers above). With one, each fill is applied at issue: the
- * profiler classifies a step's stall by the level that served it when
- * the step closes, and every observer's events stay keyed by the step
- * that caused them.
+ * L1-miss fills are deferred within the lookahead and reach the shared
+ * L2/DRAM through the ShardGate (ShardWorkers above, gpu/shard.hpp), so
+ * the shared levels observe the exact sequential order and every
+ * result is byte-identical to simThreads = 1. Observed runs never get
+ * here: SimConfig::eventLoopWorkers gives them the sequential loop.
  *
  * Workers run to completion, the driver joins them. A worker that
  * fails requests an abort, so every other worker bails out of its wait
@@ -431,19 +424,18 @@ class ShardWorkers final : public FillSettler
  */
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-               MemorySystem &mem, std::uint32_t num_workers,
-               bool observed)
+               MemorySystem &mem, std::uint32_t num_workers)
 {
     const std::uint32_t num_sms =
         static_cast<std::uint32_t>(units.size());
     ShardGate gate(num_sms);
-    // The gate dies with this frame: unhook it on every exit, throws
-    // included.
-    struct Ungate
+    // The settler dies with this frame: unhook it on every exit,
+    // throws included.
+    struct Unsettle
     {
         MemorySystem &mem;
-        ~Ungate() { mem.setShardGate(nullptr); }
-    } ungate{mem};
+        ~Unsettle() { mem.setFillSettler(nullptr); }
+    } unsettle{mem};
 
     // Initial progress: next event cycle, or done for idle SMs.
     for (std::uint32_t s = 0; s < num_sms; ++s) {
@@ -456,7 +448,7 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             gate.setProgress(s, rt->nextEventCycle());
     }
     ShardWorkers team(units, mem, gate, num_workers);
-    mem.setShardGate(&gate, observed ? nullptr : &team);
+    mem.setFillSettler(&team);
 
     // Local leader-stepping: run every owned event, applying owned
     // fills as they fall due, until every owned SM has finished.
@@ -564,15 +556,14 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         distributeRays(rays, config.rt.warpSize, num_sms);
     std::vector<std::vector<Ray>> &per_sm_rays = dist.rays;
     std::vector<std::vector<std::uint32_t>> &per_sm_ids = dist.ids;
-    // One worker: the sequential loop.
+    // One worker: the sequential loop, which every observed run takes.
     std::uint32_t shard_workers = config.eventLoopWorkers();
 
     InvariantChecker *check = config.check;
     if (check)
         check->setContext(describe(config) + ", " +
                           std::to_string(rays.size()) + " rays");
-    RunObservers observers(config.trace, config.profile, check, num_sms,
-                           shard_workers >= 2);
+    RunObservers observers(config.trace, config.profile, check, num_sms);
     // One attach per run, undone when the run ends or throws: external
     // predictors outlive the run and must not keep its ports.
     auto attach = [&](ObserverPort *ports) {
@@ -593,8 +584,7 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     }
 
     if (shard_workers >= 2)
-        runShardedLoop(units, mem, shard_workers,
-                       observers.ports() != nullptr);
+        runShardedLoop(units, mem, shard_workers);
     else
         runSequentialLoop(units);
 

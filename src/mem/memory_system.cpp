@@ -1,6 +1,5 @@
 #include "mem/memory_system.hpp"
 
-#include "gpu/shard.hpp"
 #include "util/observer.hpp"
 
 #include <stdexcept>
@@ -18,10 +17,9 @@ MemorySystem::MemorySystem(const MemoryConfig &config,
 }
 
 void
-MemorySystem::setShardGate(ShardGate *gate, FillSettler *settler)
+MemorySystem::setFillSettler(FillSettler *settler)
 {
-    gate_ = gate;
-    settler_ = gate ? settler : nullptr;
+    settler_ = settler;
     for (std::size_t sm = 0; sm < lanes_.size(); ++sm) {
         // Only a run that threw leaves fills behind; its state is gone.
         FillLane &lane = lanes_[sm];
@@ -64,13 +62,6 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
     ObserverPort *obs = ports_ ? ports_ + sm : nullptr;
 
     auto l1_fill = [&](std::uint64_t line_addr, Cycle c) -> Cycle {
-        // Sharded loop without deferral: waitTurn returns once the
-        // sequential loop would have reached this access; until the
-        // owning worker publishes progress past this step, no other
-        // SM's later access can enter, so the whole fill (L2 lookup +
-        // DRAM) is exclusive.
-        if (gate_)
-            gate_->waitTurn(sm);
         return fillLine(line_addr, c, result.servedBy, obs);
     };
 

@@ -6,15 +6,15 @@
  *
  * Under the sharded event loop a true L1 miss is the only access that
  * reaches the shared L2/DRAM, and those levels must see the misses in
- * the sequential loop's (cycle, SM) order (gpu/shard.hpp). No fill
- * returns sooner than MemoryConfig::minL1FillCycles after its miss, so
- * a miss need not wait for its turn: with a FillSettler attached the
- * L1 allocates the line in flight, queues the fill per SM and answers
- * with a lower bound on the ready cycle plus the fill's sequence
- * number. The fill reaches the L2/DRAM later, in gate order, through
- * applyOldestFill. Runs without a settler (the sequential loop, and
- * sharded runs with an observer attached) apply every fill at issue
- * through the same path: a lookahead of zero.
+ * the sequential loop's (cycle, SM) order (docs/performance.md,
+ * "Conservative lookahead"). No fill returns sooner than
+ * MemoryConfig::minL1FillCycles after its miss, so a miss need not
+ * wait for its turn: with a FillSettler attached the L1 allocates the
+ * line in flight, queues the fill per SM and answers with a lower
+ * bound on the ready cycle plus the fill's sequence number. The fill
+ * reaches the L2/DRAM later, in that order, through applyOldestFill.
+ * The sequential loop attaches no settler and applies every fill at
+ * issue through the same path: a lookahead of zero.
  */
 
 #pragma once
@@ -28,7 +28,6 @@
 
 namespace rtp {
 
-class ShardGate;
 class ObserverPort;
 
 /** Where a request was ultimately served from. */
@@ -103,7 +102,7 @@ struct MemoryConfig
      * filled, on every path of the model: the L2's hit latency after
      * the interconnect, or without the L2 the fastest DRAM access after
      * both hops. The requester sees the data l1.hitLatency later. This
-     * is the sharded loop's lookahead (gpu/shard.hpp).
+     * is the sharded loop's lookahead.
      */
     Cycle
     minL1FillCycles() const
@@ -161,9 +160,9 @@ class MemorySystem
      * SM's port: the level that served it (the profiler's L1/L2/DRAM
      * stall classification) and, from inside the caches and DRAM, their
      * hit/miss and bank events. The shared L2 and DRAM emit with their
-     * own unit ids but through the requesting SM's port, so sharded
-     * runs need no re-routing: the port already holds that SM's order
-     * key, and shared levels are only reached inside the gated seam.
+     * own unit ids but through the requesting SM's port. Only the
+     * sequential loop runs with ports attached: deferred fills report
+     * nothing.
      */
     void
     setObserver(ObserverPort *ports)
@@ -172,17 +171,15 @@ class MemorySystem
     }
 
     /**
-     * Attach the sharded event loop's ordering gate (nullptr detaches).
-     * Per-SM L1 state needs no gating: each L1 is only ever touched by
-     * the worker owning its SM. Without @p settler every true L1 miss
-     * first calls gate->waitTurn(sm), so cross-SM requests reach the
-     * shared levels in the exact (cycle, sm) order of the sequential
-     * loop. With it, misses are deferred (see the file comment): the
-     * caller keys them with beginStep, applies them with
-     * applyOldestFill once the gate allows, and @p settler is called
-     * before any access that fillDue reports.
+     * Attach the sharded event loop's FillSettler (nullptr detaches and
+     * drops any queued fill). With it, true L1 misses are deferred (see
+     * the file comment): the caller keys them with beginStep, applies
+     * them with applyOldestFill in the sequential loop's (cycle, sm)
+     * order, and @p settler is called before any access that fillDue
+     * reports. Per-SM L1 state needs no lock: each L1 is only ever
+     * touched by the worker owning its SM.
      */
-    void setShardGate(ShardGate *gate, FillSettler *settler = nullptr);
+    void setFillSettler(FillSettler *settler);
 
     /** Key the deferred misses SM @p sm issues from now on with the
      *  cycle of the event it is about to step. */
@@ -223,7 +220,8 @@ class MemorySystem
 
     /**
      * Send SM @p sm's oldest deferred fill to the L2/DRAM and complete
-     * its L1 line. The caller must hold the gate for its key.
+     * its L1 line. The caller applies it only at its turn in the
+     * sequential loop's order.
      * @throws std::logic_error if the fill is ready before the bound
      *         its miss promised (the model broke minL1FillCycles).
      */
@@ -286,7 +284,6 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     std::unique_ptr<CacheModel> l2_;
     DramModel dram_;
-    ShardGate *gate_ = nullptr;        //!< sharded loop only
     FillSettler *settler_ = nullptr;   //!< set: misses are deferred
     ObserverPort *ports_ = nullptr;    //!< per-SM observer ports
     std::vector<FillLane> lanes_;

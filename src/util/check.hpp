@@ -25,7 +25,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -77,13 +76,10 @@ class InvariantViolation : public std::logic_error
 
 /**
  * The checker object components probe. One checker observes one
- * simulation run (like TraceSink / CycleProfiler); checksRun()
- * counts executed probes so tests can assert coverage. Probes
- * themselves are stateless apart from that counter, which is atomic
- * (relaxed) so the sharded event loop's workers may probe concurrently;
- * the total stays deterministic because the set of executed probes is
- * identical at any thread count. setContext stays single-threaded
- * (the driver installs it before workers start).
+ * simulation run at a time (like TraceSink / CycleProfiler), on one
+ * thread: a checked run takes the sequential event loop. checksRun()
+ * counts executed probes so tests can assert coverage; probes are
+ * stateless apart from that counter.
  */
 class InvariantChecker
 {
@@ -108,14 +104,14 @@ class InvariantChecker
     std::uint64_t
     checksRun() const
     {
-        return checksRun_.load(std::memory_order_relaxed);
+        return checksRun_;
     }
 
     /** Probe: throw InvariantViolation unless @p cond holds. */
     void
     require(bool cond, const char *component, const char *invariant)
     {
-        checksRun_.fetch_add(1, std::memory_order_relaxed);
+        ++checksRun_;
         if (!cond)
             fail(component, invariant, std::string());
     }
@@ -130,7 +126,7 @@ class InvariantChecker
     require(bool cond, const char *component, const char *invariant,
             DetailFn &&detail)
     {
-        checksRun_.fetch_add(1, std::memory_order_relaxed);
+        ++checksRun_;
         if (!cond)
             fail(component, invariant, detail());
     }
@@ -141,7 +137,7 @@ class InvariantChecker
 
   private:
     std::string context_;
-    std::atomic<std::uint64_t> checksRun_{0};
+    std::uint64_t checksRun_ = 0;
 };
 
 } // namespace rtp

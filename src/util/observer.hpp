@@ -20,12 +20,9 @@
  * - One event, every consumer. A component emits a TraceEvent once; the
  *   port forwards it to the trace sink and to the profiler's matching
  *   tally (CycleProfiler::noteEvent).
- * - Sharding is solved here. In the sharded event loop each port
- *   buffers its SM's events under the key of the step that emitted
- *   them, and finish() merges the buffers by (key, SM) into the real
- *   sink: the sequential loop's emission order. Per-SM profiler slices are only touched
- *   through their own port, and shared-level events only fire inside
- *   the ShardGate's serialised section.
+ * - One thread. An observed run takes the sequential event loop
+ *   (SimConfig::eventLoopWorkers), so every event reaches its
+ *   consumers in emission order, at any simThreads.
  */
 
 #pragma once
@@ -41,7 +38,7 @@
 namespace rtp {
 
 /** One SM's connection to the run's observers. */
-class alignas(64) ObserverPort
+class ObserverPort
 {
   public:
     /** @return true when the run has an invariant checker. */
@@ -86,11 +83,10 @@ class alignas(64) ObserverPort
 
     // Profiler step spans (see CycleProfiler for the semantics).
 
-    /** The SM pops an event at @p now; also keys sharded trace order. */
+    /** The SM pops an event at @p now. */
     void
     beginStep(Cycle now)
     {
-        orderKey_ = now + 1;
         if (profile_)
             profile_->onEvent(sm_, now);
     }
@@ -119,22 +115,11 @@ class alignas(64) ObserverPort
   private:
     friend class RunObservers;
 
-    /** A trace event plus the order key of the step that emitted it. */
-    struct Keyed
-    {
-        Cycle key;
-        TraceEvent event;
-    };
-
     void
     report(const TraceEvent &ev)
     {
-        if (trace_) {
-            if (sharded_)
-                shard_.push_back({orderKey_, ev});
-            else
-                trace_->emit(ev);
-        }
+        if (trace_)
+            trace_->emit(ev);
         if (profile_)
             profile_->noteEvent(sm_, ev);
     }
@@ -143,13 +128,6 @@ class alignas(64) ObserverPort
     CycleProfiler *profile_ = nullptr;
     InvariantChecker *check_ = nullptr;
     std::uint32_t sm_ = 0;
-    bool sharded_ = false;
-    /**
-     * Order key of the current step: its cycle + 1, so the submit-time
-     * events emitted before any step (key 0) sort first.
-     */
-    Cycle orderKey_ = 0;
-    std::vector<Keyed> shard_; //!< sharded loop: this SM's events
 };
 
 /** The observers of one run and their per-SM ports. */
@@ -158,12 +136,10 @@ class RunObservers
   public:
     /**
      * Build the ports for a run over @p numSms SMs and begin the
-     * profiler's run. Any observer may be nullptr. With @p sharded, trace
-     * events are buffered per SM and merged by finish().
+     * profiler's run. Any observer may be nullptr.
      */
     RunObservers(TraceSink *trace, CycleProfiler *profile,
-                 InvariantChecker *check, std::uint32_t numSms,
-                 bool sharded);
+                 InvariantChecker *check, std::uint32_t numSms);
 
     RunObservers(const RunObservers &) = delete;
     RunObservers &operator=(const RunObservers &) = delete;
@@ -176,14 +152,12 @@ class RunObservers
     }
 
     /**
-     * End of run at @p endCycle: merge the sharded trace buffers into
-     * the sink, close the profiler's run and, with a checker attached,
-     * assert the profiler's conservation law.
+     * End of run at @p endCycle: close the profiler's run and, with a
+     * checker attached, assert the profiler's conservation law.
      */
     void finish(Cycle endCycle);
 
   private:
-    TraceSink *trace_;
     CycleProfiler *profile_;
     InvariantChecker *check_;
     std::vector<ObserverPort> ports_;

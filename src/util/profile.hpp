@@ -26,10 +26,9 @@
  * (util/observer.hpp), which drives the step spans below and feeds
  * noteEvent() with every event a component emits. The seam's contract
  * applies: one branch per probe site when off, no simulated state read
- * back, attach and detach per run. Per-SM slices are only touched
- * through their SM's port, by the worker that owns the SM, and the
- * shared L2/DRAM tallies only inside the ShardGate's serialised
- * section, so output is byte-identical at any RTP_SIM_THREADS.
+ * back, attach and detach per run. A profiled run takes the
+ * sequential event loop, so output is byte-identical at any
+ * RTP_SIM_THREADS.
  */
 
 #pragma once
@@ -187,8 +186,7 @@ public:
      * seam with every event @p sm's components emit: L1 and L2 hits and
      * misses (an in-flight bypass counts as a miss), DRAM accesses and
      * row hits, predictor lookups and table hits, and repack flushes
-     * with their ray counts. Other kinds are ignored. L2 and DRAM
-     * events only arrive inside the sharded loop's gated seam.
+     * with their ray counts. Other kinds are ignored.
      */
     void
     noteEvent(std::uint32_t sm, const TraceEvent &ev)

@@ -65,9 +65,8 @@ struct TraceEvent
  * drop count is reported in the exported trace.
  *
  * Not thread-safe: one sink observes one simulation run, which executes
- * on a single harness worker thread. The sharded event loop buffers
- * each SM's events in its observer port and merges them into the sink
- * after the run (RunObservers::finish), preserving this contract.
+ * on a single harness worker thread; a traced run takes the sequential
+ * event loop (SimConfig::eventLoopWorkers).
  */
 class TraceSink
 {

@@ -14,7 +14,6 @@
 #include <new>
 
 #include "alloc_count.hpp"
-#include "gpu/shard.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory_system.hpp"
 #include "util/rng.hpp"
@@ -92,10 +91,9 @@ TEST(CacheAlloc, DeferredFillQueueReusesItsCapacity)
 {
     MemoryConfig cfg;
     MemorySystem mem(cfg, 1);
-    ShardGate gate(1);
     ApplyingSettler settler;
     settler.mem = &mem;
-    mem.setShardGate(&gate, &settler);
+    mem.setFillSettler(&settler);
     Rng rng(4);
     Cycle cycle = 0;
     auto run = [&] {
@@ -116,7 +114,7 @@ TEST(CacheAlloc, DeferredFillQueueReusesItsCapacity)
     std::uint64_t misses = run();
     EXPECT_EQ(allocationCount() - before, 0u);
     EXPECT_GT(misses, 50000u);
-    mem.setShardGate(nullptr);
+    mem.setFillSettler(nullptr);
 }
 
 } // namespace

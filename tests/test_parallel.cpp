@@ -1,9 +1,8 @@
-/** @file Thread-pool / parallel sweep engine tests (exp/parallel.hpp). */
+/** @file Parallel sweep engine tests (exp/parallel.hpp). */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -22,7 +21,10 @@
 #include "exp/parallel.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
+#include "util/check.hpp"
 #include "util/host.hpp"
+#include "util/profile.hpp"
+#include "util/trace.hpp"
 
 namespace rtp {
 namespace {
@@ -79,22 +81,22 @@ TEST(ThreadPool, DefaultThreadCountHonoursEnv)
 {
     {
         ThreadsEnv env("3");
-        EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
+        EXPECT_EQ(defaultThreadCount(), 3u);
     }
     {
         ThreadsEnv env(nullptr);
-        EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+        EXPECT_GE(defaultThreadCount(), 1u);
     }
     {
         // Malformed values must fail loudly, not clamp to a default
         // that silently changes the benchmark's thread budget.
         ThreadsEnv env("0");
-        EXPECT_THROW(ThreadPool::defaultThreadCount(),
+        EXPECT_THROW(defaultThreadCount(),
                      std::invalid_argument);
     }
     {
         ThreadsEnv env("abc");
-        EXPECT_THROW(ThreadPool::defaultThreadCount(),
+        EXPECT_THROW(defaultThreadCount(),
                      std::invalid_argument);
     }
 }
@@ -213,44 +215,6 @@ TEST(ThreadBudget, ComposesSweepAndSimThreads)
         SimThreadsEnv sim("two");
         EXPECT_THROW(threadBudgetFromEnv(8), std::invalid_argument);
     }
-}
-
-TEST(ThreadPool, ExecutesEverySubmittedJob)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusableAcrossBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (batch + 1) * 10);
-    }
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingJobs)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-                count.fetch_add(1);
-            });
-        // No wait(): the destructor must still run every job.
-    }
-    EXPECT_EQ(count.load(), 50);
 }
 
 TEST(RunSweep, PreservesSubmissionOrder)
@@ -419,7 +383,7 @@ TEST(SimThreadsAuto, AffinityOfOneCpuRunsSequentially)
     {
         ThreadsEnv threads(nullptr);
         SimThreadsEnv sim(nullptr);
-        pool = ThreadPool::defaultThreadCount();
+        pool = defaultThreadCount();
         budget = threadBudgetFromEnv();
     }
 
@@ -446,6 +410,31 @@ TEST(SimThreadsAuto, ExplicitValuesKeepTheirMeaning)
     config.numSms = 2;
     config.simThreads = 4; // clamps to 2 SMs
     EXPECT_EQ(config.eventLoopWorkers(), 2u);
+}
+
+TEST(SimThreadsAuto, ObservedRunsTakeTheSequentialLoop)
+{
+    // Any one observer makes the run sequential, whether simThreads is
+    // explicit or auto with free CPUs to shard across.
+    TraceSink trace(16);
+    CycleProfiler profile;
+    InvariantChecker check;
+    ForcedWorkerCount forced(4);
+    for (std::uint32_t threads : {4u, SimConfig::kAutoSimThreads}) {
+        SimConfig bare;
+        bare.numSms = 8;
+        bare.simThreads = threads;
+        ASSERT_EQ(bare.eventLoopWorkers(), 4u) << threads;
+        SimConfig traced = bare;
+        traced.trace = &trace;
+        EXPECT_EQ(traced.eventLoopWorkers(), 1u) << threads;
+        SimConfig profiled = bare;
+        profiled.profile = &profile;
+        EXPECT_EQ(profiled.eventLoopWorkers(), 1u) << threads;
+        SimConfig checked = bare;
+        checked.check = &check;
+        EXPECT_EQ(checked.eventLoopWorkers(), 1u) << threads;
+    }
 }
 
 TEST(SimThreadsAuto, OnlyAutoInheritsTheBudget)

@@ -52,7 +52,9 @@ class Waiter
     }
 
     Waiter(ShardGate &gate, std::uint32_t sm)
-        : Waiter(gate, [&gate, sm] { gate.waitTurn(sm); })
+        : Waiter(gate, [&gate, sm] {
+              gate.waitTurn(sm, gate.progress(sm));
+          })
     {
     }
 
@@ -152,7 +154,7 @@ TEST(ShardGate, PassingWaiterSeesTheBlockersWrites)
     int shared = 0;
     int seen = 0;
     Waiter w(gate, [&] {
-        gate.waitTurn(1);
+        gate.waitTurn(1, gate.progress(1));
         seen = shared;
     });
     EXPECT_FALSE(w.passed(kSettle));
@@ -287,10 +289,9 @@ TEST(FillDeferral, MissAndMshrMergeShareOnePendingFill)
 {
     const MemoryConfig cfg = deferralConfig();
     MemorySystem mem(cfg, 1);
-    ShardGate gate(1);
     ApplyingSettler settler;
     settler.mem = &mem;
-    mem.setShardGate(&gate, &settler);
+    mem.setFillSettler(&settler);
 
     mem.beginStep(0, 100);
     const MemAccess miss = mem.access(0, 0x4000, 100);
@@ -329,7 +330,7 @@ TEST(FillDeferral, MissAndMshrMergeShareOnePendingFill)
         ref.access(0, 0x4000, 105);
         return ref.aggregateStats().toJson();
     }());
-    mem.setShardGate(nullptr);
+    mem.setFillSettler(nullptr);
 }
 
 TEST(FillDeferral, AccessAtADueCycleSettlesFirstAndMatchesIssueOrder)
@@ -340,10 +341,9 @@ TEST(FillDeferral, AccessAtADueCycleSettlesFirstAndMatchesIssueOrder)
     const MemoryConfig cfg = deferralConfig();
     MemorySystem mem(cfg, 1);
     MemorySystem ref(cfg, 1);
-    ShardGate gate(1);
     ApplyingSettler settler;
     settler.mem = &mem;
-    mem.setShardGate(&gate, &settler);
+    mem.setFillSettler(&settler);
 
     Rng rng(7);
     Cycle cycle = 0;
@@ -372,7 +372,7 @@ TEST(FillDeferral, AccessAtADueCycleSettlesFirstAndMatchesIssueOrder)
         }
     }
     EXPECT_EQ(mem.aggregateStats().toJson(), ref.aggregateStats().toJson());
-    mem.setShardGate(nullptr);
+    mem.setFillSettler(nullptr);
 }
 
 TEST(FillDeferral, ConcurrentOwnersApplyInCycleSmOrder)
@@ -458,7 +458,7 @@ TEST(FillDeferral, ConcurrentOwnersApplyInCycleSmOrder)
         owners.key[sm] = script[sm].front().cycle;
         gate.setProgress(sm, owners.key[sm]);
     }
-    mem.setShardGate(&gate, &owners);
+    mem.setFillSettler(&owners);
 
     std::vector<std::vector<MemAccess>> got(kSms);
     auto owner = [&](std::uint32_t sm) {
@@ -491,7 +491,7 @@ TEST(FillDeferral, ConcurrentOwnersApplyInCycleSmOrder)
         for (auto &t : threads)
             t.get();
     }
-    mem.setShardGate(nullptr);
+    mem.setFillSettler(nullptr);
 
     std::size_t deferred = 0;
     for (std::uint32_t sm = 0; sm < kSms; ++sm)
@@ -520,14 +520,13 @@ TEST(FillDeferral, ApplyThrowsWhenAFillBeatsItsBound)
     fast.hitLatency = 0;
     mem.l2() = CacheModel(fast, 2);
     mem.l2().access(0x8000, 0, [](std::uint64_t, Cycle c) { return c; });
-    ShardGate gate(1);
     ApplyingSettler settler;
     settler.mem = &mem;
-    mem.setShardGate(&gate, &settler);
+    mem.setFillSettler(&settler);
     mem.beginStep(0, 50);
     ASSERT_NE(mem.access(0, 0x8000, 50).fill, MemAccess::kNoFill);
     EXPECT_THROW(mem.applyOldestFill(0), std::logic_error);
-    mem.setShardGate(nullptr);
+    mem.setFillSettler(nullptr);
 }
 
 } // namespace

@@ -8,14 +8,15 @@
  *
  * Deliberately single-threaded at the sweep level (one Simulation at a
  * time) so the number is a property of the core, not of the sweep
- * harness's thread pool. Two sections:
+ * harness's workers. Two sections:
  *  - the sharded event loop (SimConfig::simThreads) on an 8-SM
  *    configuration: "<scene>/sharded_t1" runs the sequential reference
  *    loop and "<scene>/sharded_t4" the same workload with 4 event-loop
  *    workers, so the JSON records the intra-simulation speedup under
  *    fixed, machine-independent labels;
  *  - the cycle-attribution profiler: "SB/profile_off" vs
- *    "SB/profile_on" on the proposed configuration.
+ *    "SB/profile_on" on the proposed configuration, both on the
+ *    sequential loop.
  * Each pair's cycle counts are identical by construction (byte-stable
  * contract); only wall seconds differ.
  *
@@ -144,10 +145,13 @@ main()
     // Profiler-overhead section: the proposed configuration with the
     // cycle-attribution profiler detached vs attached. The wall-clock
     // delta is the profiler's full observation cost, which must stay
-    // marginal (target < 1%, noise-dominated at these runtimes).
+    // marginal (target < 1%, noise-dominated at these runtimes). Both
+    // cells run the sequential loop, which a profiled run always takes,
+    // so the pair differs in the profiler alone.
     {
         const Workload &sb = *workloads.front();
         SimConfig c = SimConfig::proposed();
+        c.simThreads = 1;
         cells.push_back(measure(sb, c, "profile_off", reps));
         const double off_wall = cells.back().wallSeconds;
         CycleProfiler profiler;

@@ -11,17 +11,15 @@
  * InvariantViolation (or other exception) fails the seed.
  *
  * With --sharded the differential changes target: each seed runs the
- * derived point with the sequential event loop (simThreads = 1) and
- * with the sharded loop at 2 and 4 workers, in two legs. The checked
- * leg attaches the invariant checker and the cycle profiler and
- * byte-compares the SimResult JSON, the number of checker probes and
- * the profile; with an observer attached the sharded loop applies
- * every L1-miss fill at issue. The bare leg attaches nothing, so the
- * sharded loop defers fills within the L1->L2 lookahead (whose width
- * the derived l1ToL2Latency varies), and byte-compares the SimResult
- * JSON. Any divergence — or any exception — fails the seed, fuzzing
- * the sharded loop's byte-identical contract (docs/performance.md)
- * across the whole randomised config space.
+ * derived point once with the invariant checker and the cycle profiler
+ * attached, which takes the sequential event loop, as the reference.
+ * It then runs the point bare at 1, 2 and 4 event-loop workers; the
+ * sharded runs defer L1-miss fills within the L1->L2 lookahead (whose
+ * width the derived l1ToL2Latency varies). Each bare SimResult JSON
+ * must equal the reference byte for byte. Any divergence — or any
+ * exception — fails the seed, fuzzing the sharded loop's
+ * byte-identical contract (docs/performance.md) across the whole
+ * randomised config space.
  *
  * On failure the tool prints an exact reproducer — the seed plus the
  * derived configuration as JSON — greedily shrinks the failing ray set
@@ -212,77 +210,38 @@ runPoint(const SimConfig &config, const FuzzScene &fs,
 }
 
 /**
- * Sequential-vs-sharded differential (--sharded): run the point with
- * the sequential event loop and with 2 and 4 sharded workers (worker
- * count clamps to numSms inside the simulator). The checked leg runs
- * under the invariant checker and the profiler and byte-compares the
- * SimResult JSON, the checker-probe count and the profile; the bare
- * leg runs with no observer (deferred fills) and byte-compares the
- * SimResult JSON. @return The failure message, or empty.
+ * Sequential-vs-sharded differential (--sharded): run the point once
+ * under the invariant checker and the profiler (the sequential loop,
+ * the reference), then bare at 1, 2 and 4 workers (worker count clamps
+ * to numSms inside the simulator), and byte-compare each bare
+ * SimResult JSON with the reference. @return The failure message, or
+ * empty.
  */
 std::string
 runShardedPoint(const SimConfig &config, const FuzzScene &fs,
                 const std::vector<Ray> &rays)
 {
     try {
-        auto run_at = [&](std::uint32_t threads,
-                          std::uint64_t &checks_run,
-                          std::string &profile_json) {
-            InvariantChecker check;
-            CycleProfiler profile;
-            SimConfig c = config;
-            c.check = &check;
-            c.profile = &profile;
-            c.simThreads = threads;
-            std::string json =
-                Simulation(c, fs.bvh, fs.scene.mesh.triangles())
-                    .run(rays)
-                    .toJson();
-            checks_run = check.checksRun();
-            profile_json = profile.toJson();
-            return json;
-        };
-        std::uint64_t ref_checks = 0;
-        std::string ref_profile;
-        const std::string ref = run_at(1, ref_checks, ref_profile);
-        for (std::uint32_t threads : {2u, 4u}) {
-            std::uint64_t got_checks = 0;
-            std::string got_profile;
-            const std::string got =
-                run_at(threads, got_checks, got_profile);
-            if (got != ref)
-                return "sharded loop (simThreads=" +
-                       std::to_string(threads) +
-                       ") diverged from the sequential reference "
-                       "SimResult JSON";
-            if (got_checks != ref_checks)
-                return "sharded loop (simThreads=" +
-                       std::to_string(threads) + ") ran " +
-                       std::to_string(got_checks) +
-                       " checker probes vs " +
-                       std::to_string(ref_checks) + " sequentially";
-            if (got_profile != ref_profile)
-                return "sharded loop (simThreads=" +
-                       std::to_string(threads) +
-                       ") diverged from the sequential reference "
-                       "cycle-attribution profile JSON";
-        }
-        auto run_bare = [&](std::uint32_t threads) {
-            SimConfig c = config;
-            c.simThreads = threads;
-            return Simulation(c, fs.bvh, fs.scene.mesh.triangles())
+        InvariantChecker check;
+        CycleProfiler profile;
+        SimConfig checked = config;
+        checked.check = &check;
+        checked.profile = &profile;
+        const std::string ref =
+            Simulation(checked, fs.bvh, fs.scene.mesh.triangles())
                 .run(rays)
                 .toJson();
-        };
-        if (run_bare(1) != ref)
-            return "unobserved sequential run diverged from the "
-                   "checked one";
-        for (std::uint32_t threads : {2u, 4u})
-            if (run_bare(threads) != ref)
-                return "unobserved sharded loop (simThreads=" +
+        for (std::uint32_t threads : {1u, 2u, 4u}) {
+            SimConfig c = config;
+            c.simThreads = threads;
+            if (Simulation(c, fs.bvh, fs.scene.mesh.triangles())
+                    .run(rays)
+                    .toJson() != ref)
+                return "unobserved run (simThreads=" +
                        std::to_string(threads) +
-                       ", deferred fills) diverged from the sequential "
+                       ") diverged from the checked sequential "
                        "reference SimResult JSON";
+        }
         return std::string();
     } catch (const std::exception &e) {
         return e.what();
@@ -441,8 +400,8 @@ main(int argc, char **argv)
     std::uint64_t failures = 0;
     const PointRunner run = sharded_mode ? runShardedPoint : runPoint;
     if (sharded_mode)
-        std::printf("simfuzz: sharded differential mode (sequential "
-                    "vs simThreads 2 and 4)\n");
+        std::printf("simfuzz: sharded differential mode (checked "
+                    "sequential vs bare simThreads 1, 2 and 4)\n");
 
     for (std::uint64_t s = 0; s < count; ++s) {
         std::uint64_t seed = first + s;
