@@ -22,20 +22,54 @@ log2Floor(std::uint32_t v)
 
 PredictorTable::PredictorTable(const PredictorTableConfig &config,
                                int tag_bits)
-    : config_(config), tagBits_(tag_bits)
+    : config_(config), tagBits_(tag_bits),
+      ways_(std::max(1u, config.ways)),
+      historyCap_(std::max(1u, config.lruK))
 {
-    std::uint32_t ways = std::max(1u, config_.ways);
-    numSets_ = std::max(1u, config_.numEntries / ways);
+    numSets_ = std::max(1u, config_.numEntries / ways_);
     indexBits_ = log2Floor(numSets_);
-    sets_.resize(numSets_);
-    for (auto &set : sets_)
-        set.resize(ways);
+    entries_.resize(static_cast<std::size_t>(numSets_) * ways_);
+    slots_.resize(entries_.size() * config_.nodesPerEntry);
+    history_.resize(slots_.size() * historyCap_);
+}
+
+std::span<PredictorTable::Entry>
+PredictorTable::ways(std::uint32_t set)
+{
+    return {entries_.data() + static_cast<std::size_t>(set) * ways_,
+            ways_};
+}
+
+std::span<PredictorTable::NodeSlot>
+PredictorTable::slots(const Entry &e)
+{
+    const std::size_t entry = &e - entries_.data();
+    return {slots_.data() + entry * config_.nodesPerEntry, e.used};
+}
+
+std::uint64_t *
+PredictorTable::history(const NodeSlot &slot)
+{
+    const std::size_t k = &slot - slots_.data();
+    return history_.data() + k * historyCap_;
+}
+
+void
+PredictorTable::record(NodeSlot &slot)
+{
+    // A slot keeps its last max(1, K) reference times.
+    std::uint64_t *h = history(slot);
+    if (slot.historyLen == historyCap_) {
+        std::copy(h + 1, h + historyCap_, h);
+        slot.historyLen--;
+    }
+    h[slot.historyLen++] = tick_;
 }
 
 PredictorTable::Entry *
 PredictorTable::findEntry(std::uint32_t set, std::uint32_t tag)
 {
-    for (auto &e : sets_[set]) {
+    for (auto &e : ways(set)) {
         if (e.valid && e.tag == tag)
             return &e;
     }
@@ -47,9 +81,7 @@ PredictorTable::touchSlot(NodeSlot &slot)
 {
     slot.lastUse = tick_;
     slot.useCount++;
-    slot.history.push_back(tick_);
-    if (slot.history.size() > config_.lruK)
-        slot.history.erase(slot.history.begin());
+    record(slot);
 }
 
 bool
@@ -61,7 +93,7 @@ PredictorTable::lookupInto(std::uint32_t hash,
     stats_.inc(StatId::Lookups);
     std::uint32_t set = foldHash(hash, tagBits_, indexBits_);
     Entry *e = findEntry(set, hash);
-    if (!e || e->nodes.empty()) {
+    if (!e || e->used == 0) {
         stats_.inc(StatId::LookupMisses);
         return false;
     }
@@ -74,8 +106,8 @@ PredictorTable::lookupInto(std::uint32_t hash,
     // happens to be first". Slots are credited in confirm(), when a
     // specific predicted node is actually used.
     e->lastUse = tick_;
-    out.reserve(e->nodes.size());
-    for (const auto &slot : e->nodes)
+    out.reserve(e->used);
+    for (const auto &slot : slots(*e))
         out.push_back(slot.node);
     return true;
 }
@@ -97,7 +129,7 @@ PredictorTable::confirm(std::uint32_t hash, std::uint32_t node)
     Entry *e = findEntry(set, hash);
     if (!e)
         return;
-    for (auto &slot : e->nodes) {
+    for (auto &slot : slots(*e)) {
         if (slot.node == node) {
             stats_.inc(StatId::Confirms);
             touchSlot(slot);
@@ -117,15 +149,15 @@ PredictorTable::update(std::uint32_t hash, std::uint32_t node)
     if (!e) {
         // Allocate: invalid way if present, else LRU entry in the set.
         Entry *victim = nullptr;
-        for (auto &cand : sets_[set]) {
+        for (auto &cand : ways(set)) {
             if (!cand.valid) {
                 victim = &cand;
                 break;
             }
         }
         if (!victim) {
-            victim = &sets_[set][0];
-            for (auto &cand : sets_[set]) {
+            victim = &ways(set)[0];
+            for (auto &cand : ways(set)) {
                 if (cand.lastUse < victim->lastUse)
                     victim = &cand;
             }
@@ -134,43 +166,43 @@ PredictorTable::update(std::uint32_t hash, std::uint32_t node)
         victim->valid = true;
         victim->tag = hash;
         victim->lastUse = tick_;
-        victim->nodes.clear();
+        victim->used = 0;
         e = victim;
     }
     e->lastUse = tick_;
 
     // If the node is already present, training re-confirmed it: refresh
     // that slot's recency/frequency (same accounting as confirm()).
-    for (auto &slot : e->nodes) {
+    for (auto &slot : slots(*e)) {
         if (slot.node == node) {
             touchSlot(slot);
             return;
         }
     }
 
-    if (e->nodes.size() <
-        static_cast<std::size_t>(config_.nodesPerEntry)) {
-        NodeSlot slot;
+    if (e->used < config_.nodesPerEntry) {
+        NodeSlot &slot = slots(*e).data()[e->used];
+        e->used++;
         slot.node = node;
         slot.lastUse = tick_;
         slot.useCount = 1;
-        slot.history.push_back(tick_);
-        e->nodes.push_back(std::move(slot));
+        slot.historyLen = 0;
+        record(slot);
         return;
     }
 
     // Entry full: evict a node slot per the configured policy.
     stats_.inc(StatId::NodeEvictions);
-    NodeSlot *victim = &e->nodes[0];
+    NodeSlot *victim = &slots(*e)[0];
     switch (config_.nodeReplacement) {
       case NodeReplacement::LRU:
-        for (auto &slot : e->nodes) {
+        for (auto &slot : slots(*e)) {
             if (slot.lastUse < victim->lastUse)
                 victim = &slot;
         }
         break;
       case NodeReplacement::LFU:
-        for (auto &slot : e->nodes) {
+        for (auto &slot : slots(*e)) {
             if (slot.useCount < victim->useCount)
                 victim = &slot;
         }
@@ -181,11 +213,11 @@ PredictorTable::update(std::uint32_t hash, std::uint32_t node)
         // (treated as reference time 0), per O'Neil et al.
         {
             auto kth = [&](const NodeSlot &s) -> std::uint64_t {
-                if (s.history.size() < config_.lruK)
+                if (s.historyLen < config_.lruK)
                     return 0;
-                return s.history.front();
+                return history(s)[0];
             };
-            for (auto &slot : e->nodes) {
+            for (auto &slot : slots(*e)) {
                 if (kth(slot) < kth(*victim))
                     victim = &slot;
             }
@@ -195,8 +227,8 @@ PredictorTable::update(std::uint32_t hash, std::uint32_t node)
     victim->node = node;
     victim->lastUse = tick_;
     victim->useCount = 1;
-    victim->history.clear();
-    victim->history.push_back(tick_);
+    victim->historyLen = 0;
+    record(*victim);
 }
 
 std::uint32_t
@@ -209,26 +241,22 @@ PredictorTable::bitsPerEntry() const
 double
 PredictorTable::sizeBytes() const
 {
-    std::uint32_t ways = std::max(1u, config_.ways);
-    return static_cast<double>(numSets_) * ways * bitsPerEntry() / 8.0;
+    return static_cast<double>(numSets_) * ways_ * bitsPerEntry() / 8.0;
 }
 
 void
 PredictorTable::reset()
 {
-    for (auto &set : sets_) {
-        for (auto &e : set)
-            e = Entry{};
-    }
+    for (auto &e : entries_)
+        e = Entry{};
 }
 
 std::size_t
 PredictorTable::validEntries() const
 {
     std::size_t valid = 0;
-    for (const auto &set : sets_)
-        for (const auto &e : set)
-            valid += e.valid ? 1 : 0;
+    for (const auto &e : entries_)
+        valid += e.valid ? 1 : 0;
     return valid;
 }
 

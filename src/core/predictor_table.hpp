@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -128,17 +129,16 @@ class PredictorTable
     std::size_t
     capacity() const
     {
-        std::uint32_t ways = config_.ways == 0 ? 1 : config_.ways;
-        return static_cast<std::size_t>(numSets_) * ways;
+        return entries_.size();
     }
 
   private:
     struct NodeSlot
     {
         std::uint32_t node = 0;
+        std::uint32_t historyLen = 0; //!< times held in its history
         std::uint64_t lastUse = 0;
         std::uint64_t useCount = 0;
-        std::vector<std::uint64_t> history; //!< last K reference times
     };
 
     struct Entry
@@ -146,8 +146,20 @@ class PredictorTable
         bool valid = false;
         std::uint32_t tag = 0;
         std::uint64_t lastUse = 0;
-        std::vector<NodeSlot> nodes;
+        std::uint32_t used = 0; //!< slots holding a node
     };
+
+    /** The ways of set @p set. */
+    std::span<Entry> ways(std::uint32_t set);
+
+    /** The slots of @p e that hold a node. */
+    std::span<NodeSlot> slots(const Entry &e);
+
+    /** @p slot's last reference times, oldest first. */
+    std::uint64_t *history(const NodeSlot &slot);
+
+    /** Append @p tick to @p slot's history, dropping the oldest. */
+    void record(NodeSlot &slot);
 
     Entry *findEntry(std::uint32_t set, std::uint32_t tag);
 
@@ -158,7 +170,15 @@ class PredictorTable
     int tagBits_;
     int indexBits_;
     std::uint32_t numSets_;
-    std::vector<std::vector<Entry>> sets_;
+    std::uint32_t ways_;
+    std::uint32_t historyCap_; //!< max(1, lruK) times a slot keeps
+    // Flat storage, built once: training and replacement allocate
+    // nothing. Entries are set-major; entry i owns slots
+    // [i * nodesPerEntry, ...), and slot k owns history
+    // [k * historyCap_, ...).
+    std::vector<Entry> entries_;
+    std::vector<NodeSlot> slots_;
+    std::vector<std::uint64_t> history_;
     std::uint64_t tick_ = 0;
     StatGroup stats_;
 };

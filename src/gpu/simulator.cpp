@@ -8,7 +8,6 @@
 #include "util/schema.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -94,61 +93,6 @@ SimResult::toJson() const
 
 namespace {
 
-/** Per-SM ray assignment produced by distributeRays. */
-struct RayDistribution
-{
-    std::vector<std::vector<Ray>> rays;
-    std::vector<std::vector<std::uint32_t>> ids;
-};
-
-/**
- * Round-robin warp-sized chunks across SMs, preserving intra-chunk ray
- * order (consecutive rays share a warp, like consecutive threads of
- * the CUDA kernel in Section 5.1.1). Per-SM counts are precomputed so
- * each vector is reserved exactly once instead of growing push-by-push
- * on every run.
- */
-RayDistribution
-distributeRays(const std::vector<Ray> &rays, std::uint32_t warp,
-               std::uint32_t num_sms)
-{
-    RayDistribution d;
-    d.rays.resize(num_sms);
-    d.ids.resize(num_sms);
-
-    std::vector<std::size_t> counts(num_sms, 0);
-    std::uint32_t chunk = 0;
-    for (std::size_t i = 0; i < rays.size(); i += warp, ++chunk)
-        counts[chunk % num_sms] += std::min<std::size_t>(
-            warp, rays.size() - i);
-    for (std::uint32_t s = 0; s < num_sms; ++s) {
-        d.rays[s].reserve(counts[s]);
-        d.ids[s].reserve(counts[s]);
-    }
-
-    chunk = 0;
-    for (std::size_t i = 0; i < rays.size(); i += warp, ++chunk) {
-        std::uint32_t sm = chunk % num_sms;
-        for (std::size_t j = i; j < std::min(rays.size(), i + warp);
-             ++j) {
-            d.rays[sm].push_back(rays[j]);
-            d.ids[sm].push_back(static_cast<std::uint32_t>(j));
-        }
-    }
-
-    std::size_t distributed = 0;
-    for (std::uint32_t s = 0; s < num_sms; ++s)
-        distributed += d.rays[s].size();
-    assert(distributed == rays.size() &&
-           "every submitted ray must be assigned to exactly one SM");
-    if (distributed != rays.size())
-        throw std::logic_error(
-            "distributeRays: distributed " +
-            std::to_string(distributed) + " of " +
-            std::to_string(rays.size()) + " rays");
-    return d;
-}
-
 /** Stuck-unit failure, with everything a reproducer needs. */
 [[noreturn]] void
 throwStuckUnit(std::uint32_t sm, Cycle now, std::uint64_t outstanding)
@@ -181,14 +125,10 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units)
         RtUnit *next = nullptr;
         std::size_t next_idx = 0;
         Cycle best = ~0ull;
-        bool any_unfinished = false;
-        std::uint64_t outstanding = 0;
         for (std::size_t i = 0; i < n; ++i) {
             RtUnit *rt = units[i].get();
             if (rt->finished())
                 continue;
-            any_unfinished = true;
-            outstanding += rt->outstandingRays();
             // An unfinished unit with no pending events can never make
             // progress; without this check the loop would either read
             // an empty priority queue (undefined behaviour in release
@@ -203,16 +143,8 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units)
                 next_idx = i;
             }
         }
-        if (!next) {
-            if (any_unfinished)
-                throw std::runtime_error(
-                    "runEventLoop: no runnable RT unit but rays "
-                    "remain at cycle " +
-                    std::to_string(sim_now) + " (" +
-                    std::to_string(outstanding) +
-                    " outstanding rays)");
-            break;
-        }
+        if (!next)
+            break; // every unit finished
         sim_now = best;
 
         // Runner-up: the earliest event among the OTHER units. Frozen
@@ -522,23 +454,16 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             throw; // runWorkers rethrows the first error after the join
         }
     };
+    // A worker returns only once its SMs have finished; the driver's
+    // completed-ray count checks that it did.
     runWorkers(num_workers, worker_fn, [&] { gate.requestAbort(); });
-    // A worker returns only once its SMs have finished, so an
-    // unfinished SM here means the protocol broke.
-    for (std::uint32_t s = 0; s < num_sms; ++s)
-        if (!units[s]->finished())
-            throw std::logic_error(
-                "runShardedLoop: workers returned with SM " +
-                std::to_string(s) + " unfinished (" +
-                std::to_string(units[s]->outstandingRays()) +
-                " outstanding rays)");
 }
 
 /**
- * Shared driver: distribute rays, run the global event loop, gather
- * results. @p units holds one RT unit per SM; @p predictors (null when
- * disabled, otherwise one distinct object per SM) are read for stats
- * merging.
+ * Shared driver: hand each SM its share of @p rays, run the global event
+ * loop, merge statistics. @p units holds one RT unit per SM;
+ * @p predictors (null when disabled, otherwise one distinct object per
+ * SM) are read for stats merging.
  */
 SimResult
 runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
@@ -548,14 +473,8 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
              const std::vector<Triangle> &triangles)
 {
     std::uint32_t num_sms = static_cast<std::uint32_t>(units.size());
-    // The result outlives this run's temporaries: allocate it first so
-    // that freeing them does not leave a heap hole below it.
     SimResult result;
     result.rayResults.resize(rays.size());
-    RayDistribution dist =
-        distributeRays(rays, config.rt.warpSize, num_sms);
-    std::vector<std::vector<Ray>> &per_sm_rays = dist.rays;
-    std::vector<std::vector<std::uint32_t>> &per_sm_ids = dist.ids;
     // One worker: the sequential loop, which every observed run takes.
     std::uint32_t shard_workers = config.eventLoopWorkers();
 
@@ -578,10 +497,24 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     } detach{attach};
     attach(observers.ports());
 
+    // Round-robin warp-sized chunks across SMs, preserving intra-chunk
+    // ray order (consecutive rays share a warp, like consecutive threads
+    // of the CUDA kernel in Section 5.1.1). Every unit reads its chunks
+    // from the caller's batch and writes each result to the ray's slot
+    // of result.rayResults; no two units share a slot.
+    std::uint64_t submitted = 0;
     for (std::uint32_t s = 0; s < num_sms; ++s) {
-        if (!per_sm_rays[s].empty())
-            units[s]->submit(std::move(per_sm_rays[s]), per_sm_ids[s]);
+        units[s]->submit(rays, s, num_sms, result.rayResults);
+        submitted += units[s]->outstandingRays();
     }
+    auto require_all = [&](const char *what, std::uint64_t count) {
+        if (count != rays.size())
+            throw std::logic_error(
+                std::string("runEventLoop: ") + what + " " +
+                std::to_string(count) + " of " +
+                std::to_string(rays.size()) + " rays");
+    };
+    require_all("the SMs' shares hold", submitted);
 
     if (shard_workers >= 2)
         runShardedLoop(units, mem, shard_workers);
@@ -597,11 +530,8 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         if (predictors[s])
             result.stats.merge(predictors[s]->stats());
         simt_acc += rt.simtEfficiency();
-        // Each RT unit returns its rays' results in submission order.
-        const auto &rr = rt.results();
-        for (std::size_t k = 0; k < per_sm_ids[s].size(); ++k)
-            result.rayResults[per_sm_ids[s][k]] = rr[k];
     }
+    require_all("the SMs completed", result.stats.get("rays_completed"));
     result.simtEfficiency =
         units.empty() ? 1.0 : simt_acc / units.size();
     result.memStats = mem.aggregateStats();

@@ -2,10 +2,12 @@
  * @file
  * Multi-SM simulation driver.
  *
- * Distributes a ray workload across SMs in warp-sized chunks, then runs a
- * global event loop that advances whichever SM has the earliest pending
- * event so the shared L2 / DRAM timing state is exercised in (approximate)
- * global cycle order.
+ * Shares a ray batch across SMs in warp-sized chunks, round-robin, then
+ * runs a global event loop that advances whichever SM has the earliest
+ * pending event so the shared L2 / DRAM timing state is exercised in
+ * (approximate) global cycle order. The RT units read their chunks from
+ * the caller's batch and write each ray's result in place, into
+ * SimResult::rayResults: a run holds no per-SM copy of rays or results.
  *
  * Two interchangeable event-loop implementations sit behind the facade,
  * selected by SimConfig::eventLoopWorkers() (simThreads, or

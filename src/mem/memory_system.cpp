@@ -2,6 +2,8 @@
 
 #include "util/observer.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -26,8 +28,15 @@ MemorySystem::setFillSettler(FillSettler *settler)
         lane.head = 0;
         lane.size = 0;
         lane.nextSeq = 0;
-        if (settler_ && lane.slotFill.empty())
-            lane.slotFill.assign(l1s_[sm]->numSlots(), 0);
+        if (settler_ && lane.slotFill.empty()) {
+            const std::size_t slots = l1s_[sm]->numSlots();
+            lane.slotFill.assign(slots, 0);
+            // Every fill but a bypass holds an L1 slot while it waits,
+            // so a ring of one entry a slot rarely has to grow on the
+            // worker that owns the lane.
+            lane.ring.resize(
+                std::bit_ceil(std::max<std::size_t>(16, slots)));
+        }
     }
 }
 

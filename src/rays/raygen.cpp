@@ -86,23 +86,26 @@ pixelRay(const Scene &scene, const RayGenConfig &config, float aspect,
 /**
  * Trace every pixel's primary ray to its closest hit, then call
  * consume(primary, hit) for each pixel that hit, in pixel order,
- * counting batch.primaryRays and primaryHits. The hits are traced on
- * the free CPUs (freeCpuWorkers), kPixelsPerPass pixels at a time,
- * into a buffer allocated here like each worker's traversal; consume
- * runs on the caller, so the random numbers it draws come in pixel
- * order at any worker count.
+ * counting batch.primaryRays and primaryHits. batch.rays first reserves
+ * the most consume may emit, @p per_pixel rays a pixel, so it never
+ * reallocates. The hits are traced on the free CPUs (freeCpuWorkers),
+ * kPixelsPerPass pixels at a time, into a buffer allocated here like
+ * each worker's traversal; consume runs on the caller, so the random
+ * numbers it draws come in pixel order at any worker count.
  */
 template <class Consume>
 void
 forEachPrimaryHit(const Scene &scene, const Bvh &bvh,
                   const RayGenConfig &config, RayBatch &batch,
-                  Consume &&consume)
+                  int per_pixel, Consume &&consume)
 {
     if (config.width <= 0 || config.height <= 0)
         return; // no pixels
     const auto width = static_cast<std::size_t>(config.width);
     const std::size_t pixels =
         width * static_cast<std::size_t>(config.height);
+    batch.rays.reserve(pixels * static_cast<std::size_t>(
+                                    std::max(0, per_pixel)));
     const float aspect = static_cast<float>(config.width) / config.height;
     auto ray_of = [&](std::size_t p) {
         return pixelRay(scene, config, aspect, static_cast<int>(p % width),
@@ -168,7 +171,7 @@ generateAoRays(const Scene &scene, const Bvh &bvh,
     const auto &tris = scene.mesh.triangles();
     float diag = bvh.sceneBounds().diagonal();
 
-    forEachPrimaryHit(scene, bvh, config, batch,
+    forEachPrimaryHit(scene, bvh, config, batch, config.samplesPerPixel,
                       [&](const Ray &primary, const PrimaryHit &hit) {
         Vec3 p = primary.at(hit.t);
         Vec3 n = surfaceNormal(tris, hit.prim, primary.dir);
@@ -199,7 +202,7 @@ generateGiRays(const Scene &scene, const Bvh &bvh,
     BvhTraversal trav(bvh, tris); // reused stack: no per-bounce allocation
     float diag = bvh.sceneBounds().diagonal();
 
-    forEachPrimaryHit(scene, bvh, config, batch,
+    forEachPrimaryHit(scene, bvh, config, batch, config.giBounces,
                       [&](const Ray &primary, const PrimaryHit &hit) {
         // Diffuse bounce chain: each bounce emits one closest-hit
         // secondary ray that continues from the previous hit point.
@@ -241,7 +244,7 @@ generateShadowRays(const Scene &scene, const Bvh &bvh,
     float diag = bvh.sceneBounds().diagonal();
     Vec3 light = light_pos ? *light_pos : defaultLight(bvh.sceneBounds());
 
-    forEachPrimaryHit(scene, bvh, config, batch,
+    forEachPrimaryHit(scene, bvh, config, batch, 1,
                       [&](const Ray &primary, const PrimaryHit &hit) {
         Vec3 p = primary.at(hit.t);
         Vec3 n = surfaceNormal(tris, hit.prim, primary.dir);
@@ -358,7 +361,7 @@ generateReflectionRays(const Scene &scene, const Bvh &bvh,
     const auto &tris = scene.mesh.triangles();
     float diag = bvh.sceneBounds().diagonal();
 
-    forEachPrimaryHit(scene, bvh, config, batch,
+    forEachPrimaryHit(scene, bvh, config, batch, 1,
                       [&](const Ray &primary, const PrimaryHit &hit) {
         Vec3 n = surfaceNormal(tris, hit.prim, primary.dir);
         Vec3 d = normalize(primary.dir);

@@ -10,6 +10,28 @@
 namespace rtp {
 
 void
+EventQueue::reserve(std::size_t events)
+{
+    nodes_.reserve(events + 1);
+    overflow_.reserve(events);
+}
+
+void
+EventQueue::pushToBucket(std::size_t idx, const RtEvent &ev)
+{
+    std::uint32_t n = freeNodes_;
+    if (n != kNil) {
+        freeNodes_ = nodes_[n].next;
+        nodes_[n] = {ev, heads_[idx]};
+    } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({ev, heads_[idx]});
+    }
+    heads_[idx] = n;
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+}
+
+void
 EventQueue::checkPop(const RtEvent &ev)
 {
     obs_->require(
@@ -36,10 +58,7 @@ EventQueue::push(const RtEvent &ev)
     size_++;
 
     if (ev.cycle >= base_ && ev.cycle < base_ + kBuckets) {
-        std::size_t idx =
-            static_cast<std::size_t>(ev.cycle & kMask);
-        buckets_[idx].push_back(ev);
-        occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        pushToBucket(static_cast<std::size_t>(ev.cycle & kMask), ev);
     } else {
         // Beyond the ring horizon — or, defensively, before its base
         // (no RT unit schedules into the past, but the queue must not
@@ -68,24 +87,24 @@ EventQueue::firstOccupiedFrom(std::size_t start_idx) const
 }
 
 RtEvent
-EventQueue::takeMinFrom(std::vector<RtEvent> &bucket)
+EventQueue::takeMinFrom(std::uint32_t &head)
 {
     // Every event in one bucket shares one cycle (the window spans
     // exactly kBuckets cycles), so the minimum is by order alone.
     // Buckets are tiny — one event per live warp that happens to be
     // scheduled for this exact cycle — so a linear scan wins over any
-    // ordered structure. Swap-remove may reorder equal-order events,
-    // but only duplicate CollectorFlush entries can share an order and
-    // those are bitwise identical.
-    std::size_t mi = 0;
-    for (std::size_t i = 1; i < bucket.size(); ++i) {
-        if (bucket[i].order < bucket[mi].order)
-            mi = i;
-    }
-    RtEvent ev = bucket[mi];
-    bucket[mi] = bucket.back();
-    bucket.pop_back();
-    return ev;
+    // ordered structure. Only duplicate CollectorFlush entries can
+    // share an order, and those are bitwise identical.
+    std::uint32_t *best = &head;
+    for (std::uint32_t *link = &nodes_[head].next; *link != kNil;
+         link = &nodes_[*link].next)
+        if (nodes_[*link].ev.order < nodes_[*best].ev.order)
+            best = link;
+    const std::uint32_t n = *best;
+    *best = nodes_[n].next;
+    nodes_[n].next = freeNodes_;
+    freeNodes_ = n;
+    return nodes_[n].ev;
 }
 
 void
@@ -99,10 +118,7 @@ EventQueue::migrateOverflow()
     for (std::size_t i = 0; i < overflow_.size(); ++i) {
         const RtEvent &ev = overflow_[i];
         if (ev.cycle >= base_ && ev.cycle < base_ + kBuckets) {
-            std::size_t idx =
-                static_cast<std::size_t>(ev.cycle & kMask);
-            buckets_[idx].push_back(ev);
-            occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+            pushToBucket(static_cast<std::size_t>(ev.cycle & kMask), ev);
         } else {
             overflowMin_ = std::min(overflowMin_, ev.cycle);
             overflow_[keep++] = ev;
@@ -120,7 +136,7 @@ EventQueue::nextCycle() const
     if (size_ > overflow_.size()) {
         std::size_t idx = firstOccupiedFrom(
             static_cast<std::size_t>(base_ & kMask));
-        best = buckets_[idx].front().cycle;
+        best = nodes_[heads_[idx]].ev.cycle;
     }
     if (!overflow_.empty())
         best = std::min(best, overflowMin_);
@@ -143,8 +159,8 @@ EventQueue::pop()
 
     std::size_t idx =
         firstOccupiedFrom(static_cast<std::size_t>(base_ & kMask));
-    std::vector<RtEvent> &bucket = buckets_[idx];
-    Cycle ring_cycle = bucket.front().cycle;
+    std::uint32_t &head = heads_[idx];
+    Cycle ring_cycle = nodes_[head].ev.cycle;
 
     if (!overflow_.empty() && overflowMin_ <= ring_cycle) {
         // An overflow event is due no later than the ring's earliest
@@ -160,8 +176,8 @@ EventQueue::pop()
                 mi = i;
         }
         std::uint64_t ring_order = ~0ull;
-        for (const RtEvent &ev : bucket)
-            ring_order = std::min(ring_order, ev.order);
+        for (std::uint32_t n = head; n != kNil; n = nodes_[n].next)
+            ring_order = std::min(ring_order, nodes_[n].ev.order);
         if (overflow_[mi].cycle < ring_cycle ||
             overflow_[mi].order < ring_order) {
             RtEvent ev = overflow_[mi];
@@ -180,8 +196,8 @@ EventQueue::pop()
     }
 
     base_ = ring_cycle;
-    RtEvent ev = takeMinFrom(bucket);
-    if (bucket.empty())
+    RtEvent ev = takeMinFrom(head);
+    if (head == kNil)
         occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     size_--;
     if (obs_)

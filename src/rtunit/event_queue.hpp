@@ -60,6 +60,13 @@ struct RtEvent
 class EventQueue
 {
   public:
+    /**
+     * Size the event pool and the overflow store for @p events pending
+     * events, so that a queue holding no more than that allocates
+     * nothing.
+     */
+    void reserve(std::size_t events);
+
     bool
     empty() const
     {
@@ -102,8 +109,21 @@ class EventQueue
     static constexpr std::uint64_t kMask = kBuckets - 1;
     static constexpr std::size_t kWords = kBuckets / 64;
 
+    /** End of a list: node 0 is a sentinel that holds no event. */
+    static constexpr std::uint32_t kNil = 0;
+
+    /** A pooled event: on its bucket's list, or on the free list. */
+    struct Node
+    {
+        RtEvent ev;
+        std::uint32_t next;
+    };
+
     std::size_t firstOccupiedFrom(std::size_t start_idx) const;
-    RtEvent takeMinFrom(std::vector<RtEvent> &bucket);
+    /** Link @p ev at the head of bucket @p idx. */
+    void pushToBucket(std::size_t idx, const RtEvent &ev);
+    /** Unlink and return the bucket's minimum-order event. */
+    RtEvent takeMinFrom(std::uint32_t &head);
     void migrateOverflow();
     void checkPop(const RtEvent &ev);
 
@@ -111,7 +131,11 @@ class EventQueue
     ObserverPort *obs_ = nullptr;
     Cycle lastPopCycle_ = 0; //!< only maintained while observed
 
-    std::vector<std::vector<RtEvent>> buckets_{kBuckets};
+    // Bucket lists thread through one node pool: a bucket costs a head
+    // index, and the queue allocates only when the pool grows.
+    std::vector<Node> nodes_ = std::vector<Node>(1);
+    std::uint32_t freeNodes_ = kNil;
+    std::uint32_t heads_[kBuckets] = {};
     std::uint64_t occupied_[kWords] = {};
     Cycle base_ = 0; //!< lower bound on the minimum ring cycle
     // Events with cycle >= base_+kBuckets (or, defensively, < base_).

@@ -62,6 +62,13 @@ RayBuffer::allocate(const Ray &ray, std::uint32_t global_id,
 }
 
 void
+RayBuffer::reserveStacks(std::uint32_t entries)
+{
+    for (RayEntry &e : slots_)
+        e.stack.reserve(entries);
+}
+
+void
 RayBuffer::release(std::uint32_t idx)
 {
     if (obs_ && obs_->checking()) {

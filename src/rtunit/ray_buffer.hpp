@@ -45,7 +45,6 @@ struct RayEntry
     Cycle readyAt = 0;          //!< next cycle this ray can issue
     RayPhase phase = RayPhase::Lookup;
     bool hit = false;           //!< result: a hit was found
-    std::uint32_t localId = 0;  //!< submission order, set at dispatch
     /**
      * The RT unit's pending fetch whose deferred L1 fill this ray's
      * node data waits on, or kNoFetch. While set, readyAt is a lower
@@ -56,7 +55,7 @@ struct RayEntry
 
     Ray ray;                    //!< current ray (tMax shrinks, GI trim)
     RayBoxPrecomp pre;          //!< safeInv reciprocal, cached at entry
-    std::uint32_t globalId = 0; //!< index into the submitted ray array
+    std::uint32_t globalId = 0; //!< position in the submitted batch
     TraversalStack stack;
     Cycle dispatchedAt = 0;     //!< cycle the ray entered the unit
     Cycle predEvalStart = 0;    //!< cycle the verification traversal began
@@ -114,6 +113,9 @@ class RayBuffer
      */
     std::uint32_t allocate(const Ray &ray, std::uint32_t global_id,
                            std::uint32_t stack_entries);
+
+    /** Give every slot's traversal stack room for @p entries nodes. */
+    void reserveStacks(std::uint32_t entries);
 
     /** Release slot @p idx back to the free list. */
     void release(std::uint32_t idx);

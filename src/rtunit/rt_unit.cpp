@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -104,13 +105,35 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
       isect_(config.isect), collector_(config.repacker)
 {
     l1Ports_.assign(std::max(1u, config_.l1PortsPerCycle), 0);
-    // Concurrent warps are bounded by one warp per resident ray plus the
-    // external warp limit; reserving up front keeps Warp& references
-    // stable across allocWarp() calls.
-    warps_.reserve(buffer_.capacity() + config_.maxWarps + 1);
+    // Every pool a run grows is sized here, on the thread that builds
+    // the unit, so the sharded loop's workers make no heap call.
+    // Concurrent warps are bounded by one warp per resident ray plus
+    // the external warp limit; each holds at most one warp of rays and
+    // has at most one event queued, beside the collector's flushes.
+    const std::uint32_t rays = buffer_.capacity();
+    const std::uint32_t max_warps = rays + config_.maxWarps + 1;
+    warps_.resize(max_warps);
+    for (Warp &w : warps_)
+        w.slots.reserve(
+            std::max(config_.warpSize, config_.repacker.warpSize));
+    freeWarpSlots_.reserve(max_warps);
+    for (std::uint32_t i = max_warps; i > 0; --i)
+        freeWarpSlots_.push_back(i - 1);
+    events_.reserve(max_warps + config_.repacker.capacity);
+    // A stack holds at most one node per BVH level beside the root,
+    // plus the predicted nodes it was seeded with.
+    const std::uint32_t predicted =
+        predictor ? predictor->config().table.nodesPerEntry : 0;
+    buffer_.reserveStacks(bvh.maxDepth() + 2 + predicted);
+    // Each resident ray waits on at most one pending fetch.
+    fetches_.reserve(rays);
+    freeFetches_.reserve(rays);
+    waiters_.reserve(rays);
+    fillWaiters_.assign(std::bit_ceil(std::max(64u, 2 * rays)),
+                        RayEntry::kNoFetch);
     std::uint32_t warp = std::max(1u, config_.warpSize);
     predictedScratch_.reserve(warp);
-    predNodesScratch_.reserve(8);
+    predNodesScratch_.reserve(std::max(8u, predicted));
     issueScratch_.reserve(warp);
     servedScratch_.reserve(warp);
     repackScratch_.reserve(config_.repacker.capacity);
@@ -119,26 +142,33 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
 std::uint32_t
 RtUnit::allocWarp()
 {
-    if (!freeWarpSlots_.empty()) {
-        std::uint32_t idx = freeWarpSlots_.back();
-        freeWarpSlots_.pop_back();
-        return idx;
-    }
-    assert(warps_.size() < warps_.capacity());
-    warps_.emplace_back();
-    return static_cast<std::uint32_t>(warps_.size() - 1);
+    // The free list starts as every warp, lowest index on top.
+    assert(!freeWarpSlots_.empty());
+    std::uint32_t idx = freeWarpSlots_.back();
+    freeWarpSlots_.pop_back();
+    return idx;
 }
 
 void
-RtUnit::submit(std::vector<Ray> rays,
-               std::vector<std::uint32_t> global_ids)
+RtUnit::submit(std::span<const Ray> rays, std::uint32_t first_chunk,
+               std::uint32_t chunk_stride, std::span<RayResult> results)
 {
-    assert(rays.size() == global_ids.size());
-    pendingRays_ = std::move(rays);
-    pendingIds_ = std::move(global_ids);
-    pendingNext_ = 0;
-    remainingRays_ = pendingRays_.size();
-    results_.assign(pendingRays_.size(), RayResult{});
+    if (results.size() != rays.size() || chunk_stride == 0 ||
+        rays.size() > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument(
+            "RtUnit::submit: " + std::to_string(rays.size()) +
+            " rays, " + std::to_string(results.size()) +
+            " result slots, chunk stride " +
+            std::to_string(chunk_stride));
+    rays_ = rays;
+    results_ = results;
+    nextChunk_ = first_chunk;
+    chunkStride_ = chunk_stride;
+    remainingRays_ = 0;
+    const std::size_t warp = config_.warpSize;
+    for (std::size_t c = first_chunk; c * warp < rays.size();
+         c += chunk_stride)
+        remainingRays_ += std::min(warp, rays.size() - c * warp);
     dispatchPending(0);
 }
 
@@ -193,7 +223,10 @@ RtUnit::dispatchPending(Cycle now)
     // they reuse resident rays, so the buffer is their only bound.
     // "Repack N" (Section 4.4.2) raises the limit by N warps to exploit
     // the under-utilisation repacking leaves behind.
-    while (pendingNext_ < pendingRays_.size() &&
+    // Each warp reads its chunk straight from the batch; a ray's id is
+    // its position there.
+    const std::size_t warp = config_.warpSize;
+    while (nextChunk_ * warp < rays_.size() &&
            activeExternalWarps_ <
                config_.maxWarps + config_.additionalWarps &&
            buffer_.hasFree(config_.warpSize)) {
@@ -202,15 +235,13 @@ RtUnit::dispatchPending(Cycle now)
         w.reset();
         w.order = dispatchCounter_++;
         w.dispatchedAt = now + config_.queueLatency;
-        std::size_t count =
-            std::min<std::size_t>(config_.warpSize,
-                                  pendingRays_.size() - pendingNext_);
-        for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t first = nextChunk_ * warp;
+        const std::size_t count = std::min(warp, rays_.size() - first);
+        for (std::size_t i = first; i < first + count; ++i) {
             std::uint32_t slot = buffer_.allocate(
-                pendingRays_[pendingNext_ + i],
-                pendingIds_[pendingNext_ + i], config_.stackEntries);
+                rays_[i], static_cast<std::uint32_t>(i),
+                config_.stackEntries);
             RayEntry &e = buffer_.slot(slot);
-            e.localId = static_cast<std::uint32_t>(pendingNext_ + i);
             e.readyAt = now + config_.queueLatency;
             e.dispatchedAt = now + config_.queueLatency;
             e.phase = RayPhase::Lookup;
@@ -218,7 +249,7 @@ RtUnit::dispatchPending(Cycle now)
         }
         w.raysAtDispatch = static_cast<std::uint32_t>(count);
         w.lookups = static_cast<std::uint32_t>(count);
-        pendingNext_ += count;
+        nextChunk_ += chunkStride_;
         activeExternalWarps_++;
         activeWarps_++;
         stats_.inc(StatId::WarpsDispatched);
@@ -420,8 +451,6 @@ void
 RtUnit::fillApplied(const FillDone &done)
 {
     nextFillSeq_ = done.seq + 1;
-    if (fillWaiters_.empty())
-        return;
     std::uint32_t &head =
         fillWaiters_[done.seq & (fillWaiters_.size() - 1)];
     std::uint32_t link = head;
@@ -539,8 +568,6 @@ RtUnit::doLookups(Warp &warp, Cycle now)
 void
 RtUnit::checkStackWindow(const RayEntry &entry) const
 {
-    if (!obs_)
-        return;
     obs_->require(
         entry.stack.hwResident() <= entry.stack.hwCapacity(), "RtUnit",
         "the traversal stack stays inside its hardware window", [&] {
@@ -600,7 +627,8 @@ RtUnit::processNode(RayEntry &entry, std::uint32_t node_idx,
             entry.stack.push(r);
         }
     }
-    checkStackWindow(entry);
+    if (obs_)
+        checkStackWindow(entry);
     return done;
 }
 
@@ -834,14 +862,13 @@ RtUnit::completeRay(std::uint32_t slot, Cycle now)
         *link = e.nextWaiting;
         e.fetch = RayEntry::kNoFetch;
     }
-    RayResult res;
+    RayResult &res = results_[e.globalId];
     res.hit = e.hit;
     res.t = e.hitT;
     res.prim = e.hitPrim;
     res.predicted = e.predicted;
     res.verified = e.verified;
     res.mispredicted = e.mispredicted;
-    results_[e.localId] = res;
 
     stats_.inc(StatId::RaysCompleted);
     stats_.addSample(HistId::RayLatencyCycles, now - e.dispatchedAt);

@@ -35,10 +35,15 @@
  * pending fetch that fillApplied completes. A warp whose next event
  * depends on such a ray is parked, with no event queued, until then.
  *
- * Steady-state operation is allocation-free: warp slot vectors, ray
- * entries, traversal stacks, pending fetches, the partial warp
- * collector's ring, and the scheduler's scratch buffers are all pooled
- * and reused, so a run's heap traffic is bounded by its warm-up.
+ * A unit traces a share of the caller's batch in place: each warp
+ * reads its chunk of rays from the batch at dispatch, and each
+ * completed ray's result goes straight to its slot of the caller's
+ * result array, so a run holds no per-unit copy of either.
+ *
+ * Running allocates nothing: warp slot lists, ray entries and their
+ * traversal stacks, the event pool, pending fetches, the partial warp
+ * collector's ring, and the scheduler's scratch buffers are sized when
+ * the unit is built, on the thread that builds it, and reused.
  */
 
 #pragma once
@@ -103,12 +108,16 @@ class RtUnit
            std::uint32_t sm_id, RayPredictor *predictor);
 
     /**
-     * Submit the full ray workload (traced as warps of 32), replacing
-     * any earlier one. @p global_ids name the rays in traces and checker
-     * messages; results() is indexed by position in @p rays.
+     * Submit this unit's share of a batch, replacing any earlier one:
+     * the warp-sized chunks @p first_chunk, @p first_chunk +
+     * @p chunk_stride, ... of @p rays, each traced as one warp. A ray is
+     * read at dispatch, named by its position in @p rays, and its result
+     * written to that position of @p results; both must outlive the run.
+     * @throws std::invalid_argument if the views differ in size, the
+     *         stride is 0, or a 32-bit ray id cannot name every ray.
      */
-    void submit(std::vector<Ray> rays,
-                std::vector<std::uint32_t> global_ids);
+    void submit(std::span<const Ray> rays, std::uint32_t first_chunk,
+                std::uint32_t chunk_stride, std::span<RayResult> results);
 
     /** @return true once every submitted ray has completed. */
     bool finished() const;
@@ -153,14 +162,6 @@ class RtUnit
     outstandingRays() const
     {
         return remainingRays_;
-    }
-
-    /** Per-ray results in submission order: results()[k] belongs to
-     *  the k-th submitted ray (valid when finished). */
-    const std::vector<RayResult> &
-    results() const
-    {
-        return results_;
     }
 
     const StatGroup &
@@ -376,10 +377,12 @@ class RtUnit
     std::uint32_t activeExternalWarps_ = 0;
     std::uint32_t activeWarps_ = 0;
 
-    // Pending (not yet dispatched) rays.
-    std::vector<Ray> pendingRays_;
-    std::vector<std::uint32_t> pendingIds_;
-    std::size_t pendingNext_ = 0;
+    // The submitted batch, its result array, and this unit's next
+    // undispatched chunk (every chunkStride_-th warp-sized chunk).
+    std::span<const Ray> rays_;
+    std::span<RayResult> results_;
+    std::size_t nextChunk_ = 0;
+    std::uint32_t chunkStride_ = 1;
 
     EventQueue events_;
     std::uint64_t dispatchCounter_ = 0;
@@ -406,7 +409,6 @@ class RtUnit
     std::vector<std::uint32_t> fillWaiters_;
     std::uint64_t nextFillSeq_ = 0; //!< oldest unapplied fill
 
-    std::vector<RayResult> results_;
     StatGroup stats_;
     ObserverPort *obs_ = nullptr;
     std::uint64_t issueActiveThreads_ = 0;

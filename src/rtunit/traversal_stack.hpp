@@ -115,6 +115,13 @@ class TraversalStack
         totalSpills_ = 0;
     }
 
+    /** Make room for @p entries nodes, spilled ones included. */
+    void
+    reserve(std::size_t entries)
+    {
+        entries_.reserve(entries);
+    }
+
     /** Number of entries currently spilled to local memory. */
     std::uint32_t
     spilledDepth() const

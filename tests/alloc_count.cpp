@@ -9,6 +9,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_workerHeapCalls{0};
+std::atomic<std::size_t> g_largest{0};
 const std::thread::id g_testThread = std::this_thread::get_id();
 
 void
@@ -18,13 +19,24 @@ countWorkerCall()
         g_workerHeapCalls.fetch_add(1, std::memory_order_relaxed);
 }
 
+void
+countAllocation(std::size_t bytes)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (bytes > seen &&
+           !g_largest.compare_exchange_weak(seen, bytes,
+                                            std::memory_order_relaxed)) {
+    }
+    countWorkerCall();
+}
+
 } // namespace
 
 void *
 operator new(std::size_t bytes)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    countWorkerCall();
+    countAllocation(bytes);
     if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
         return p;
     throw std::bad_alloc();
@@ -35,8 +47,7 @@ operator new(std::size_t bytes)
 void *
 operator new(std::size_t bytes, const std::nothrow_t &) noexcept
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    countWorkerCall();
+    countAllocation(bytes);
     return std::malloc(bytes == 0 ? 1 : bytes);
 }
 
@@ -80,6 +91,18 @@ std::uint64_t
 workerHeapCalls()
 {
     return g_workerHeapCalls.load(std::memory_order_relaxed);
+}
+
+std::size_t
+largestAllocation()
+{
+    return g_largest.load(std::memory_order_relaxed);
+}
+
+void
+resetLargestAllocation()
+{
+    g_largest.store(0, std::memory_order_relaxed);
 }
 
 } // namespace rtp

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace rtp {
@@ -21,5 +22,12 @@ std::uint64_t allocationCount();
  * that calls free() an arena of its own, as malloc() does.
  */
 std::uint64_t workerHeapCalls();
+
+/** @return the largest operator new request, in bytes, since the last
+ *  resetLargestAllocation() (or process start). */
+std::size_t largestAllocation();
+
+/** Restart largestAllocation() from zero. */
+void resetLargestAllocation();
 
 } // namespace rtp

@@ -57,15 +57,6 @@ runToCompletion(RtUnit &rt)
         rt.step();
 }
 
-std::vector<std::uint32_t>
-iota(std::size_t n)
-{
-    std::vector<std::uint32_t> v(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = static_cast<std::uint32_t>(i);
-    return v;
-}
-
 TEST(RtUnit, EmptyEventQueueFailsLoudly)
 {
     // Regression: nextEventCycle()/step() were guarded only by assert,
@@ -89,7 +80,8 @@ TEST(RtUnit, HasEventsTracksLifecycle)
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
     EXPECT_FALSE(rt.hasEvents());
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     EXPECT_TRUE(rt.hasEvents());
     while (!rt.finished()) {
         // The event loop contract: an unfinished unit always has a
@@ -107,36 +99,15 @@ TEST(RtUnit, BaselineMatchesReferenceHits)
     cfg.repackEnabled = false;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
     for (std::size_t i = 0; i < rays.size(); ++i)
-        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
+        EXPECT_EQ(trav.anyHit(rays[i]).hit, results[i].hit)
             << "ray " << i;
     EXPECT_EQ(rt.stats().get("rays_completed"), rays.size());
     EXPECT_GT(rt.completionCycle(), 0u);
-}
-
-TEST(RtUnit, ResultsSizedBySubmissionNotGlobalIds)
-{
-    // Regression: results() was indexed by global ray id, so a unit that
-    // traced a few rays of a large frame held a result slot for every
-    // ray of the frame. It is now indexed by submission order.
-    Rig rig;
-    auto rays = aoLikeRays(rig, 96, 11);
-    std::vector<std::uint32_t> ids(rays.size());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        ids[i] = static_cast<std::uint32_t>(4000000 + 7919 * i);
-    RtUnitConfig cfg;
-    RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
-              nullptr);
-    rt.submit(rays, ids);
-    runToCompletion(rt);
-    ASSERT_EQ(rt.results().size(), rays.size());
-    BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
-    for (std::size_t i = 0; i < rays.size(); ++i)
-        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
-            << "ray " << i;
 }
 
 TEST(RtUnit, PredictorPreservesCorrectness)
@@ -148,11 +119,12 @@ TEST(RtUnit, PredictorPreservesCorrectness)
     RtUnitConfig cfg = sim.rt;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               &pred);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
     for (std::size_t i = 0; i < rays.size(); ++i)
-        EXPECT_EQ(trav.anyHit(rays[i]).hit, rt.results()[i].hit)
+        EXPECT_EQ(trav.anyHit(rays[i]).hit, results[i].hit)
             << "ray " << i;
 }
 
@@ -164,10 +136,11 @@ TEST(RtUnit, PredictionFlagsConsistent)
     RayPredictor pred(sim.predictor, rig.bvh);
     RtUnit rt(sim.rt, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               &pred);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     std::uint64_t predicted = 0, verified = 0, mispredicted = 0;
-    for (const RayResult &r : rt.results()) {
+    for (const RayResult &r : results) {
         if (r.predicted)
             predicted++;
         if (r.verified)
@@ -212,14 +185,15 @@ TEST(RtUnit, ClosestHitRaysMatchReference)
     RayPredictor pred(sim.predictor, rig.bvh);
     RtUnit rt(sim.rt, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               &pred);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     BvhTraversal trav(rig.bvh, rig.scene.mesh.triangles());
     for (std::size_t i = 0; i < rays.size(); ++i) {
         HitRecord ref = trav.closestHit(rays[i]);
-        EXPECT_EQ(ref.hit, rt.results()[i].hit) << "ray " << i;
+        EXPECT_EQ(ref.hit, results[i].hit) << "ray " << i;
         if (ref.hit) {
-            EXPECT_NEAR(ref.t, rt.results()[i].t, 1e-3f) << "ray " << i;
+            EXPECT_NEAR(ref.t, results[i].t, 1e-3f) << "ray " << i;
         }
     }
 }
@@ -230,7 +204,7 @@ TEST(RtUnit, EmptySubmission)
     RtUnitConfig cfg;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit({}, {});
+    rt.submit({}, 0, 1, {});
     EXPECT_TRUE(rt.finished());
 }
 
@@ -241,7 +215,8 @@ TEST(RtUnit, PartialWarpSubmission)
     RtUnitConfig cfg;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     EXPECT_EQ(rt.stats().get("rays_completed"), 7u);
 }
@@ -254,7 +229,8 @@ TEST(RtUnit, MemoryAccessesAccounted)
     cfg.repackEnabled = false;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     // Post-merge requests never exceed pre-merge fetches.
     EXPECT_LE(rt.stats().get("mem_node_accesses"),
@@ -272,7 +248,8 @@ TEST(RtUnit, StackSpillsChargedForDeepScenes)
     cfg.repackEnabled = false;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     EXPECT_GT(rt.stats().get("stack_spills"), 0u);
     EXPECT_GT(rt.stats().get("mem_stack_accesses"), 0u);
@@ -285,7 +262,8 @@ TEST(RtUnit, SimtEfficiencyInUnitRange)
     RtUnitConfig cfg;
     RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
               nullptr);
-    rt.submit(rays, iota(rays.size()));
+    std::vector<RayResult> results(rays.size());
+    rt.submit(rays, 0, 1, results);
     runToCompletion(rt);
     EXPECT_GT(rt.simtEfficiency(), 0.0);
     EXPECT_LE(rt.simtEfficiency(), 1.0);
@@ -300,7 +278,8 @@ TEST(RtUnit, RepackedWarpsFormOnlyWithPredictor)
         cfg.repackEnabled = true;
         RtUnit rt(cfg, rig.bvh, rig.scene.mesh.triangles(), rig.mem, 0,
                   nullptr);
-        rt.submit(rays, iota(rays.size()));
+        std::vector<RayResult> results(rays.size());
+        rt.submit(rays, 0, 1, results);
         runToCompletion(rt);
         EXPECT_EQ(rt.stats().get("repacked_warps"), 0u);
     }
@@ -310,7 +289,8 @@ TEST(RtUnit, RepackedWarpsFormOnlyWithPredictor)
         RayPredictor pred(sim.predictor, rig.bvh);
         RtUnit rt(sim.rt, rig.bvh, rig.scene.mesh.triangles(), mem2, 0,
                   &pred);
-        rt.submit(rays, iota(rays.size()));
+        std::vector<RayResult> results(rays.size());
+        rt.submit(rays, 0, 1, results);
         runToCompletion(rt);
         EXPECT_GT(rt.stats().get("repacked_warps"), 0u);
     }

@@ -13,8 +13,9 @@
  * finite non-negative number is a usage error, never a silent 0.
  *
  * Prints the scene, ray count, the event-loop worker count, simulated
- * cycles, wall seconds, rays per wall-second, and an FNV-1a digest of
- * the result JSON. The run is one simulation at a time, so it takes
+ * cycles, wall seconds, rays per wall-second, an FNV-1a digest of the
+ * result JSON, and the process's peak resident set (VmHWM, which CI
+ * holds to a memory budget). The run is one simulation at a time, so it takes
  * the thread budget of a pool of one: RTP_SIM_THREADS when set, else
  * auto (SimConfig::simThreads). The digest is the same at every
  * worker count; CI compares RTP_SIM_THREADS=1 against the default.
@@ -28,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -76,6 +78,17 @@ fnv1a32(const std::string &bytes)
         h *= 16777619u;
     }
     return h;
+}
+
+/** @return The process's peak resident set (VmHWM), kB; 0 if unknown. */
+long
+peakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtol(line.c_str() + 6, nullptr, 10);
+    return 0;
 }
 
 } // namespace
@@ -156,6 +169,7 @@ main(int argc, char **argv)
                 sim_seconds, rps);
     std::printf("  result digest: fnv1a32=%08x\n",
                 static_cast<unsigned>(fnv1a32(result.toJson())));
+    std::printf("  peak rss: %ld kB\n", peakRssKb());
 
     if (budget_seconds > 0.0 && sim_seconds > budget_seconds) {
         std::fprintf(stderr,
